@@ -60,10 +60,12 @@ EventQueue::schedule(Tick when, EventCallback cb, int priority)
     e.cb = std::move(cb);
     const EventId id = (std::uint64_t(e.gen) << 32) | slot;
 
-    if (when - _now < Tick(kWindow)) {
+    if ((when >> kBlockBits) <= _distBlock) {
         // Near future: append to the tick's bucket. Appends carry
         // strictly increasing seq, so the bucket stays sorted by
         // (priority, seq) unless this priority undercuts the tail.
+        // (appendNear() spelled out: the compiler declines to inline
+        // it here, and this is the simulator's hottest call.)
         e.region = Region::kNear;
         Bucket &b = bucketAt(when);
         if (b.refs.empty())
@@ -81,16 +83,24 @@ EventQueue::schedule(Tick when, EventCallback cb, int priority)
             _cursorIdx = 0;
         }
     } else {
-        e.region = Region::kFar;
-        _far.push_back(FarRef{when, e.seq, slot, e.gen, priority});
-        std::push_heap(_far.begin(), _far.end(),
-                       [](const FarRef &a, const FarRef &b) {
-                           return a > b;
-                       });
-        _farMin = _far.front().when;
+        park(e, id);
     }
     ++_size;
     return id;
+}
+
+void
+EventQueue::park(Entry &e, EventId id)
+{
+    const Tick blk = e.when >> kBlockBits;
+    if (blk <= _distBlock + kRungBlocks) {
+        e.region = Region::kRung;
+        appendRung(blk, id);
+        return;
+    }
+    e.region = Region::kFar;
+    _far.push_back(FarRef{e.when, e.seq, slotOf(id), e.gen, e.priority});
+    std::push_heap(_far.begin(), _far.end(), FarRef::later);
 }
 
 bool
@@ -99,8 +109,9 @@ EventQueue::cancel(EventId id)
     // An id is cancellable exactly while its generation tag matches
     // the slot's: one probe. The entry (callback included) is
     // reclaimed immediately; only the slot's 8-byte ref stays parked
-    // in its bucket or the far heap, skipped by the mismatch when its
-    // position is reached (or purged in bulk, for the far heap).
+    // in its bucket, rung list or the far heap, skipped by the
+    // mismatch when its position is reached (or purged in bulk, for
+    // the far heap).
     const std::uint32_t slot = slotOf(id);
     if (slot >= _slotCount)
         return false;
@@ -108,13 +119,22 @@ EventQueue::cancel(EventId id)
     if (e.gen != genOf(id))
         return false;
     const Region region = e.region;
-    freeSlot(slot);
+    freeSlot(slot); // recycles the callback and tag, not e.when
     --_size;
-    if (region == Region::kNear) {
+    switch (region) {
+      case Region::kNear:
         --_nearLive;
-    } else {
+        break;
+      case Region::kRung: {
+        const std::size_t i = rungIndex(e.when >> kBlockBits);
+        if (--_rungLive[i] == 0)
+            _rungMask &= ~(std::uint64_t(1) << i);
+        break;
+      }
+      case Region::kFar:
         ++_staleFar;
         maybePurgeFar();
+        break;
     }
     return true;
 }
@@ -127,10 +147,8 @@ EventQueue::maybePurgeFar()
     std::erase_if(_far, [this](const FarRef &fr) {
         return entryAt(fr.slot).gen != fr.gen;
     });
-    std::make_heap(_far.begin(), _far.end(),
-                   [](const FarRef &a, const FarRef &b) { return a > b; });
+    std::make_heap(_far.begin(), _far.end(), FarRef::later);
     _staleFar = 0;
-    _farMin = _far.empty() ? kTickInvalid : _far.front().when;
 }
 
 std::size_t
@@ -158,41 +176,78 @@ EventQueue::findMarked(std::size_t from) const
 }
 
 void
-EventQueue::migrateNear(Tick base)
+EventQueue::advanceTo(Tick dist)
 {
-    // Pull every far event inside [base, base + kWindow) into its
-    // bucket. Heap pops arrive in (when, priority, seq) order, so
-    // consecutive migrations into an empty bucket stay sorted; a
-    // bucket that already has refs goes dirty and is cleaned once,
-    // when its tick fires.
-    const auto greater = [](const FarRef &a, const FarRef &b) {
-        return a > b;
-    };
-    while (!_far.empty() && _far.front().when - base < Tick(kWindow)) {
-        std::pop_heap(_far.begin(), _far.end(), greater);
-        const FarRef fr = _far.back();
-        _far.pop_back();
+    // Leaving the rung: each list is in append order, so a tick's refs
+    // reach their bucket in (priority, seq) order up to priority
+    // undercuts, which appendNear() flags. Only blocks dist - 1 and
+    // dist can still hold live refs (the caller's contract), and those
+    // two never share a bucket index; earlier lists are dropped here,
+    // so a cancelled rung ref never outlives its block.
+    const Tick last = std::min(dist, _distBlock + kRungBlocks);
+    for (Tick blk = _distBlock + 1; blk <= last; ++blk) {
+        const std::size_t i = rungIndex(blk);
+        for (const Ref r : _rung[i]) {
+            Entry &e = entryAt(slotOf(r));
+            if (e.gen != genOf(r))
+                continue; // cancelled while parked
+            ASTRA_DCHECK(e.when >= _now && (e.when >> kBlockBits) + 1 >= dist,
+                         "rung event distributed out of order (when=%llu "
+                         "now=%llu block=%llu)",
+                         static_cast<unsigned long long>(e.when),
+                         static_cast<unsigned long long>(_now),
+                         static_cast<unsigned long long>(dist));
+            e.region = Region::kNear;
+            appendNear(e.when, e.priority, r);
+        }
+        if (_rung[i].capacity() != 0) {
+            _rung[i].clear();
+            _spareRung.push_back(std::move(_rung[i]));
+        }
+        _rungLive[i] = 0;
+        _rungMask &= ~(std::uint64_t(1) << i);
+    }
+    _distBlock = dist;
+    _nextBlockStart = dist << kBlockBits;
+
+    // Refill the blocks that entered the horizon. Heap pops arrive in
+    // (when, priority, seq) order and precede every later schedule()
+    // into those blocks, which is what keeps each list in order.
+    const Tick horizon = dist + kRungBlocks;
+    while (!_far.empty() && (_far.front().when >> kBlockBits) <= horizon) {
+        const FarRef fr = popFar();
         Entry &e = entryAt(fr.slot);
         if (e.gen != fr.gen) {
             --_staleFar; // cancelled while parked: drop the ref here
             continue;
         }
         ASTRA_DCHECK(fr.when >= _now,
-                     "far event migrating into the past (when=%llu "
+                     "far event refilling into the past (when=%llu "
                      "now=%llu)",
                      static_cast<unsigned long long>(fr.when),
                      static_cast<unsigned long long>(_now));
-        e.region = Region::kNear;
-        Bucket &b = bucketAt(fr.when);
-        if (b.refs.empty())
-            markBucket(static_cast<std::size_t>(fr.when & kWindowMask));
-        else
-            b.dirty = true;
-        b.refs.push_back((std::uint64_t(fr.gen) << 32) | fr.slot);
-        b.lastPrio = fr.priority;
-        ++_nearLive;
+        const Ref r = (std::uint64_t(fr.gen) << 32) | fr.slot;
+        const Tick blk = fr.when >> kBlockBits;
+        if (blk <= dist) {
+            e.region = Region::kNear; // an epoch leap past the rung
+            appendNear(fr.when, fr.priority, r);
+        } else {
+            e.region = Region::kRung;
+            appendRung(blk, r);
+        }
     }
-    _farMin = _far.empty() ? kTickInvalid : _far.front().when;
+}
+
+Tick
+EventQueue::minRungTick(Tick blk) const
+{
+    Tick t = kTickInvalid;
+    for (const Ref r : _rung[rungIndex(blk)]) {
+        const Entry &e = entryAt(slotOf(r));
+        if (e.gen == genOf(r))
+            t = std::min(t, e.when);
+    }
+    return t;
 }
 
 void
@@ -226,27 +281,35 @@ std::uint32_t
 EventQueue::findNext(Tick bound)
 {
     for (;;) {
-        // Far events entering the near horizon must be bucketed
-        // before anything at or past their tick can fire.
-        if (_farMin != kTickInvalid && _farMin - _now < Tick(kWindow))
-            migrateNear(_now);
         if (_nearLive == 0) {
-            if (_far.empty())
-                return kNoSlot;
-            // Everything pending is far. Only leap the window there
-            // if the caller will actually fire that event: jumping
-            // commits its tick to a bucket, and a bucket is only
-            // unambiguous while every live near event is within
-            // kWindow of now() — which the immediate fire (advancing
-            // now() to the jump target) is what re-establishes.
-            if (_farMin > bound)
-                return kNoSlot;
-            const Tick base = _farMin;
-            migrateNear(base);
-            if (_cursorTick < base) {
-                _cursorTick = base;
-                _cursorIdx = 0;
+            // Nothing bucketed: the next event is the earliest live
+            // tick of the first live rung block or, failing that, the
+            // far heap's top. Only leap there if the caller will fire
+            // it: the leap distributes its block, and buckets are only
+            // unambiguous while every live one is within kWindow of
+            // now() — which the immediate fire (advancing now() to
+            // the leap target) is what re-establishes.
+            Tick target;
+            if (_rungMask != 0) {
+                const std::size_t first = rungIndex(_distBlock + 1);
+                target = minRungTick(
+                    _distBlock + 1 +
+                    Tick(std::countr_zero(std::rotr(_rungMask, int(first)))));
+            } else {
+                while (!_far.empty() &&
+                       entryAt(_far.front().slot).gen != _far.front().gen) {
+                    popFar();
+                    --_staleFar;
+                }
+                if (_far.empty())
+                    return kNoSlot;
+                target = _far.front().when;
             }
+            if (target > bound)
+                return kNoSlot;
+            advanceTo((target >> kBlockBits) + 1);
+            _cursorTick = target;
+            _cursorIdx = 0;
             continue;
         }
         for (;;) {
@@ -269,7 +332,7 @@ EventQueue::findNext(Tick bound)
             const std::size_t d = findMarked(static_cast<std::size_t>(
                 (_cursorTick + 1) & kWindowMask));
             if (d == kWindow)
-                break; // no marked buckets left: far heap or drained
+                break; // nothing bucketed: rung, far heap or drained
             _cursorTick += 1 + Tick(d);
         }
     }
@@ -289,6 +352,8 @@ EventQueue::fireAt(std::uint32_t slot)
     --_nearLive;
     --_size;
     _now = e.when;
+    if (_now >= _nextBlockStart)
+        advanceTo((_now >> kBlockBits) + 1);
     noteFired(e);
     ++_executed;
     // Retire the handle before invoking: cancel() of this event now
@@ -352,11 +417,18 @@ EventQueue::runUntil(Tick until)
     if (_now < until) {
         _now = until;
         // Ticks in (cursor, now] fired nothing, so their buckets hold
-        // at most stale refs; restart the scan at now.
-        if (_cursorTick < _now) {
+        // at most stale refs; restart the scan at now. With nothing
+        // bucketed, the cursor may also sit past now (on an event
+        // since cancelled): the blocks distributed below can land
+        // behind it, so restart there too.
+        if (_cursorTick < _now || _nearLive == 0) {
             _cursorTick = _now;
             _cursorIdx = 0;
         }
+        // Everything <= until fired, so the blocks skipped here hold
+        // nothing live.
+        if (_now >= _nextBlockStart)
+            advanceTo((_now >> kBlockBits) + 1);
     }
     return n;
 }
@@ -388,6 +460,26 @@ EventQueue::validateDrained() const
                 "at tick %llu",
                 static_cast<std::size_t>(_slotCount) - _freeList.size(),
                 static_cast<unsigned long long>(_now));
+    // The rung keeps its own live counts; recount them from the refs.
+    std::size_t rung_live = 0;
+    for (const std::vector<Ref> &list : _rung) {
+        for (const Ref r : list)
+            rung_live += entryAt(slotOf(r)).gen == genOf(r) ? 1 : 0;
+    }
+    ASTRA_CHECK(rung_live == 0 && _rungMask == 0,
+                "event queue drained with %zu live rung ref(s) (block "
+                "mask %llx) at tick %llu",
+                rung_live, static_cast<unsigned long long>(_rungMask),
+                static_cast<unsigned long long>(_now));
+}
+
+std::size_t
+EventQueue::rungSize() const
+{
+    std::size_t n = 0;
+    for (const std::vector<Ref> &list : _rung)
+        n += list.size();
+    return n;
 }
 
 } // namespace astra

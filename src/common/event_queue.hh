@@ -28,10 +28,15 @@
  *    kWindowMask`. schedule() is an append; popping walks the current
  *    tick's bucket with a cursor. No O(log n) sift, no Entry moves.
  *    A two-level bitmap finds the next non-empty tick in O(1).
- *  - **Far-future overflow heap.** The rare event beyond the window
- *    (compute phases, retry backoff) waits in a small binary heap of
- *    32-byte POD refs — the callback never moves — and migrates into
- *    the bucket array as the window reaches it.
+ *  - **A coarse rung for the middle distance.** Events further out
+ *    are common, not rare: an analytical link-busy retry re-parks a
+ *    large transfer at the link's free time, 16k-32k ticks ahead. They
+ *    append, unsorted, to one of kRungBlocks per-block ref lists
+ *    (blocks of half a window); when now() enters a block, the next
+ *    block's list is distributed into the buckets, O(1) per ref.
+ *  - **Far-future overflow heap.** Only events past the rung horizon
+ *    (64 blocks, 32 windows) wait in a binary heap of 32-byte POD refs
+ *    — the callback never moves — and refill the rung as it advances.
  *  - **Slab-allocated entries.** Entry objects (callback included)
  *    live in chunked slab storage with a free list; scheduling never
  *    touches the general heap and a fired entry's storage is reused by
@@ -55,6 +60,7 @@
 #ifndef ASTRA_COMMON_EVENT_QUEUE_HH
 #define ASTRA_COMMON_EVENT_QUEUE_HH
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -207,8 +213,8 @@ using EventId = std::uint64_t;
 inline constexpr EventId kEventIdInvalid = 0;
 
 /**
- * A deterministic discrete-event queue (ladder buckets + far heap over
- * a slab of recycled entries; see the file comment).
+ * A deterministic discrete-event queue (ladder buckets, rung and far
+ * heap over a slab of recycled entries; see the file comment).
  */
 class EventQueue
 {
@@ -217,14 +223,24 @@ class EventQueue
     static constexpr int kDefaultPriority = 0;
 
     /**
-     * Near-future horizon: events within kWindow ticks of now() are
-     * bucketed per tick; anything farther waits in the far heap. Sized
-     * so link/router/endpoint latencies land in buckets and only
-     * compute phases and retry backoffs spill far.
+     * Per-tick bucket array size. Live bucketed events always lie
+     * within kWindow ticks of now(), so `when & kWindowMask` never
+     * aliases two live ticks.
      */
     static constexpr std::size_t kWindowBits = 12;
     static constexpr std::size_t kWindow = std::size_t(1) << kWindowBits;
     static constexpr Tick kWindowMask = Tick(kWindow) - 1;
+
+    /**
+     * Rung block: half a window. An event is bucketed iff its block is
+     * at most the *distributed* block, block(now()) + 1; later blocks
+     * up to kRungBlocks past it park in the rung, the rest in the far
+     * heap. Block-aligned admission keeps the bucketed span under
+     * kWindow and never lets a bucketed ref jump ahead of refs still
+     * parked in the rung for the same tick.
+     */
+    static constexpr std::size_t kBlockBits = kWindowBits - 1;
+    static constexpr std::size_t kRungBlocks = 64;
 
     /**
      * The ordering audit (validate::eventOrder per fired event) is
@@ -344,6 +360,9 @@ class EventQueue
     /** Entries currently parked in the far-future heap (incl. stale). */
     std::size_t farHeapSize() const { return _far.size(); }
 
+    /** Refs currently parked in the rung (incl. stale). */
+    std::size_t rungSize() const;
+
     /** Slab slots ever allocated (high-water mark of pending events). */
     std::size_t allocatedSlots() const { return _slotCount; }
 
@@ -386,14 +405,15 @@ class EventQueue
 
     /**
      * Drain-time checker: after run() returns, no live events may
-     * remain and every entry slot must be back on the free list.
-     * Raises an ASTRA_CHECK diagnostic otherwise.
+     * remain (in the buckets, the rung or the far heap) and every
+     * entry slot must be back on the free list. Raises an ASTRA_CHECK
+     * diagnostic otherwise.
      */
     void validateDrained() const;
 
   private:
     /** Where an entry's pending ref currently lives. */
-    enum class Region : std::uint8_t { kNear, kFar };
+    enum class Region : std::uint8_t { kNear, kRung, kFar };
 
     /**
      * One slab slot. `gen` is the slot's *current* generation: equal
@@ -425,8 +445,10 @@ class EventQueue
     /**
      * One tick's pending events, in append order. `lastPrio` is the
      * priority of the last ref appended; `dirty` is set when an append
-     * (or a far-heap migration) may have broken the (priority, seq)
-     * sort order, and triggers one cleanup pass when the tick fires.
+     * undercut it, breaking the (priority, seq) sort order, and
+     * triggers one cleanup pass when the tick fires. Priority alone
+     * decides: a tick's refs arrive as the far heap's pops (sorted),
+     * then rung appends and schedule() calls (ascending seq).
      */
     struct Bucket
     {
@@ -444,14 +466,16 @@ class EventQueue
         std::uint32_t gen;
         int priority;
 
-        bool
-        operator>(const FarRef &o) const
+        /** True when @p a fires after @p o: the min-heap order for
+         *  the std::*_heap helpers. */
+        static bool
+        later(const FarRef &a, const FarRef &o)
         {
-            if (when != o.when)
-                return when > o.when;
-            if (priority != o.priority)
-                return priority > o.priority;
-            return seq > o.seq;
+            if (a.when != o.when)
+                return a.when > o.when;
+            if (a.priority != o.priority)
+                return a.priority > o.priority;
+            return a.seq > o.seq;
         }
     };
 
@@ -471,6 +495,24 @@ class EventQueue
     bucketAt(Tick when)
     {
         return _buckets[static_cast<std::size_t>(when & kWindowMask)];
+    }
+
+    /**
+     * Append @p r (an event at @p when) to its tick's bucket. The
+     * caller has checked the block is distributed and, where the ref
+     * could land behind the scan cursor, pulls the cursor back.
+     */
+    void
+    appendNear(Tick when, int priority, Ref r)
+    {
+        Bucket &b = bucketAt(when);
+        if (b.refs.empty())
+            markBucket(static_cast<std::size_t>(when & kWindowMask));
+        else if (priority < b.lastPrio)
+            b.dirty = true;
+        b.refs.push_back(r);
+        b.lastPrio = priority;
+        ++_nearLive;
     }
 
     /** Next generation for a freed slot (never 0, so ids stay valid). */
@@ -518,27 +560,67 @@ class EventQueue
      */
     std::size_t findMarked(std::size_t from) const;
 
+    /** Rung list of block @p blk (valid for the kRungBlocks blocks
+     *  past the distributed one). */
+    static std::size_t
+    rungIndex(Tick blk)
+    {
+        return static_cast<std::size_t>(blk & (kRungBlocks - 1));
+    }
+
+    /** Park @p r (an event in block @p blk) in its rung list. */
+    void
+    appendRung(Tick blk, Ref r)
+    {
+        const std::size_t i = rungIndex(blk);
+        std::vector<Ref> &list = _rung[i];
+        if (list.capacity() == 0 && !_spareRung.empty()) {
+            list = std::move(_spareRung.back());
+            _spareRung.pop_back();
+        }
+        list.push_back(r);
+        if (_rungLive[i]++ == 0)
+            _rungMask |= std::uint64_t(1) << i;
+    }
+
+    /** schedule()'s slow path: the rung, or the far heap past it. */
+    void park(Entry &e, EventId id);
+
+    /** Remove and return the far heap's earliest ref. */
+    FarRef
+    popFar()
+    {
+        std::pop_heap(_far.begin(), _far.end(), FarRef::later);
+        const FarRef fr = _far.back();
+        _far.pop_back();
+        return fr;
+    }
+
     /**
-     * Move every far-heap event with when < @p base + kWindow into its
-     * bucket (stale refs are dropped). Called when the window reaches
-     * the far heap's minimum.
+     * Make @p dist the distributed block: the rung lists of the blocks
+     * in between move into the buckets (stale refs are dropped), then
+     * the far heap refills the blocks that entered the rung horizon.
+     * Every block below @p dist - 1 must hold nothing live.
      */
-    void migrateNear(Tick base);
+    void advanceTo(Tick dist);
+
+    /** Earliest live tick parked in rung block @p blk. */
+    Tick minRungTick(Tick blk) const;
 
     /** Compact the far heap when stale refs dominate it. */
     void maybePurgeFar();
 
     /**
      * Position the cursor on the next live ref in firing order.
-     * @param bound  Highest tick the caller may fire. When everything
-     *        pending is beyond the near window, the queue must NOT
-     *        leap the window there unless that event is fireable
-     *        (<= bound): committing the jump early would leave far
-     *        events bucketed kWindow+ ticks ahead of now(), and a
-     *        later schedule() inside the window would alias their
-     *        bucket indices (ticks are bucketed modulo kWindow).
+     * @param bound  Highest tick the caller may fire. When nothing is
+     *        bucketed, the queue must NOT leap to the next parked
+     *        event unless that event is fireable (<= bound):
+     *        committing the leap distributes its block while now()
+     *        stays behind, and a later schedule() admitted against
+     *        that block could land kWindow+ ticks ahead of now() and
+     *        alias a bucket index (ticks are bucketed modulo kWindow).
      * @return the live ref's slot, or kNoSlot when nothing <= bound
-     *         remains (far events may still be parked).
+     *         remains (rung or far events may still be parked).
      */
     static constexpr std::uint32_t kNoSlot = 0xffffffffU;
     std::uint32_t findNext(Tick bound);
@@ -588,17 +670,22 @@ class EventQueue
     std::size_t _nearLive = 0; //!< live (non-cancelled) bucket refs
 
     // Scan cursor: next tick to examine and position within its
-    // bucket. Invariant outside pops: _cursorTick >= _now and every
-    // bucket for a tick < _cursorTick is empty.
+    // bucket. Invariant outside pops: _now <= _cursorTick <= every
+    // live bucketed tick (stale refs may linger anywhere).
     Tick _cursorTick = 0;
     std::size_t _cursorIdx = 0;
 
-    // Far-future overflow heap.
-    std::vector<FarRef> _far; //!< binary min-heap (std::*_heap helpers)
-    Tick _farMin = kTickInvalid; //!< cached _far top when (or invalid)
-    std::size_t _staleFar = 0;   //!< cancelled refs still in _far
+    // Distributed block: block(_now) + 1, except between an epoch leap
+    // and the fire it was taken for. _nextBlockStart is its first
+    // tick, so fireAt() spots a block change with one compare.
+    Tick _distBlock = 1;
+    Tick _nextBlockStart = Tick(1) << kBlockBits;
 
-    std::size_t _size = 0; //!< live events across buckets and far heap
+    // Far-future overflow heap: only blocks past the rung horizon.
+    std::vector<FarRef> _far; //!< binary min-heap (std::*_heap helpers)
+    std::size_t _staleFar = 0; //!< cancelled refs still in _far
+
+    std::size_t _size = 0; //!< live events across all three tiers
     Tick _now = 0;
     std::uint64_t _seq = 0;
     std::uint64_t _executed = 0;
@@ -611,6 +698,18 @@ class EventQueue
     int _lastPrio = 0;
     std::uint64_t _lastSeq = 0;
     Fnv1aDigest _digest;
+
+    // Rung: unsorted ref lists for blocks (_distBlock, _distBlock +
+    // kRungBlocks], list rungIndex(block), each in append order. Last,
+    // so it stays off the cache lines every event touches.
+    std::vector<Ref> _rung[kRungBlocks];
+    std::uint32_t _rungLive[kRungBlocks] = {}; //!< live refs per list
+    std::uint64_t _rungMask = 0; //!< bit i set while list i has live refs
+    // Buffers of distributed lists, handed to the next list to fill:
+    // only a handful of blocks fill at once, so pooling keeps the
+    // rung's memory near that handful's, not kRungBlocks high-water
+    // marks.
+    std::vector<std::vector<Ref>> _spareRung;
 };
 
 } // namespace astra

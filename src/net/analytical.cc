@@ -56,8 +56,9 @@ AnalyticalNetwork::send(Message msg)
     }
     if (proto > 0) {
         _eq.scheduleAfter(proto,
-                          [this, msg = std::move(msg), path]() mutable {
-                              hop(std::move(msg), path, 0);
+                          [this, msg = std::move(msg),
+                           path = std::move(path)]() mutable {
+                              hop(std::move(msg), std::move(path), 0);
                           });
         return;
     }
@@ -85,10 +86,10 @@ AnalyticalNetwork::hop(Message msg,
         }
         // Link busy: retry when it frees up. FIFO order is preserved by
         // the event queue's deterministic tiebreak.
-        _eq.schedule(free_at,
-                     [this, msg = std::move(msg), path, idx]() mutable {
-                         hop(std::move(msg), path, idx);
-                     });
+        _eq.schedule(free_at, [this, msg = std::move(msg),
+                               path = std::move(path), idx]() mutable {
+            hop(std::move(msg), std::move(path), idx);
+        });
         return;
     }
 
@@ -108,11 +109,10 @@ AnalyticalNetwork::hop(Message msg,
                 notifyLoss(msg, int(l));
                 return;
             }
-            _eq.schedule(resume,
-                         [this, msg = std::move(msg), path,
-                          idx]() mutable {
-                             hop(std::move(msg), path, idx);
-                         });
+            _eq.schedule(resume, [this, msg = std::move(msg),
+                                  path = std::move(path), idx]() mutable {
+                hop(std::move(msg), std::move(path), idx);
+            });
             return;
         }
         if (factor < 1.0)
@@ -160,10 +160,10 @@ AnalyticalNetwork::hop(Message msg,
         // still serializes the full message, so bandwidth is conserved.
         next_ready = start + p.latency + _routerLatency;
     }
-    _eq.schedule(next_ready,
-                 [this, msg = std::move(msg), path, idx]() mutable {
-                     hop(std::move(msg), path, idx + 1);
-                 });
+    _eq.schedule(next_ready, [this, msg = std::move(msg),
+                              path = std::move(path), idx]() mutable {
+        hop(std::move(msg), std::move(path), idx + 1);
+    });
 }
 
 void

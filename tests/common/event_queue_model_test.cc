@@ -92,6 +92,22 @@ class ReferenceQueue
     }
 
     /**
+     * runBounded() semantics: fire at most @p max events with when <=
+     * @p until, leaving time at the last fired tick. @return the count.
+     */
+    std::uint64_t
+    runBounded(Tick until, std::uint64_t max, std::vector<int> &fired)
+    {
+        std::uint64_t n = 0;
+        int tag = 0;
+        while (n < max && nextWhen() <= until && stepOne(&tag)) {
+            fired.push_back(tag);
+            ++n;
+        }
+        return n;
+    }
+
+    /**
      * Fire exactly the next pending event (unbounded), writing its tag
      * to @p tag. @return false when drained. Lets a driver interleave
      * re-entrant scheduling between pops, like a real callback would.
@@ -117,6 +133,16 @@ class ReferenceQueue
 
     Tick now() const { return _now; }
     std::size_t pending() const { return _pending.size(); }
+
+    /** Earliest pending tick (kTickInvalid when drained). */
+    Tick
+    nextWhen() const
+    {
+        Tick t = kTickInvalid;
+        for (const Ev &ev : _pending)
+            t = std::min(t, ev.when);
+        return t;
+    }
 
   private:
     struct Ev
@@ -151,6 +177,11 @@ void
 runSideBySide(int ops, std::uint64_t spread)
 {
     EventQueue eq;
+    // The reference is the exact oracle here. The per-event ordering
+    // audit of --validate=full assumes nothing is scheduled into the
+    // current tick below the last fired priority, which the schedules
+    // after each runUntil() window do on purpose.
+    eq.setOrderAudit(false);
     ReferenceQueue ref;
     std::vector<int> eq_fired, ref_fired;
     std::vector<std::pair<EventId, std::uint64_t>> live;
@@ -192,6 +223,106 @@ runSideBySide(int ops, std::uint64_t spread)
     eq.validateDrained();
 }
 
+/**
+ * Lockstep harness: every schedule/cancel goes to both queues and the
+ * fired streams are compared after every step()/runUntil()/
+ * runBounded(). Scheduling between two steps sees the same now() and
+ * seq order as scheduling from inside the fired callback would.
+ */
+class Mirror
+{
+  public:
+    static constexpr Tick kBlock = Tick(1) << EventQueue::kBlockBits;
+
+    // Schedules at now() after a step may undercut the last fired
+    // priority, which the ordering audit would flag (see runSideBySide).
+    Mirror() { eq.setOrderAudit(false); }
+
+    int
+    schedule(Tick when, int priority)
+    {
+        const int tag = int(_ids.size());
+        const EventId id = eq.schedule(
+            when, [this, tag] { _eqFired.push_back(tag); }, priority);
+        _ids.emplace_back(id, ref.schedule(when, priority, tag));
+        return tag;
+    }
+
+    bool
+    cancel(int tag)
+    {
+        const auto &[id, rid] = _ids[std::size_t(tag)];
+        const bool hit = eq.cancel(id);
+        EXPECT_EQ(hit, ref.cancel(rid)) << "tag " << tag;
+        return hit;
+    }
+
+    /** Fire one event in each queue; @return its tag, -1 when drained. */
+    int
+    step()
+    {
+        int tag = -1;
+        const bool ran = eq.step();
+        EXPECT_EQ(ran, ref.stepOne(&tag));
+        if (ran)
+            _refFired.push_back(tag);
+        check();
+        return ran ? tag : -1;
+    }
+
+    void
+    runUntil(Tick until)
+    {
+        eq.runUntil(until);
+        ref.runUntil(until, _refFired);
+        check();
+    }
+
+    void
+    runBounded(Tick until, std::uint64_t max)
+    {
+        EXPECT_EQ(eq.runBounded(until, max),
+                  ref.runBounded(until, max, _refFired));
+        check();
+    }
+
+    void
+    drain()
+    {
+        eq.run();
+        int tag = 0;
+        while (ref.stepOne(&tag))
+            _refFired.push_back(tag);
+        check();
+        EXPECT_EQ(eq.pendingEvents(), 0u);
+        eq.validateDrained();
+    }
+
+    std::size_t scheduled() const { return _ids.size(); }
+    std::size_t fired() const { return _eqFired.size(); }
+
+    EventQueue eq;
+    ReferenceQueue ref;
+
+  private:
+    /** Compare the streams fired since the last check. */
+    void
+    check()
+    {
+        ASSERT_EQ(_eqFired.size(), _refFired.size());
+        for (; _checked < _eqFired.size(); ++_checked) {
+            ASSERT_EQ(_eqFired[_checked], _refFired[_checked])
+                << "fired #" << _checked << " at tick " << eq.now();
+        }
+        EXPECT_EQ(eq.now(), ref.now());
+        EXPECT_EQ(eq.pendingEvents(), ref.pending());
+    }
+
+    std::vector<std::pair<EventId, std::uint64_t>> _ids;
+    std::vector<int> _eqFired, _refFired;
+    std::size_t _checked = 0;
+};
+
 TEST(EventQueueModel, DenseNearTraffic)
 {
     // Deltas inside a few buckets: same-tick FIFO ties, priority
@@ -201,16 +332,16 @@ TEST(EventQueueModel, DenseNearTraffic)
 
 TEST(EventQueueModel, WindowStraddlingTraffic)
 {
-    // Deltas up to 1.5 windows: every event class — bucket appends,
-    // far-heap parks, migration back into the buckets, cancellations
-    // of both near refs and parked FarRefs.
+    // Deltas up to 1.5 windows: bucket appends, rung parks one or two
+    // blocks out, distribution into the buckets, cancellations of both
+    // bucketed and parked refs.
     runSideBySide(2000, EventQueue::kWindow + EventQueue::kWindow / 2);
 }
 
 TEST(EventQueueModel, SparseFarTraffic)
 {
-    // Mostly-far deltas: epoch jumps where the whole window is empty
-    // and the cursor leaps to the far heap's minimum.
+    // Mostly-far deltas: epoch leaps where nothing is bucketed and the
+    // cursor leaps to the first rung block's or the far heap's minimum.
     runSideBySide(600, 64 * EventQueue::kWindow);
 }
 
@@ -366,23 +497,176 @@ TEST(EventQueueModel, GenerationWraparoundOfRecycledSlots)
 
 TEST(EventQueueModel, FarSpillMigratesInOrder)
 {
-    // Events parked far and events bucketed near that collide on the
-    // same window index (ticks congruent modulo kWindow) must still
-    // fire strictly by time.
+    // Events in all three tiers that collide on a bucket index (ticks
+    // congruent modulo kWindow) or on a rung list (blocks congruent
+    // modulo kRungBlocks) must still fire strictly by time.
     EventQueue eq;
     std::vector<int> fired;
     const Tick w = Tick(EventQueue::kWindow);
-    const Tick ticks[] = {5,     w - 1, w,     w + 5, 2 * w + 5,
-                          3 * w, 7 * w, 7 * w, 9 * w - 1};
+    const Tick r = Tick(EventQueue::kRungBlocks) << EventQueue::kBlockBits;
+    const Tick ticks[] = {5,         w - 1,     w,         w + 5,
+                          2 * w + 5, 3 * w,     7 * w,     7 * w,
+                          9 * w - 1, r,         r + 5,     r + w + 5,
+                          2 * r,     2 * r + 5, 3 * r - 1, 3 * r - 1};
     int tag = 0;
     for (const Tick t : ticks) {
         eq.schedule(t, [&fired, tag] { fired.push_back(tag); });
         ++tag;
     }
+    EXPECT_GT(eq.rungSize(), 0u);
     EXPECT_GT(eq.farHeapSize(), 0u);
     eq.run();
     ASSERT_EQ(fired.size(), std::size(ticks));
     EXPECT_TRUE(std::is_sorted(fired.begin(), fired.end()));
+    EXPECT_EQ(eq.rungSize(), 0u);
+    EXPECT_EQ(eq.farHeapSize(), 0u);
+    eq.validateDrained();
+}
+
+TEST(EventQueueModel, PipelineReparkStorm)
+{
+    // The GPT-2 pipeline's traffic: transfers contend for a few links,
+    // and a busy link re-parks the transfer at its free tick, 4-8
+    // windows ahead — so many events share one tick parked in the rung
+    // and re-park again when an earlier waiter takes the link. Mixed
+    // priorities; parked events are cancelled along the way.
+    constexpr std::size_t kLinks = 3;
+    constexpr std::size_t kBudget = 12000;
+    const Tick w = Tick(EventQueue::kWindow);
+    Mirror m;
+    Tick free_at[kLinks] = {};
+    std::vector<int> parked;
+    for (int i = 0; i < 64; ++i)
+        m.schedule(Tick(mix(std::uint64_t(i)) % 32), i % 3 - 1);
+    for (std::uint64_t n = 0;; ++n) {
+        const int tag = m.step();
+        if (tag < 0)
+            break;
+        if (m.scheduled() >= kBudget)
+            continue; // let the storm drain
+        const std::uint64_t r = mix(std::uint64_t(tag) + 1000 * n);
+        const Tick now = m.eq.now();
+        Tick &link = free_at[r % kLinks];
+        const int priority = int(mix(r + 1) % 3) - 1;
+        if (link > now) {
+            parked.push_back(m.schedule(link, priority));
+        } else {
+            link = now + 4 * w + Tick(mix(r + 2) % (4 * w));
+            m.schedule(now + 1 + Tick(mix(r + 3) % 64), priority);
+            if (r % 4 == 0)
+                m.schedule(link, priority);
+        }
+        if (n % 5 == 4 && !parked.empty())
+            m.cancel(parked[mix(r + 4) % parked.size()]);
+    }
+    EXPECT_GE(m.fired(), kBudget / 2);
+    m.drain();
+}
+
+TEST(EventQueueModel, DirectScheduleIntoParkedBlock)
+{
+    // A tick within kWindow of now() whose block is not distributed
+    // yet already holds refs parked in the rung. A direct schedule
+    // there must park behind them, not jump ahead into a bucket: at
+    // tick t all priorities are equal, so only seq orders them (and
+    // no priority undercut triggers a sort that would hide a
+    // misordering); tick t + 1 mixes priorities.
+    Mirror m;
+    const Tick t = 20 * Mirror::kBlock + 10;
+    for (int i = 0; i < 40; ++i) {
+        m.schedule(t, 0);
+        m.schedule(t + 1, int(mix(std::uint64_t(i)) % 3) - 1);
+    }
+    m.cancel(6);
+    m.runUntil(t - (EventQueue::kWindow - 100));
+    ASSERT_LT(t - m.eq.now(), Tick(EventQueue::kWindow));
+    ASSERT_GT(t >> EventQueue::kBlockBits,
+              (m.eq.now() >> EventQueue::kBlockBits) + 1);
+    for (int i = 0; i < 20; ++i) {
+        m.schedule(t, 0);
+        m.schedule(t + 1, int(mix(std::uint64_t(i) + 50) % 3) - 1);
+    }
+    m.cancel(7);
+    // Step into the block before t's, then schedule again: now t's
+    // block is the distributed one.
+    m.schedule(t - Mirror::kBlock, 0);
+    m.step();
+    ASSERT_EQ(m.eq.now(), t - Mirror::kBlock);
+    for (int i = 0; i < 10; ++i)
+        m.schedule(t, 0);
+    m.drain();
+}
+
+TEST(EventQueueModel, RunUntilStopsMidBlockThenSchedules)
+{
+    // runUntil()/runBounded() stopping mid-block (and runBounded()
+    // mid-tick), then schedules at now(), into the parked blocks ahead
+    // and past the rung.
+    Mirror m;
+    const Tick blk = Mirror::kBlock;
+    for (int i = 0; i < 300; ++i) {
+        const std::uint64_t r = mix(std::uint64_t(i) + 77);
+        m.schedule(Tick(r % (12 * blk)), int(r >> 40) % 3 - 1);
+    }
+    for (int k = 0; k < 120; ++k) {
+        const std::uint64_t r = mix(std::uint64_t(k) + 5000);
+        if (k % 2 == 0)
+            m.runUntil(m.eq.now() + Tick(r % (2 * blk)));
+        else
+            m.runBounded(m.eq.now() + Tick(r % (3 * blk)), 1 + r % 9);
+        const Tick now = m.eq.now();
+        const int priority = int(mix(r + 1) % 3) - 1;
+        m.schedule(now, priority);
+        m.schedule(now + Tick(mix(r + 2) % (3 * blk)), priority);
+        m.schedule(now + Tick(mix(r + 3) % (40 * blk)), -priority);
+        if (k % 7 == 3) {
+            const Tick past = Tick(EventQueue::kRungBlocks + 3) * blk;
+            m.schedule(now + past + Tick(mix(r + 4) % blk), priority);
+        }
+        if (k % 3 == 1)
+            m.cancel(int(mix(r + 5) % m.scheduled()));
+    }
+    m.drain();
+}
+
+TEST(EventQueueModel, FarHeapRefillsRung)
+{
+    // Deltas a few blocks either side of the rung horizon: parks in
+    // the far heap that refill the rung as it advances, cancellations
+    // of heap and rung refs, and leaps across empty stretches.
+    runSideBySide(2500, Tick(EventQueue::kRungBlocks + 6)
+                            << EventQueue::kBlockBits);
+}
+
+TEST(EventQueueModel, CancelledRungRefsDieWithTheirBlock)
+{
+    // A cancelled rung ref is dropped when its block leaves the rung —
+    // both when time walks into the block and when a leap skips it.
+    EventQueue eq;
+    const Tick blk = Tick(1) << EventQueue::kBlockBits;
+    const Tick t = 10 * blk + 7;
+    std::vector<EventId> ids;
+    for (int i = 0; i < 1000; ++i)
+        ids.push_back(eq.schedule(t + Tick(i % 50), [] {}));
+    EXPECT_EQ(eq.rungSize(), 1000u);
+    EXPECT_EQ(eq.farHeapSize(), 0u);
+    for (const EventId id : ids)
+        EXPECT_TRUE(eq.cancel(id));
+    EXPECT_EQ(eq.pendingEvents(), 0u);
+    eq.runUntil(t - blk);
+    EXPECT_EQ(eq.rungSize(), 0u);
+
+    ids.clear();
+    for (int i = 0; i < 100; ++i)
+        ids.push_back(eq.schedule(t + 5 * blk, [] {}));
+    int fired = 0;
+    eq.schedule(t + 30 * blk, [&fired] { ++fired; });
+    for (const EventId id : ids)
+        EXPECT_TRUE(eq.cancel(id));
+    EXPECT_EQ(eq.rungSize(), 101u);
+    EXPECT_EQ(eq.run(), 1u);
+    EXPECT_EQ(fired, 1);
+    EXPECT_EQ(eq.rungSize(), 0u);
     eq.validateDrained();
 }
 

@@ -151,11 +151,12 @@ TEST(EventQueue, MassCancellationReclaimsSlotsEagerly)
 
 TEST(EventQueue, FarHeapPurgeCompactsStaleRefs)
 {
-    // Events past the near window (now + kWindow) park in the far
-    // heap; cancelling most of them triggers the bulk purge so stale
-    // refs never dominate the heap.
+    // Events past the rung horizon (kRungBlocks blocks beyond the
+    // distributed one) park in the far heap; cancelling most of them
+    // triggers the bulk purge so stale refs never dominate the heap.
     EventQueue eq;
-    const Tick far = Tick(EventQueue::kWindow) + 100;
+    const Tick far =
+        (Tick(EventQueue::kRungBlocks + 2) << EventQueue::kBlockBits) + 100;
     std::vector<EventId> victims;
     for (int i = 0; i < 1000; ++i)
         victims.push_back(eq.schedule(far + Tick(i), [] {}));

@@ -1,0 +1,46 @@
+#!/usr/bin/env bash
+# Regenerate tests/golden/digests.txt: the retired-event digest
+# (--digest) of an all-reduce over every configs/*.cfg under both
+# backends, plus one GPT-2 pipeline run. The golden_digests ctest
+# re-runs every line of the file and fails on any difference.
+#
+#   tools/update_goldens.sh [ASTRA_SIM]   # default: build/tools/astra-sim
+#
+# Run it from any directory; config paths in the file are relative to
+# the source root. A change that regenerates the file must explain the
+# diff in CHANGES.md.
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+SIM="${1:-build/tools/astra-sim}"
+OUT=tests/golden/digests.txt
+
+cases=()
+for cfg in configs/*.cfg; do
+    for backend in analytical garnet; do
+        cases+=("--collective=allreduce --bytes=1MB --config=$cfg --backend=$backend")
+    done
+done
+# GPT-2 under GPipe: the analytical link-busy retries of its large
+# activations park most of its events 16k-32k ticks ahead.
+cases+=("--model=gpt2 --pipeline=64 --num-packages=4 --package-rows=4 --local-dim=2")
+
+tmp="$(mktemp)"
+trap 'rm -f "$tmp"' EXIT
+{
+    echo "# Retired-event digests of astra-sim runs: <digest> <arguments>."
+    echo "# Checked by the golden_digests ctest (tests/golden/check_digests.cmake);"
+    echo "# regenerate with tools/update_goldens.sh."
+    for args in "${cases[@]}"; do
+        # shellcheck disable=SC2086 # $args is a word list on purpose
+        digest="$("$SIM" $args --digest | sed -n 's/^event digest: //p')"
+        if [ -z "$digest" ]; then
+            echo "no digest printed by: $SIM $args --digest" >&2
+            exit 1
+        fi
+        echo "$digest $args"
+    done
+} > "$tmp"
+mv "$tmp" "$OUT"
+trap - EXIT
+echo "wrote $OUT (${#cases[@]} runs)"
