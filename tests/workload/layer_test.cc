@@ -99,18 +99,14 @@ TEST_P(WorkloadFileErrors, AreFatalWithoutCrashing)
 INSTANTIATE_TEST_SUITE_P(
     Malformed, WorkloadFileErrors,
     ::testing::Values(
-        BadCase{"empty", ""},
         BadCase{"no_parallelism", "LAYERS: 1\n"},
         BadCase{"bad_parallelism", "PARALLELISM: SIDEWAYS\nLAYERS: 1\n"},
-        BadCase{"zero_layers", "PARALLELISM: DATA\nLAYERS: 0\n"},
+        BadCase{"zero_layers_given", "PARALLELISM: DATA\nLAYERS: 0\n"},
         BadCase{"missing_layer",
                 "PARALLELISM: DATA\nLAYERS: 1\n"},
-        BadCase{"bad_compute",
+        BadCase{"compute_line_with_two_values",
                 "PARALLELISM: DATA\nLAYERS: 1\nLAYER a\n"
                 "COMPUTE 1 2\nCOMM NONE 0 NONE 0 NONE 0\nUPDATE 1\n"},
-        BadCase{"negative_compute",
-                "PARALLELISM: DATA\nLAYERS: 1\nLAYER a\n"
-                "COMPUTE 1 -2 3\nCOMM NONE 0 NONE 0 NONE 0\nUPDATE 1\n"},
         BadCase{"bad_comm_kind",
                 "PARALLELISM: DATA\nLAYERS: 1\nLAYER a\n"
                 "COMPUTE 1 2 3\nCOMM WIBBLE 1 NONE 0 NONE 0\nUPDATE 1\n"},
@@ -121,10 +117,14 @@ INSTANTIATE_TEST_SUITE_P(
         BadCase{"missing_update",
                 "PARALLELISM: DATA\nLAYERS: 1\nLAYER a\n"
                 "COMPUTE 1 2 3\nCOMM NONE 0 NONE 0 NONE 0\n"},
+        BadCase{"negative_compute",
+                "PARALLELISM: DATA\nLAYERS: 1\nLAYER a\n"
+                "COMPUTE 1 -2 3\nCOMM NONE 0 NONE 0 NONE 0\nUPDATE 1\n"},
         BadCase{"trailing_garbage",
                 "PARALLELISM: DATA\nLAYERS: 1\nLAYER a\n"
                 "COMPUTE 1 2 3\nCOMM NONE 0 NONE 0 NONE 0\nUPDATE 1\n"
-                "EXTRA\n"}),
+                "EXTRA\n"},
+        BadCase{"empty_workload_file", ""}),
     [](const ::testing::TestParamInfo<BadCase> &i) {
         return i.param.name;
     });
