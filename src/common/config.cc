@@ -434,6 +434,218 @@ SimConfig::allToAll(int m, int packages, int switches)
     return *this;
 }
 
+namespace
+{
+
+/**
+ * One parameter: its names (canonical first, then aliases, all in
+ * normalized spelling) and the setter that parses a value into the
+ * config. Setters report through parseFail() with the normalized key
+ * @p k, and leave the config untouched on a bad value.
+ */
+struct ConfigKey
+{
+    std::vector<const char *> names;
+    void (*set)(SimConfig &c, const std::string &k, const std::string &v);
+};
+
+/**
+ * Every key trySet() accepts. docs/PARAMETERS.md documents exactly
+ * these names (ctest `Config.KeyTableMatchesParametersDoc`).
+ */
+const std::vector<ConfigKey> &
+configKeys()
+{
+    static const std::vector<ConfigKey> kKeys = {
+        {{"dnn-name"}, [](auto &c, auto &, auto &v) { c.dnnName = v; }},
+        {{"trace-file"}, [](auto &c, auto &, auto &v) { c.traceFile = v; }},
+        {{"net-metrics"},
+         [](auto &c, auto &k, auto &v) { setBool(c.netMetrics, k, v); }},
+        {{"net-coalesce"},
+         [](auto &c, auto &k, auto &v) { setBool(c.netCoalesce, k, v); }},
+        {{"digest"},
+         [](auto &c, auto &k, auto &v) { setBool(c.digest, k, v); }},
+        {{"num-passes"},
+         [](auto &c, auto &k, auto &v) { setInt(c.numPasses, k, v, 1); }},
+        {{"algorithm"},
+         [](auto &c, auto &, auto &v) {
+             lookupAlgorithmFlavor(v, &c.algorithm);
+         }},
+        {{"topology"},
+         [](auto &c, auto &, auto &v) { lookupTopologyKind(v, &c.topology); }},
+        {{"local-dim"},
+         [](auto &c, auto &k, auto &v) { setInt(c.localDim, k, v, 1); }},
+        {{"horizontal-dim", "num-packages"},
+         [](auto &c, auto &k, auto &v) { setInt(c.horizontalDim, k, v, 1); }},
+        {{"vertical-dim", "package-rows"},
+         [](auto &c, auto &k, auto &v) { setInt(c.verticalDim, k, v, 1); }},
+        {{"scheduling-policy"},
+         [](auto &c, auto &, auto &v) {
+             lookupSchedulingPolicy(v, &c.schedulingPolicy);
+         }},
+        {{"global-switches"},
+         [](auto &c, auto &k, auto &v) { setInt(c.globalSwitches, k, v, 1); }},
+        {{"endpoint-delay"},
+         [](auto &c, auto &k, auto &v) { setTick(c.endpointDelay, k, v); }},
+        {{"packet-routing"},
+         [](auto &c, auto &, auto &v) {
+             lookupPacketRouting(v, &c.packetRouting);
+         }},
+        {{"injection-policy"},
+         [](auto &c, auto &, auto &v) {
+             lookupInjectionPolicy(v, &c.injectionPolicy);
+         }},
+        {{"preferred-set-splits"},
+         [](auto &c, auto &k, auto &v) {
+             setInt(c.preferredSetSplits, k, v, 1);
+         }},
+        {{"dispatch-threshold"},
+         [](auto &c, auto &k, auto &v) {
+             setInt(c.dispatchThreshold, k, v, 1);
+         }},
+        {{"dispatch-width"},
+         [](auto &c, auto &k, auto &v) { setInt(c.dispatchWidth, k, v, 1); }},
+        {{"lsq-concurrency"},
+         [](auto &c, auto &k, auto &v) { setInt(c.lsqConcurrency, k, v, 1); }},
+        {{"local-update-time"},
+         [](auto &c, auto &k, auto &v) {
+             setDouble(c.localUpdateTimePerKiB, k, v);
+         }},
+        {{"backend"},
+         [](auto &c, auto &, auto &v) { lookupNetworkBackend(v, &c.backend); }},
+        {{"local-rings"},
+         [](auto &c, auto &k, auto &v) { setInt(c.local.rings, k, v, 1); }},
+        // The paper exposes separate ring counts for the two package
+        // dimensions; this implementation uses one inter-package link
+        // class, so the counts are tied together.
+        {{"vertical-rings", "horizontal-rings", "package-rings"},
+         [](auto &c, auto &k, auto &v) { setInt(c.package.rings, k, v, 1); }},
+        {{"local-link-bw"},
+         [](auto &c, auto &k, auto &v) {
+             setDouble(c.local.bandwidth, k, v, Range::Positive);
+         }},
+        {{"package-link-bw"},
+         [](auto &c, auto &k, auto &v) {
+             setDouble(c.package.bandwidth, k, v, Range::Positive);
+         }},
+        {{"local-link-latency"},
+         [](auto &c, auto &k, auto &v) { setTick(c.local.latency, k, v); }},
+        {{"package-link-latency"},
+         [](auto &c, auto &k, auto &v) { setTick(c.package.latency, k, v); }},
+        {{"local-link-efficiency"},
+         [](auto &c, auto &k, auto &v) {
+             setDouble(c.local.efficiency, k, v, Range::UnitInterval);
+         }},
+        {{"package-link-efficiency"},
+         [](auto &c, auto &k, auto &v) {
+             setDouble(c.package.efficiency, k, v, Range::UnitInterval);
+         }},
+        {{"local-packet-size"},
+         [](auto &c, auto &k, auto &v) { setBytes(c.local.packetSize, k, v); }},
+        {{"package-packet-size"},
+         [](auto &c, auto &k, auto &v) {
+             setBytes(c.package.packetSize, k, v);
+         }},
+        {{"flit-width"},
+         [](auto &c, auto &k, auto &v) { setInt(c.flitWidthBits, k, v, 8); }},
+        {{"router-latency"},
+         [](auto &c, auto &k, auto &v) { setTick(c.routerLatency, k, v); }},
+        {{"vcs-per-vnet"},
+         [](auto &c, auto &k, auto &v) { setInt(c.vcsPerVnet, k, v, 1); }},
+        {{"buffers-per-vc"},
+         [](auto &c, auto &k, auto &v) { setInt(c.buffersPerVc, k, v, 1); }},
+        {{"physical-topology"},
+         [](auto &c, auto &, auto &v) {
+             if (lower(v) == "logical")
+                 c.physicalDistinct = false;
+             else if (lookupTopologyKind(v, &c.physTopology))
+                 c.physicalDistinct = true;
+         }},
+        {{"physical-local-dim"},
+         [](auto &c, auto &k, auto &v) { setInt(c.physLocalDim, k, v, 1); }},
+        {{"physical-horizontal-dim", "physical-num-packages"},
+         [](auto &c, auto &k, auto &v) {
+             setInt(c.physHorizontalDim, k, v, 1);
+         }},
+        {{"physical-vertical-dim", "physical-package-rows"},
+         [](auto &c, auto &k, auto &v) { setInt(c.physVerticalDim, k, v, 1); }},
+        {{"physical-global-switches"},
+         [](auto &c, auto &k, auto &v) {
+             setInt(c.physGlobalSwitches, k, v, 1);
+         }},
+        {{"scaleout-dim", "pods"},
+         [](auto &c, auto &k, auto &v) { setInt(c.scaleoutDimSize, k, v, 1); }},
+        {{"scaleout-switches"},
+         [](auto &c, auto &k, auto &v) {
+             setInt(c.scaleoutSwitches, k, v, 1);
+         }},
+        {{"scaleout-link-bw"},
+         [](auto &c, auto &k, auto &v) {
+             setDouble(c.scaleout.bandwidth, k, v, Range::Positive);
+         }},
+        {{"scaleout-link-latency"},
+         [](auto &c, auto &k, auto &v) { setTick(c.scaleout.latency, k, v); }},
+        {{"scaleout-link-efficiency"},
+         [](auto &c, auto &k, auto &v) {
+             setDouble(c.scaleout.efficiency, k, v, Range::UnitInterval);
+         }},
+        {{"scaleout-packet-size"},
+         [](auto &c, auto &k, auto &v) {
+             setBytes(c.scaleout.packetSize, k, v);
+         }},
+        {{"scaleout-protocol-delay"},
+         [](auto &c, auto &k, auto &v) {
+             setTick(c.scaleoutProtocolDelay, k, v);
+         }},
+        {{"scaleout-pj-per-bit"},
+         [](auto &c, auto &k, auto &v) {
+             setDouble(c.energy.scaleoutPjPerBit, k, v);
+         }},
+        {{"local-pj-per-bit"},
+         [](auto &c, auto &k, auto &v) {
+             setDouble(c.energy.localPjPerBit, k, v);
+         }},
+        {{"package-pj-per-bit"},
+         [](auto &c, auto &k, auto &v) {
+             setDouble(c.energy.packagePjPerBit, k, v);
+         }},
+        {{"router-pj-per-flit"},
+         [](auto &c, auto &k, auto &v) {
+             setDouble(c.energy.routerPjPerFlit, k, v);
+         }},
+        // The one intentionally repeatable key: rules accumulate. The
+        // rule text is validated when the FaultPlan is built, so a bad
+        // rule surfaces with every other config problem.
+        {{"fault"},
+         [](auto &c, auto &, auto &v) { c.faultRules.push_back(v); }},
+        {{"fault-plan"}, [](auto &c, auto &, auto &v) { c.faultPlanFile = v; }},
+        {{"fault-timeout"},
+         [](auto &c, auto &k, auto &v) { setTick(c.faultTimeout, k, v, 1); }},
+        {{"fault-max-retries"},
+         [](auto &c, auto &k, auto &v) { setInt(c.faultMaxRetries, k, v, 0); }},
+        {{"max-events"},
+         [](auto &c, auto &k, auto &v) { setTick(c.maxEvents, k, v, 1); }},
+        {{"max-sim-time"},
+         [](auto &c, auto &k, auto &v) { setTick(c.maxSimTime, k, v, 1); }},
+        {{"max-slab-bytes"},
+         [](auto &c, auto &k, auto &v) { setBytes(c.maxSlabBytes, k, v); }},
+        {{"watchdog-window"},
+         [](auto &c, auto &k, auto &v) { setTick(c.watchdogWindow, k, v, 1); }},
+    };
+    return kKeys;
+}
+
+} // namespace
+
+std::vector<std::string>
+SimConfig::keyNames()
+{
+    std::vector<std::string> out;
+    for (const ConfigKey &key : configKeys())
+        out.insert(out.end(), key.names.begin(), key.names.end());
+    return out;
+}
+
 void
 SimConfig::set(const std::string &key, const std::string &value)
 {
@@ -449,142 +661,17 @@ SimConfig::trySet(const std::string &key, const std::string &value,
     const std::string k = normalizeKey(key);
     t_parseError.clear();
 
-    if (k == "dnn-name") {
-        dnnName = value;
-    } else if (k == "trace-file") {
-        traceFile = value;
-    } else if (k == "net-metrics") {
-        setBool(netMetrics, k, value);
-    } else if (k == "net-coalesce") {
-        setBool(netCoalesce, k, value);
-    } else if (k == "digest") {
-        setBool(digest, k, value);
-    } else if (k == "num-passes") {
-        setInt(numPasses, k, value, 1);
-    } else if (k == "algorithm") {
-        lookupAlgorithmFlavor(value, &algorithm);
-    } else if (k == "topology") {
-        lookupTopologyKind(value, &topology);
-    } else if (k == "local-dim") {
-        setInt(localDim, k, value, 1);
-    } else if (k == "horizontal-dim" || k == "num-packages") {
-        setInt(horizontalDim, k, value, 1);
-    } else if (k == "vertical-dim" || k == "package-rows") {
-        setInt(verticalDim, k, value, 1);
-    } else if (k == "scheduling-policy") {
-        lookupSchedulingPolicy(value, &schedulingPolicy);
-    } else if (k == "global-switches") {
-        setInt(globalSwitches, k, value, 1);
-    } else if (k == "endpoint-delay") {
-        setTick(endpointDelay, k, value);
-    } else if (k == "packet-routing") {
-        lookupPacketRouting(value, &packetRouting);
-    } else if (k == "injection-policy") {
-        lookupInjectionPolicy(value, &injectionPolicy);
-    } else if (k == "preferred-set-splits") {
-        setInt(preferredSetSplits, k, value, 1);
-    } else if (k == "dispatch-threshold") {
-        setInt(dispatchThreshold, k, value, 1);
-    } else if (k == "dispatch-width") {
-        setInt(dispatchWidth, k, value, 1);
-    } else if (k == "lsq-concurrency") {
-        setInt(lsqConcurrency, k, value, 1);
-    } else if (k == "local-update-time") {
-        setDouble(localUpdateTimePerKiB, k, value);
-    } else if (k == "backend") {
-        lookupNetworkBackend(value, &backend);
-    } else if (k == "local-rings") {
-        setInt(local.rings, k, value, 1);
-    } else if (k == "vertical-rings" || k == "horizontal-rings" ||
-               k == "package-rings") {
-        // The paper exposes separate ring counts for the two package
-        // dimensions; this implementation uses one inter-package link
-        // class, so the counts are tied together.
-        setInt(package.rings, k, value, 1);
-    } else if (k == "local-link-bw") {
-        setDouble(local.bandwidth, k, value, Range::Positive);
-    } else if (k == "package-link-bw") {
-        setDouble(package.bandwidth, k, value, Range::Positive);
-    } else if (k == "local-link-latency") {
-        setTick(local.latency, k, value);
-    } else if (k == "package-link-latency") {
-        setTick(package.latency, k, value);
-    } else if (k == "local-link-efficiency") {
-        setDouble(local.efficiency, k, value, Range::UnitInterval);
-    } else if (k == "package-link-efficiency") {
-        setDouble(package.efficiency, k, value, Range::UnitInterval);
-    } else if (k == "local-packet-size") {
-        setBytes(local.packetSize, k, value);
-    } else if (k == "package-packet-size") {
-        setBytes(package.packetSize, k, value);
-    } else if (k == "flit-width") {
-        setInt(flitWidthBits, k, value, 8);
-    } else if (k == "router-latency") {
-        setTick(routerLatency, k, value);
-    } else if (k == "vcs-per-vnet") {
-        setInt(vcsPerVnet, k, value, 1);
-    } else if (k == "buffers-per-vc") {
-        setInt(buffersPerVc, k, value, 1);
-    } else if (k == "physical-topology") {
-        if (lower(value) == "logical") {
-            physicalDistinct = false;
-        } else if (lookupTopologyKind(value, &physTopology)) {
-            physicalDistinct = true;
-        }
-    } else if (k == "physical-local-dim") {
-        setInt(physLocalDim, k, value, 1);
-    } else if (k == "physical-horizontal-dim" ||
-               k == "physical-num-packages") {
-        setInt(physHorizontalDim, k, value, 1);
-    } else if (k == "physical-vertical-dim" ||
-               k == "physical-package-rows") {
-        setInt(physVerticalDim, k, value, 1);
-    } else if (k == "physical-global-switches") {
-        setInt(physGlobalSwitches, k, value, 1);
-    } else if (k == "scaleout-dim" || k == "pods") {
-        setInt(scaleoutDimSize, k, value, 1);
-    } else if (k == "scaleout-switches") {
-        setInt(scaleoutSwitches, k, value, 1);
-    } else if (k == "scaleout-link-bw") {
-        setDouble(scaleout.bandwidth, k, value, Range::Positive);
-    } else if (k == "scaleout-link-latency") {
-        setTick(scaleout.latency, k, value);
-    } else if (k == "scaleout-link-efficiency") {
-        setDouble(scaleout.efficiency, k, value, Range::UnitInterval);
-    } else if (k == "scaleout-packet-size") {
-        setBytes(scaleout.packetSize, k, value);
-    } else if (k == "scaleout-protocol-delay") {
-        setTick(scaleoutProtocolDelay, k, value);
-    } else if (k == "scaleout-pj-per-bit") {
-        setDouble(energy.scaleoutPjPerBit, k, value);
-    } else if (k == "local-pj-per-bit") {
-        setDouble(energy.localPjPerBit, k, value);
-    } else if (k == "package-pj-per-bit") {
-        setDouble(energy.packagePjPerBit, k, value);
-    } else if (k == "router-pj-per-flit") {
-        setDouble(energy.routerPjPerFlit, k, value);
-    } else if (k == "fault") {
-        // The one intentionally repeatable key: rules accumulate. The
-        // rule text is validated when the FaultPlan is built, so a bad
-        // rule surfaces with every other config problem.
-        faultRules.push_back(value);
-    } else if (k == "fault-plan") {
-        faultPlanFile = value;
-    } else if (k == "fault-timeout") {
-        setTick(faultTimeout, k, value, 1);
-    } else if (k == "fault-max-retries") {
-        setInt(faultMaxRetries, k, value, 0);
-    } else if (k == "max-events") {
-        setTick(maxEvents, k, value, 1);
-    } else if (k == "max-sim-time") {
-        setTick(maxSimTime, k, value, 1);
-    } else if (k == "max-slab-bytes") {
-        setBytes(maxSlabBytes, k, value);
-    } else if (k == "watchdog-window") {
-        setTick(watchdogWindow, k, value, 1);
-    } else {
+    const std::vector<ConfigKey> &keys = configKeys();
+    auto match = std::find_if(keys.begin(), keys.end(),
+                              [&](const ConfigKey &entry) {
+                                  return std::find(entry.names.begin(),
+                                                   entry.names.end(),
+                                                   k) != entry.names.end();
+                              });
+    if (match != keys.end())
+        match->set(*this, k, value);
+    else
         parseFail("unknown parameter '" + key + "'");
-    }
 
     if (!t_parseError.empty()) {
         if (err)

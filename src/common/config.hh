@@ -312,6 +312,9 @@ struct SimConfig
     bool trySet(const std::string &key, const std::string &value,
                 std::string *err);
 
+    /** Every key trySet() accepts, aliases included (normalized). */
+    static std::vector<std::string> keyNames();
+
     /**
      * Load key=value lines (# comments) from @p path. CRLF line
      * endings and a missing trailing newline are handled. All problems

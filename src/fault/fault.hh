@@ -46,11 +46,12 @@ struct SimConfig;
  * How a simulation ended. Completed is the only outcome possible
  * without a fault plan; plan-driven fault paths never fatal — they
  * degrade. Dropping a RunOutcome hides Degraded/Failed runs from
- * sweep summaries, so the unchecked-outcome lint rule flags discarded
- * calls returning it.
+ * sweep summaries, so the type is [[nodiscard]] and the build turns
+ * -Werror=unused-result on: a call that discards one does not compile
+ * (ctest `discarded_outcome_compile_fail`). Cast to (void) when the
+ * drop is intended.
  */
-// astra-lint: must-use
-enum class RunOutcome
+enum class [[nodiscard]] RunOutcome
 {
     Completed,      //!< all collectives finished
     Degraded,       //!< finished what it could; retries were exhausted

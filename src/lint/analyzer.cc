@@ -1,17 +1,13 @@
 #include "lint/analyzer.hh"
 
 #include <algorithm>
-#include <atomic>
 #include <filesystem>
 #include <fstream>
-#include <functional>
 #include <map>
 #include <regex>
 #include <sstream>
-#include <thread>
 #include <tuple>
 
-#include "common/json.hh"
 #include "lint/flow_rules.hh"
 #include "lint/include_graph.hh"
 #include "lint/symbols.hh"
@@ -59,7 +55,7 @@ compileRegex(const std::string &pattern, std::regex &out)
 /**
  * @p p made root-relative when it points inside @p root; relative
  * paths and paths outside the root pass through (normalized), so
- * reports and baselines carry the same bytes on every checkout.
+ * reports carry the same bytes on every checkout.
  */
 std::string
 rootRelative(const std::string &p, const std::string &root)
@@ -71,36 +67,6 @@ rootRelative(const std::string &p, const std::string &root)
     if (rel.empty() || rel.begin()->string() == "..")
         return relNormal(p);
     return rel.lexically_normal().generic_string();
-}
-
-/**
- * fn(0..n-1), fanned across @p threads workers pulling indices from a
- * shared atomic counter. threads <= 1 degenerates to a plain loop;
- * callers own any per-index output slots, so no locking is needed.
- */
-void
-forEachIndex(std::size_t n, int threads,
-             const std::function<void(std::size_t)> &fn)
-{
-    if (threads <= 1 || n <= 1) {
-        for (std::size_t i = 0; i < n; ++i)
-            fn(i);
-        return;
-    }
-    std::size_t workers =
-        std::min(static_cast<std::size_t>(threads), n);
-    std::atomic<std::size_t> next{0};
-    std::vector<std::thread> pool;
-    pool.reserve(workers);
-    for (std::size_t w = 0; w < workers; ++w) {
-        pool.emplace_back([&next, n, &fn] {
-            for (std::size_t i = next.fetch_add(1); i < n;
-                 i = next.fetch_add(1))
-                fn(i);
-        });
-    }
-    for (std::thread &th : pool)
-        th.join();
 }
 
 } // namespace
@@ -167,7 +133,7 @@ collectFiles(const LintOptions &opts, const std::vector<std::string> &paths)
                         .lexically_relative(opts.root)
                         .generic_string();
                 rel = relNormal(rel);
-                if (opts.skipFixtureDirs && inFixtureDir(rel))
+                if (inFixtureDir(rel))
                     continue;
                 out.push_back(rel);
             }
@@ -185,13 +151,13 @@ collectFiles(const LintOptions &opts, const std::vector<std::string> &paths)
 std::vector<Diagnostic>
 analyzeFiles(const LintOptions &opts, const std::vector<std::string> &files)
 {
-    std::vector<LexedFile> lexed(files.size());
-    forEachIndex(files.size(), opts.threads, [&](std::size_t i) {
-        LexedFile lf =
-            lexFile((fs::path(opts.root) / files[i]).generic_string());
-        lf.path = relNormal(files[i]); // diagnostics: repo-relative
-        lexed[i] = std::move(lf);
-    });
+    std::vector<LexedFile> lexed;
+    lexed.reserve(files.size());
+    for (const std::string &f : files) {
+        LexedFile lf = lexFile((fs::path(opts.root) / f).generic_string());
+        lf.path = relNormal(f); // diagnostics: repo-relative
+        lexed.push_back(std::move(lf));
+    }
 
     // Unordered-container names declared per file, so a .cc sees the
     // members its sibling .hh declares.
@@ -199,21 +165,11 @@ analyzeFiles(const LintOptions &opts, const std::vector<std::string> &files)
     for (const LexedFile &lf : lexed)
         declared[lf.path] = unorderedNames(lf);
 
-    // The cross-TU index is built serially, then only read by the
-    // per-file workers below.
     SymbolIndex index = buildSymbolIndex(lexed);
 
-    // Per-file rules fan out across workers, each appending to its
-    // file's own slot; slots are merged in file order afterwards, so
-    // the diagnostic stream is identical at every --threads value.
-    struct FileSlot
-    {
-        std::vector<Diagnostic> diags;
-        std::vector<SuppressionUse> uses;
-    };
-    std::vector<FileSlot> slots(lexed.size());
-    forEachIndex(lexed.size(), opts.threads, [&](std::size_t i) {
-        const LexedFile &lf = lexed[i];
+    std::vector<Diagnostic> diags;
+    std::vector<SuppressionUse> uses;
+    for (const LexedFile &lf : lexed) {
         std::set<std::string> extra;
         fs::path p(lf.path);
         if (p.extension() == ".cc" || p.extension() == ".cpp") {
@@ -225,103 +181,79 @@ analyzeFiles(const LintOptions &opts, const std::vector<std::string> &files)
                     extra.insert(it->second.begin(), it->second.end());
             }
         }
-        runTokenRules(lf, opts.rules, extra, slots[i].diags,
-                      &slots[i].uses);
-        runIndexRules(lf, index, opts.rules, slots[i].diags,
-                      &slots[i].uses);
-        runFlowRulesFile(lf, index, opts.rules, slots[i].diags,
-                         &slots[i].uses);
-    });
-
-    std::vector<Diagnostic> diags;
-    std::vector<SuppressionUse> uses;
-    for (FileSlot &s : slots) {
-        diags.insert(diags.end(), s.diags.begin(), s.diags.end());
-        uses.insert(uses.end(), s.uses.begin(), s.uses.end());
+        runTokenRules(lf, extra, diags, &uses);
+        runIndexRules(lf, index, diags, &uses);
+        runFlowRulesFile(lf, index, diags, &uses);
     }
 
-    // Whole-program passes stay serial: the call-graph rule and the
-    // include graph need every file at once.
-    runFlowRulesGlobal(lexed, index, opts.rules, diags, &uses);
-
-    checkIncludeGraph(lexed, opts.root, opts.rules, diags, &uses);
+    // Whole-program passes: the call-graph rule and the include graph
+    // need every file at once.
+    runFlowRulesGlobal(lexed, index, diags, &uses);
+    checkIncludeGraph(lexed, opts.root, diags, &uses);
 
     // Allowlist filter, counting the findings each entry absorbs: a
     // diagnostic must be tested against EVERY entry (not first-match)
     // so the stale pass below knows which entries are dead.
     std::vector<int> entry_hits(opts.allow.size(), 0);
-    if (!opts.allow.empty()) {
-        std::vector<std::pair<std::size_t, std::regex>> compiled;
-        for (std::size_t n = 0; n < opts.allow.size(); ++n) {
-            std::regex re;
-            if (compileRegex(opts.allow[n].pattern, re))
-                compiled.emplace_back(n, std::move(re));
-        }
-        auto allowed = [&](const Diagnostic &d) {
-            bool hit = false;
-            for (const auto &[n, re] : compiled) {
-                const AllowEntry &entry = opts.allow[n];
-                if ((entry.rule == "*" || entry.rule == d.rule) &&
-                    std::regex_search(d.file, re)) {
-                    ++entry_hits[n];
-                    hit = true;
-                }
-            }
-            return hit;
-        };
-        diags.erase(std::remove_if(diags.begin(), diags.end(), allowed),
-                    diags.end());
+    std::vector<std::pair<std::size_t, std::regex>> compiled;
+    for (std::size_t n = 0; n < opts.allow.size(); ++n) {
+        std::regex re;
+        if (compileRegex(opts.allow[n].pattern, re))
+            compiled.emplace_back(n, std::move(re));
     }
+    auto allowed = [&](const Diagnostic &d) {
+        bool hit = false;
+        for (const auto &[n, re] : compiled) {
+            const AllowEntry &entry = opts.allow[n];
+            if ((entry.rule == "*" || entry.rule == d.rule) &&
+                std::regex_search(d.file, re)) {
+                ++entry_hits[n];
+                hit = true;
+            }
+        }
+        return hit;
+    };
+    diags.erase(std::remove_if(diags.begin(), diags.end(), allowed),
+                diags.end());
 
     // Stale-suppression pass: every suppression written in the tree
     // must have absorbed at least one finding in this run. Stale
     // findings are appended after the allowlist filter on purpose —
     // a suppression cannot suppress the report of its own staleness.
-    if (opts.strictSuppressions &&
-        (opts.rules.empty() || opts.rules.count("stale-suppression"))) {
-        auto ruleChecked = [&](const std::string &r) {
-            return opts.rules.empty() || opts.rules.count(r) > 0;
-        };
-        std::set<std::tuple<std::string, int, std::string>> used;
-        for (const SuppressionUse &u : uses)
-            used.insert({u.file, u.line, u.rule});
-        for (const LexedFile &lf : lexed) {
-            for (const auto &[line, m] : lf.marks) {
-                for (const std::string &r : m.allowed) {
-                    if (!knownRule(r)) {
-                        diags.push_back(Diagnostic{
-                            lf.path, line, 1, "stale-suppression",
-                            "allow(" + r + ") names no known rule"});
-                        continue;
-                    }
-                    if (r == "stale-suppression" || !ruleChecked(r))
-                        continue;
-                    if (used.count({lf.path, line, r}) == 0)
-                        diags.push_back(Diagnostic{
-                            lf.path, line, 1, "stale-suppression",
-                            "inline allow(" + r +
-                                ") matched no finding on this line "
-                                "(delete it)"});
+    std::set<std::tuple<std::string, int, std::string>> used;
+    for (const SuppressionUse &u : uses)
+        used.insert({u.file, u.line, u.rule});
+    for (const LexedFile &lf : lexed) {
+        for (const auto &[line, m] : lf.marks) {
+            for (const std::string &r : m.allowed) {
+                if (!knownRule(r)) {
+                    diags.push_back(Diagnostic{
+                        lf.path, line, 1, "stale-suppression",
+                        "allow(" + r + ") names no known rule"});
+                    continue;
                 }
+                if (r == "stale-suppression")
+                    continue;
+                if (used.count({lf.path, line, r}) == 0)
+                    diags.push_back(Diagnostic{
+                        lf.path, line, 1, "stale-suppression",
+                        "inline allow(" + r +
+                            ") matched no finding on this line "
+                            "(delete it)"});
             }
         }
-        for (std::size_t n = 0; n < opts.allow.size(); ++n) {
-            const AllowEntry &e = opts.allow[n];
-            // A rule-filtered run cannot judge entries for rules it
-            // did not execute ("*" entries need the full set).
-            if (e.rule == "*" ? !opts.rules.empty() : !ruleChecked(e.rule))
-                continue;
-            if (entry_hits[n] == 0)
-                diags.push_back(Diagnostic{
-                    // Root-relative, so a default allowlist loaded via
-                    // an absolute root reports the same path on every
-                    // host (baselines diff cleanly across checkouts).
-                    e.file.empty() ? std::string("<allowlist>")
-                                   : rootRelative(e.file, opts.root),
-                    e.line, 1, "stale-suppression",
-                    "allowlist entry `" + e.rule + " " + e.pattern +
-                        "` matched no finding (delete it)"});
-        }
+    }
+    for (std::size_t n = 0; n < opts.allow.size(); ++n) {
+        const AllowEntry &e = opts.allow[n];
+        if (entry_hits[n] == 0)
+            diags.push_back(Diagnostic{
+                // Root-relative, so a default allowlist loaded via an
+                // absolute root reports the same path on every host.
+                e.file.empty() ? std::string("<allowlist>")
+                               : rootRelative(e.file, opts.root),
+                e.line, 1, "stale-suppression",
+                "allowlist entry `" + e.rule + " " + e.pattern +
+                    "` matched no finding (delete it)"});
     }
 
     std::sort(diags.begin(), diags.end(), diagnosticLess);
@@ -337,131 +269,6 @@ renderText(const std::vector<Diagnostic> &diags)
            << "] " << d.message << "\n";
     }
     return ss.str();
-}
-
-std::string
-renderJson(const std::vector<Diagnostic> &diags)
-{
-    std::ostringstream ss;
-    ss << "[";
-    for (std::size_t i = 0; i < diags.size(); ++i) {
-        const Diagnostic &d = diags[i];
-        ss << (i ? ",\n " : "\n ") << "{\"file\": \"" << jsonEscape(d.file)
-           << "\", \"line\": " << d.line << ", \"col\": " << d.col
-           << ", \"rule\": \"" << jsonEscape(d.rule)
-           << "\", \"message\": \"" << jsonEscape(d.message) << "\"}";
-    }
-    ss << (diags.empty() ? "]" : "\n]") << "\n";
-    return ss.str();
-}
-
-std::string
-renderFixable(const std::vector<Diagnostic> &diags)
-{
-    std::map<std::string, int> counts;
-    for (const Diagnostic &d : diags)
-        ++counts[d.rule];
-    if (counts.empty())
-        return std::string();
-    std::ostringstream ss;
-    ss << "fixable summary (" << diags.size() << " finding"
-       << (diags.size() == 1 ? "" : "s") << "):\n";
-    for (const RuleInfo &r : allRules()) {
-        auto it = counts.find(r.id);
-        if (it == counts.end())
-            continue;
-        ss << "  " << it->second << "x [" << r.id << "] fix: " << r.fix
-           << "\n";
-    }
-    return ss.str();
-}
-
-std::string
-renderSarif(const std::vector<Diagnostic> &diags)
-{
-    std::ostringstream ss;
-    ss << "{\n"
-       << " \"$schema\": "
-          "\"https://json.schemastore.org/sarif-2.1.0.json\",\n"
-       << " \"version\": \"2.1.0\",\n"
-       << " \"runs\": [{\n"
-       << "  \"tool\": {\"driver\": {\n"
-       << "   \"name\": \"astra-lint\",\n"
-       << "   \"informationUri\": \"docs/static-analysis.md\",\n"
-       << "   \"rules\": [";
-    const std::vector<RuleInfo> &rules = allRules();
-    for (std::size_t i = 0; i < rules.size(); ++i) {
-        ss << (i ? ",\n    " : "\n    ") << "{\"id\": \""
-           << jsonEscape(rules[i].id)
-           << "\", \"shortDescription\": {\"text\": \""
-           << jsonEscape(rules[i].summary)
-           << "\"}, \"help\": {\"text\": \"" << jsonEscape(rules[i].fix)
-           << "\"}}";
-    }
-    ss << "\n   ]\n"
-       << "  }},\n"
-       << "  \"results\": [";
-    for (std::size_t i = 0; i < diags.size(); ++i) {
-        const Diagnostic &d = diags[i];
-        // SARIF regions are 1-based; clamp the line-0 file errors.
-        int line = d.line > 0 ? d.line : 1;
-        int col = d.col > 0 ? d.col : 1;
-        ss << (i ? ",\n   " : "\n   ") << "{\"ruleId\": \""
-           << jsonEscape(d.rule)
-           << "\", \"level\": \"error\", \"message\": {\"text\": \""
-           << jsonEscape(d.message)
-           << "\"}, \"locations\": [{\"physicalLocation\": "
-              "{\"artifactLocation\": {\"uri\": \""
-           << jsonEscape(d.file) << "\"}, \"region\": {\"startLine\": "
-           << line << ", \"startColumn\": " << col << "}}}]}";
-    }
-    ss << (diags.empty() ? "]\n" : "\n  ]\n") << " }]\n}\n";
-    return ss.str();
-}
-
-std::string
-baselineKey(const Diagnostic &d)
-{
-    return d.file + "\t" + d.rule + "\t" + d.message;
-}
-
-std::string
-renderBaselineFile(const std::vector<Diagnostic> &diags)
-{
-    std::set<std::string> keys;
-    for (const Diagnostic &d : diags)
-        keys.insert(baselineKey(d));
-    std::ostringstream ss;
-    ss << "# astra-lint baseline v1 — one `file<TAB>rule<TAB>message`"
-          " per line.\n"
-       << "# Findings listed here are pre-existing debt: runs with"
-          " --baseline fail\n"
-       << "# only on findings NOT in this file, so the list can only"
-          " shrink.\n";
-    for (const std::string &k : keys)
-        ss << k << "\n";
-    return ss.str();
-}
-
-bool
-loadBaseline(const std::string &path, std::set<std::string> &keys,
-             std::string *err)
-{
-    std::ifstream in(path);
-    if (!in) {
-        if (err)
-            *err = path + ": cannot open baseline";
-        return false;
-    }
-    std::string line;
-    while (std::getline(in, line)) {
-        if (!line.empty() && line.back() == '\r')
-            line.pop_back();
-        if (line.empty() || line[0] == '#')
-            continue;
-        keys.insert(line);
-    }
-    return true;
 }
 
 } // namespace astra::lint

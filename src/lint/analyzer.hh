@@ -1,7 +1,8 @@
 /**
  * @file
  * astra-lint driver library (docs/static-analysis.md): file
- * collection, rule selection, the allowlist, and diagnostic rendering.
+ * collection, the allowlist, the stale-suppression pass and text
+ * rendering.
  * tools/astra_lint.cc is a thin CLI over this so the test suite can
  * drive the analyzer in-process and assert exact diagnostics.
  */
@@ -9,7 +10,6 @@
 #ifndef ASTRA_LINT_ANALYZER_HH
 #define ASTRA_LINT_ANALYZER_HH
 
-#include <set>
 #include <string>
 #include <vector>
 
@@ -30,27 +30,8 @@ struct AllowEntry
 /** Analyzer configuration. */
 struct LintOptions
 {
-    std::string root = ".";       //!< repo root; paths are relative to it
-    std::set<std::string> rules;  //!< enabled rule ids; empty = all
+    std::string root = "."; //!< repo root; paths are relative to it
     std::vector<AllowEntry> allow;
-    bool skipFixtureDirs = true;  //!< skip */lint/fixtures/* in dir walks
-
-    /**
-     * Worker threads for the per-file phases (lexing, token rules,
-     * indexed and flow rules). The cross-TU phases (symbol index,
-     * call graph, include graph, allowlist/stale passes) stay serial,
-     * and diagnostics are merged and sorted identically whatever the
-     * count — `--threads=8` and `--threads=1` print the same bytes.
-     */
-    int threads = 1;
-
-    /**
-     * Report stale suppressions: every inline `allow(<rule>)` comment
-     * and every allowlist entry that absorbed zero findings in this
-     * run becomes a `stale-suppression` finding, so the suppression
-     * surface can only shrink. On in CI (tools/lint.sh).
-     */
-    bool strictSuppressions = false;
 };
 
 /**
@@ -65,8 +46,7 @@ bool loadAllowlist(const std::string &path, LintOptions &opts,
  * Expand @p paths (files or directories, relative to opts.root) into a
  * sorted list of *.cc / *.hh / *.cpp / *.hpp files. Directory walks
  * skip `lint/fixtures` subtrees (the checked-in corpus of deliberate
- * violations) unless opts.skipFixtureDirs is cleared; explicitly named
- * files are always included.
+ * violations); explicitly named files are always included.
  */
 std::vector<std::string> collectFiles(const LintOptions &opts,
                                       const std::vector<std::string> &paths);
@@ -74,48 +54,17 @@ std::vector<std::string> collectFiles(const LintOptions &opts,
 /**
  * Lex and analyze @p files (relative to opts.root): token rules per
  * file (sharing unordered-container declarations between a header and
- * its sibling source), then the project-wide include-graph checks.
- * Returns diagnostics sorted by (file, line, col, rule), after
- * allowlist filtering.
+ * its sibling source), then the project-wide call-graph and
+ * include-graph checks. Returns diagnostics sorted by (file, line,
+ * col, rule), after allowlist filtering, followed by one
+ * `stale-suppression` finding per inline allow(...) comment or
+ * allowlist entry that absorbed nothing.
  */
 std::vector<Diagnostic> analyzeFiles(const LintOptions &opts,
                                      const std::vector<std::string> &files);
 
 /** Render @p diags as `file:line:col: [rule] message` lines. */
 std::string renderText(const std::vector<Diagnostic> &diags);
-
-/** Render @p diags as a JSON array (stable field order). */
-std::string renderJson(const std::vector<Diagnostic> &diags);
-
-/**
- * Render the per-rule finding counts with each rule's suggested
- * mechanical fix (the `--fixable` summary). Empty string when clean.
- */
-std::string renderFixable(const std::vector<Diagnostic> &diags);
-
-/**
- * Render @p diags as a minimal SARIF 2.1.0 log (one run, the full
- * rule catalog in the driver, one result per diagnostic) for code-
- * scanning upload. Always a single valid JSON document.
- */
-std::string renderSarif(const std::vector<Diagnostic> &diags);
-
-/**
- * Baseline identity of @p d: file, rule and message — deliberately no
- * line/column, so editing unrelated parts of a file cannot resurrect
- * a baselined finding.
- */
-std::string baselineKey(const Diagnostic &d);
-
-/** Render @p diags as a baseline file (sorted unique keys). */
-std::string renderBaselineFile(const std::vector<Diagnostic> &diags);
-
-/**
- * Load a baseline written by renderBaselineFile() (or an empty file)
- * into @p keys. Returns false and fills @p err when unreadable.
- */
-bool loadBaseline(const std::string &path, std::set<std::string> &keys,
-                  std::string *err);
 
 } // namespace astra::lint
 

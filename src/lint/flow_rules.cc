@@ -43,28 +43,6 @@ const std::set<std::string> kNotCalls = {
     "throw",  "static_assert", "defined",  "typeid"};
 
 bool
-ruleOn(const std::set<std::string> &enabled, const std::string &rule)
-{
-    return enabled.empty() || enabled.count(rule) > 0;
-}
-
-/** Same suppression semantics as the token rules' RuleContext. */
-void
-emitFlow(const LexedFile &file, std::vector<Diagnostic> &out,
-         std::vector<SuppressionUse> *uses, const Token &at,
-         const std::string &rule, const std::string &message)
-{
-    auto it = file.marks.find(at.line);
-    if (it != file.marks.end() &&
-        (it->second.nolint || it->second.allowed.count(rule) > 0)) {
-        if (uses)
-            uses->push_back(SuppressionUse{file.path, at.line, rule});
-        return;
-    }
-    out.push_back(Diagnostic{file.path, at.line, at.col, rule, message});
-}
-
-bool
 isIdentAt(const std::vector<Token> &t, std::size_t i, const char *text)
 {
     return i < t.size() && t[i].kind == TokKind::kIdent &&
@@ -260,14 +238,15 @@ ruleUseAfterMove(const LexedFile &file, const FunctionExtent &fe,
                             continue; // reset anchor
                         if (declLike(t, k))
                             continue; // declaration anchor
-                        emitFlow(
-                            file, out, uses, t[k], "use-after-move",
+                        emitUnlessSuppressed(
+                            file, t[k].line, t[k].col, "use-after-move",
                             "local `" + vars[vi].name +
                                 "` was moved-from (line " +
                                 std::to_string(vars[vi].firstMoveLine) +
                                 ") on a path reaching this read; "
                                 "reassign or .clear()/.reset() it "
-                                "before reuse");
+                                "before reuse",
+                            out, uses);
                         reported[vi] = true;
                         break;
                     }
@@ -413,14 +392,15 @@ ruleLockAcrossWait(const LexedFile &file, const FunctionExtent &fe,
                             locks[li].name == first_arg ||
                             !fired.insert({li, k}).second)
                             continue;
-                        emitFlow(
-                            file, out, uses, t[k], "lock-across-wait",
+                        emitUnlessSuppressed(
+                            file, t[k].line, t[k].col, "lock-across-wait",
                             "scoped lock `" + locks[li].name +
                                 "` (line " +
                                 std::to_string(locks[li].line) +
                                 ") is held across this `" + t[k].text +
                                 "`; narrow the lock scope or unlock "
-                                "before blocking");
+                                "before blocking",
+                            out, uses);
                     }
                 }
             }
@@ -430,62 +410,40 @@ ruleLockAcrossWait(const LexedFile &file, const FunctionExtent &fe,
 }
 
 // ---------------------------------------------------------------- //
-// unchecked-outcome
+// signal-unsafe
 // ---------------------------------------------------------------- //
 
-void
-ruleUncheckedOutcome(const LexedFile &file, const FunctionCfg &cfg,
-                     const std::map<std::string, std::string> &mustUseFns,
-                     std::vector<Diagnostic> &out,
-                     std::vector<SuppressionUse> *uses)
+const std::set<std::string> kSignalUnsafeAlloc = {
+    "new",  "delete",      "malloc",     "calloc",
+    "free", "realloc",     "make_unique", "make_shared"};
+
+const std::set<std::string> kSignalUnsafeLock = {
+    "lock",        "unlock",      "try_lock",    "lock_guard",
+    "unique_lock", "scoped_lock", "shared_lock", "mutex",
+    "condition_variable"};
+
+const std::set<std::string> kSignalUnsafeIo = {
+    "printf", "fprintf", "sprintf", "snprintf", "puts",  "putchar",
+    "fopen",  "fwrite",  "fread",   "fclose",   "fflush", "cout",
+    "cerr",   "clog",    "fatal",   "panic",    "inform", "warn"};
+
+/**
+ * Category of an identifier banned in async-signal context, or
+ * nullptr for a safe token.
+ */
+const char *
+signalUnsafeCategory(const std::string &ident)
 {
-    const std::vector<Token> &t = file.tokens;
-    for (const BasicBlock &blk : cfg.blocks) {
-        for (const CfgStmt &s : blk.stmts) {
-            if (s.scopeExit || s.firstTok >= t.size() ||
-                t[s.firstTok].kind != TokKind::kIdent)
-                continue;
-            // Walk a qualified chain `a::b`, `obj.f`, `p->f` from the
-            // statement head; anything else (return x(), auto r = x(),
-            // (void)x(), if (x())) is not a bare discarding call.
-            std::size_t k = s.firstTok;
-            while (k + 2 <= s.lastTok &&
-                   punctIn(t, k + 1, {".", "->", "::"}) &&
-                   t[k + 2].kind == TokKind::kIdent)
-                k += 2;
-            if (!isPunctAt(t, k + 1, "("))
-                continue;
-            auto fn = mustUseFns.find(t[k].text);
-            if (fn == mustUseFns.end())
-                continue;
-            // The call's close paren must end the statement: the
-            // result feeds nothing.
-            int depth = 0;
-            std::size_t close = t.size();
-            for (std::size_t q = k + 1; q <= s.lastTok; ++q) {
-                if (t[q].kind != TokKind::kPunct)
-                    continue;
-                if (t[q].text == "(")
-                    ++depth;
-                else if (t[q].text == ")" && --depth == 0) {
-                    close = q;
-                    break;
-                }
-            }
-            if (close != s.lastTok)
-                continue;
-            emitFlow(file, out, uses, t[k], "unchecked-outcome",
-                     "call to `" + t[k].text + "` discards its `" +
-                         fn->second +
-                         "` result (a must-use type); assign and "
-                         "check it, or cast to (void) with a comment");
-        }
-    }
+    if (kSignalUnsafeAlloc.count(ident) > 0)
+        return "allocates";
+    if (kSignalUnsafeLock.count(ident) > 0)
+        return "locks";
+    if (kSignalUnsafeIo.count(ident) > 0)
+        return "performs IO";
+    if (ident == "throw")
+        return "throws";
+    return nullptr;
 }
-
-// ---------------------------------------------------------------- //
-// signal-unsafe-transitive
-// ---------------------------------------------------------------- //
 
 struct CallSite
 {
@@ -521,11 +479,46 @@ collectCallSites(const LexedFile &file, const FunctionExtent &fe)
     return sites;
 }
 
+} // namespace
+
 void
-ruleSignalUnsafeTransitive(const std::vector<LexedFile> &files,
-                           const SymbolIndex &index,
-                           std::vector<Diagnostic> &out,
-                           std::vector<SuppressionUse> *uses)
+runFlowRulesFile(const LexedFile &file, const SymbolIndex &index,
+                 std::vector<Diagnostic> &out,
+                 std::vector<SuppressionUse> *uses)
+{
+    for (const FunctionExtent &fe : index.functions) {
+        if (!fe.hasBody || fe.file != file.path ||
+            fe.bodyEnd >= file.tokens.size() ||
+            fe.bodyEnd <= fe.bodyBegin)
+            continue;
+        FunctionCfg cfg =
+            buildFunctionCfg(file, fe.bodyBegin, fe.bodyEnd);
+        if (!cfg.wellFormed)
+            continue;
+        ruleUseAfterMove(file, fe, cfg, out, uses);
+        ruleLockAcrossWait(file, fe, cfg, out, uses);
+    }
+}
+
+/**
+ * A function whose head carries the `signal-handler` mark runs
+ * between any two instructions of the interrupted thread: the only
+ * portable operations are lock-free atomic stores (the POSIX
+ * async-signal-safe discipline). malloc holds the heap lock, a mutex
+ * the handler's own thread may already hold deadlocks instantly, and
+ * stdio buffers are in an unknown state — so allocation, locking, IO
+ * and throw are findings in the handler and in everything it calls.
+ *
+ * A breadth-first search over the name-based call graph starts at the
+ * handler (depth 0), where every unsafe token is reported. Below it,
+ * the first unsafe callee on each chain is reported once, at the
+ * handler's call site that starts the chain, with the chain spelled
+ * out in the message.
+ */
+void
+runFlowRulesGlobal(const std::vector<LexedFile> &files,
+                   const SymbolIndex &index, std::vector<Diagnostic> &out,
+                   std::vector<SuppressionUse> *uses)
 {
     std::map<std::string, const LexedFile *> by_path;
     for (const LexedFile &f : files)
@@ -548,20 +541,19 @@ ruleSignalUnsafeTransitive(const std::vector<LexedFile> &files,
             by_name[fe.name].push_back(e);
     }
 
-    // First async-signal-unsafe token of an extent's body, or npos.
-    auto direct_unsafe =
-        [&](std::size_t e) -> std::pair<std::size_t, const char *> {
+    // Token indices of the async-signal-unsafe identifiers in an
+    // extent's body, in source order.
+    auto unsafe_tokens = [&](std::size_t e) {
         const FunctionExtent &fe = index.functions[e];
         const std::vector<Token> &t = by_path.at(fe.file)->tokens;
+        std::vector<std::size_t> found;
         for (std::size_t k = fe.bodyBegin + 1;
              k < fe.bodyEnd && k < t.size(); ++k) {
-            if (t[k].kind != TokKind::kIdent)
-                continue;
-            const char *what = signalUnsafeCategory(t[k].text);
-            if (what != nullptr)
-                return {k, what};
+            if (t[k].kind == TokKind::kIdent &&
+                signalUnsafeCategory(t[k].text) != nullptr)
+                found.push_back(k);
         }
-        return {static_cast<std::size_t>(-1), nullptr};
+        return found;
     };
 
     for (std::size_t h : extents) {
@@ -569,6 +561,18 @@ ruleSignalUnsafeTransitive(const std::vector<LexedFile> &files,
         if (!handler.signalHandler)
             continue;
         const LexedFile &hfile = *by_path.at(handler.file);
+
+        // Depth 0: the handler's own body.
+        for (std::size_t k : unsafe_tokens(h)) {
+            const Token &tok = hfile.tokens[k];
+            emitUnlessSuppressed(
+                hfile, tok.line, tok.col, "signal-unsafe",
+                "'" + tok.text + "' " + signalUnsafeCategory(tok.text) +
+                    " inside a signal handler; only async-signal-safe "
+                    "operations (lock-free atomic stores) may run there "
+                    "— set a flag and act at the next event-loop boundary",
+                out, uses);
+        }
 
         std::set<std::size_t> visited = {h};
         // extent -> (caller extent, call-site token in the caller)
@@ -585,8 +589,8 @@ ruleSignalUnsafeTransitive(const std::vector<LexedFile> &files,
                     if (!visited.insert(v).second)
                         continue;
                     via[v] = {u, site.tok};
-                    auto [bad_tok, what] = direct_unsafe(v);
-                    if (what == nullptr) {
+                    std::vector<std::size_t> bad = unsafe_tokens(v);
+                    if (bad.empty()) {
                         queue.push_back(v);
                         continue;
                     }
@@ -607,82 +611,23 @@ ruleSignalUnsafeTransitive(const std::vector<LexedFile> &files,
                                                : handler.name;
                     for (const std::string &n : chain)
                         path_str += " -> " + n;
-                    const FunctionExtent &fv = index.functions[v];
-                    const std::vector<Token> &vt =
-                        by_path.at(fv.file)->tokens;
-                    emitFlow(hfile, out, uses, hfile.tokens[hop_tok],
-                             "signal-unsafe-transitive",
-                             "signal handler reaches `" +
-                                 vt[bad_tok].text + "` (" + what +
-                                 ") via " + path_str +
-                                 "; handlers may only set a lock-free "
-                                 "atomic flag");
+                    const std::string &what =
+                        by_path.at(index.functions[v].file)
+                            ->tokens[bad.front()]
+                            .text;
+                    const Token &hop = hfile.tokens[hop_tok];
+                    emitUnlessSuppressed(
+                        hfile, hop.line, hop.col, "signal-unsafe",
+                        "signal handler reaches `" + what + "` (" +
+                            signalUnsafeCategory(what) + ") via " +
+                            path_str +
+                            "; handlers may only set a lock-free atomic "
+                            "flag",
+                        out, uses);
                 }
             }
         }
     }
-}
-
-} // namespace
-
-void
-runFlowRulesFile(const LexedFile &file, const SymbolIndex &index,
-                 const std::set<std::string> &enabled,
-                 std::vector<Diagnostic> &out,
-                 std::vector<SuppressionUse> *uses)
-{
-    bool want_move = ruleOn(enabled, "use-after-move");
-    bool want_lock = ruleOn(enabled, "lock-across-wait");
-    bool want_outcome = ruleOn(enabled, "unchecked-outcome");
-    if (!want_move && !want_lock && !want_outcome)
-        return;
-
-    // Functions whose (heuristic, name-based) return type is tagged
-    // must-use; names with a conflicting non-must-use overload drop
-    // out rather than risk a false fire.
-    std::map<std::string, std::string> must_use_fns;
-    if (want_outcome && !index.mustUseTypes.empty()) {
-        std::set<std::string> ambiguous;
-        for (const FunctionExtent &fe : index.functions) {
-            if (fe.name.empty())
-                continue;
-            if (index.mustUseTypes.count(fe.returnType) > 0)
-                must_use_fns.emplace(fe.name, fe.returnType);
-            else
-                ambiguous.insert(fe.name);
-        }
-        for (const std::string &n : ambiguous)
-            must_use_fns.erase(n);
-    }
-
-    for (const FunctionExtent &fe : index.functions) {
-        if (!fe.hasBody || fe.file != file.path ||
-            fe.bodyEnd >= file.tokens.size() ||
-            fe.bodyEnd <= fe.bodyBegin)
-            continue;
-        FunctionCfg cfg =
-            buildFunctionCfg(file, fe.bodyBegin, fe.bodyEnd);
-        if (!cfg.wellFormed)
-            continue;
-        if (want_move)
-            ruleUseAfterMove(file, fe, cfg, out, uses);
-        if (want_lock)
-            ruleLockAcrossWait(file, fe, cfg, out, uses);
-        if (want_outcome && !must_use_fns.empty())
-            ruleUncheckedOutcome(file, cfg, must_use_fns, out, uses);
-    }
-}
-
-void
-runFlowRulesGlobal(const std::vector<LexedFile> &files,
-                   const SymbolIndex &index,
-                   const std::set<std::string> &enabled,
-                   std::vector<Diagnostic> &out,
-                   std::vector<SuppressionUse> *uses)
-{
-    if (!ruleOn(enabled, "signal-unsafe-transitive"))
-        return;
-    ruleSignalUnsafeTransitive(files, index, out, uses);
 }
 
 } // namespace astra::lint

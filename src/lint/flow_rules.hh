@@ -12,25 +12,21 @@
  *     held at a condition-variable wait, thread-pool submit or
  *     event-loop pump (`cv.wait(lock, ...)` with the held lock as
  *     first argument is the sanctioned form and exempt),
- *   - unchecked-outcome: a full-statement call to a function returning
- *     a `must-use`-annotated type discards the result,
- *   - signal-unsafe-transitive: a `signal-handler` function reaches
- *     allocation/locking/IO/throw through its callees, via a
- *     name-based call graph over all analyzed TUs (the direct
- *     signal-unsafe rule only sees the handler body itself).
+ *   - signal-unsafe: a `signal-handler` function allocates, locks,
+ *     does IO or throws, in its own body or anywhere down a
+ *     name-based call graph over all analyzed TUs.
  *
- * The first three are per-file (given the cross-TU index) so the
- * analyzer can fan them across --threads workers; the transitive rule
- * needs every file's token stream for the call graph and runs once,
- * serially. Suppression semantics match runTokenRules: NOLINT or
- * allow(<rule>) on the diagnostic line absorbs the finding and is
- * recorded in @p uses for the stale-suppression pass.
+ * The first two are per-file (given the cross-TU index); the signal
+ * rule needs every file's token stream for the call graph and runs
+ * once over the whole program. Suppression semantics match
+ * runTokenRules: NOLINT or allow(<rule>) on the diagnostic line
+ * absorbs the finding and is recorded in @p uses for the
+ * stale-suppression pass.
  */
 
 #ifndef ASTRA_LINT_FLOW_RULES_HH
 #define ASTRA_LINT_FLOW_RULES_HH
 
-#include <set>
 #include <string>
 #include <vector>
 
@@ -42,26 +38,25 @@ namespace astra::lint
 {
 
 /**
- * Run the per-file flow rules (use-after-move, lock-across-wait,
- * unchecked-outcome) over every function body of @p file, against the
- * cross-TU @p index. Ill-formed CFGs are skipped — a parse miss
- * weakens a rule, it cannot fabricate a finding.
+ * Run the per-file flow rules (use-after-move, lock-across-wait) over
+ * every function body of @p file, against the cross-TU @p index.
+ * Ill-formed CFGs are skipped — a parse miss weakens a rule, it
+ * cannot fabricate a finding.
  */
 void runFlowRulesFile(const LexedFile &file, const SymbolIndex &index,
-                      const std::set<std::string> &enabled,
                       std::vector<Diagnostic> &out,
                       std::vector<SuppressionUse> *uses = nullptr);
 
 /**
- * Run the whole-program flow rule (signal-unsafe-transitive): build
- * the name-based call graph over @p files and search, breadth-first
- * from every `signal-handler` function, for a callee chain reaching an
- * async-signal-unsafe operation. Reported at the handler's call site
- * that starts the chain, with the full chain in the message.
+ * Run the whole-program signal-unsafe rule: build the name-based call
+ * graph over @p files and search it breadth-first from every
+ * `signal-handler` function. Unsafe tokens in the handler's own body
+ * are reported where they stand; a callee chain reaching one is
+ * reported at the handler's call site that starts it, with the full
+ * chain in the message.
  */
 void runFlowRulesGlobal(const std::vector<LexedFile> &files,
                         const SymbolIndex &index,
-                        const std::set<std::string> &enabled,
                         std::vector<Diagnostic> &out,
                         std::vector<SuppressionUse> *uses = nullptr);
 

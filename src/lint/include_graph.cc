@@ -68,25 +68,6 @@ resolveInclude(const std::string &root, const std::string &includer,
     return std::string();
 }
 
-/** emit() with the same per-line suppression semantics as token rules. */
-void
-emitAt(const LexedFile &file, int line, const std::string &rule,
-       const std::string &message,
-       const std::set<std::string> &enabled,
-       std::vector<Diagnostic> &out, std::vector<SuppressionUse> *uses)
-{
-    if (!enabled.empty() && enabled.count(rule) == 0)
-        return;
-    auto it = file.marks.find(line);
-    if (it != file.marks.end() &&
-        (it->second.nolint || it->second.allowed.count(rule) > 0)) {
-        if (uses)
-            uses->push_back(SuppressionUse{file.path, line, rule});
-        return;
-    }
-    out.push_back(Diagnostic{file.path, line, 1, rule, message});
-}
-
 } // namespace
 
 int
@@ -117,7 +98,6 @@ layerName(const std::string &relpath)
 void
 checkIncludeGraph(const std::vector<LexedFile> &files,
                   const std::string &root,
-                  const std::set<std::string> &enabled,
                   std::vector<Diagnostic> &out,
                   std::vector<SuppressionUse> *uses)
 {
@@ -144,14 +124,15 @@ checkIncludeGraph(const std::vector<LexedFile> &files,
 
             int to_rank = layerRank(to);
             if (from_rank >= 0 && to_rank >= 0 && from_rank < to_rank) {
-                emitAt(f, inc.line, "layer-dag",
-                       "layer '" + layerName(from) +
-                           "' must not include upper layer '" +
-                           layerName(to) + "' (" + inc.target +
-                           "); the layer DAG flows workload > core > "
-                           "collective > net/topo > compute/fault/"
-                           "guard > common",
-                       enabled, out, uses);
+                emitUnlessSuppressed(
+                    f, inc.line, 1, "layer-dag",
+                    "layer '" + layerName(from) +
+                        "' must not include upper layer '" +
+                        layerName(to) + "' (" + inc.target +
+                        "); the layer DAG flows workload > core > "
+                        "collective > net/topo > compute/fault/"
+                        "guard > common",
+                    out, uses);
             }
         }
     }
@@ -192,10 +173,10 @@ checkIncludeGraph(const std::vector<LexedFile> &files,
                         for (const std::string &k : key)
                             canon += k + "|";
                         if (reported.insert(canon).second) {
-                            emitAt(*byPath.at(node), e.line,
-                                   "include-cycle",
-                                   "include cycle: " + chain, enabled,
-                                   out, uses);
+                            emitUnlessSuppressed(
+                                *byPath.at(node), e.line, 1,
+                                "include-cycle", "include cycle: " + chain,
+                                out, uses);
                         }
                     }
                 }

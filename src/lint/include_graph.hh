@@ -59,7 +59,6 @@ std::string layerName(const std::string &relpath);
  */
 void checkIncludeGraph(const std::vector<LexedFile> &files,
                        const std::string &root,
-                       const std::set<std::string> &enabled,
                        std::vector<Diagnostic> &out,
                        std::vector<SuppressionUse> *uses = nullptr);
 

@@ -93,16 +93,6 @@ parseMarkers(const std::string &comment, LineMarks &marks,
             pos = p + kSignal.size();
             continue;
         }
-        static const std::string kMustUse = "must-use";
-        if (comment.compare(p, kMustUse.size(), kMustUse) == 0 &&
-            (p + kMustUse.size() >= comment.size() ||
-             !isTagChar(comment[p + kMustUse.size()]))) {
-            // Binds to the class/enum head on (or right below) this
-            // line, like signal-handler binds to a function head.
-            marks.mustUse = true;
-            pos = p + kMustUse.size();
-            continue;
-        }
         static const std::string kAllow = "allow(";
         if (comment.compare(p, kAllow.size(), kAllow) != 0) {
             // Not an allow-list: a bare lowercase word here is a
@@ -242,7 +232,7 @@ lexSource(const std::string &path, const std::string &source)
         LineMarks &m = out.marks[line];
         parseMarkers(text, m, out.fileTags);
         if (m.allowed.empty() && !m.nolint && m.guardedBy.empty() &&
-            !m.threadConfined && !m.signalHandler && !m.mustUse)
+            !m.threadConfined && !m.signalHandler)
             out.marks.erase(line);
     };
 

@@ -84,18 +84,10 @@ struct LineMarks
     /**
      * Line carries a signal-handler annotation: the function whose
      * head this line is (or precedes) runs in async-signal context,
-     * so the signal-unsafe rule restricts its body to
+     * so the signal-unsafe rule restricts it and its callees to
      * async-signal-safe operations.
      */
     bool signalHandler = false;
-
-    /**
-     * Line carries a must-use annotation: the class/enum whose head
-     * this line is (or precedes) is a result type that callers may
-     * never silently drop — the unchecked-outcome rule flags call
-     * statements that discard a value of this type.
-     */
-    bool mustUse = false;
 };
 
 /** One #include directive. */

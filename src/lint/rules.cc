@@ -34,21 +34,14 @@ const std::set<std::string> kRandCalls = {"rand", "srand", "drand48",
 class RuleContext
 {
   public:
-    RuleContext(const LexedFile &file, const std::set<std::string> &enabled,
-                std::vector<Diagnostic> &out,
+    RuleContext(const LexedFile &file, std::vector<Diagnostic> &out,
                 std::vector<SuppressionUse> *uses = nullptr)
-        : _file(file), _enabled(enabled), _out(out), _uses(uses)
+        : _file(file), _out(out), _uses(uses)
     {
     }
 
     const std::vector<Token> &toks() const { return _file.tokens; }
     std::size_t size() const { return _file.tokens.size(); }
-
-    bool
-    enabled(const std::string &rule) const
-    {
-        return _enabled.empty() || _enabled.count(rule) > 0;
-    }
 
     bool
     isIdent(std::size_t i, const char *text) const
@@ -90,38 +83,19 @@ class RuleContext
         return false;
     }
 
-    /**
-     * Emit unless the line carries NOLINT / allow(rule). A suppression
-     * that absorbs a finding is recorded so the stale-suppression pass
-     * can tell live suppressions from dead ones.
-     */
     void
     emit(const Token &at, const std::string &rule,
          const std::string &message)
     {
-        if (!enabled(rule))
-            return;
-        auto it = _file.marks.find(at.line);
-        if (it != _file.marks.end()) {
-            if (it->second.nolint || it->second.allowed.count(rule) > 0) {
-                if (_uses)
-                    _uses->push_back(
-                        SuppressionUse{_file.path, at.line, rule});
-                return;
-            }
-        }
-        _out.push_back(
-            Diagnostic{_file.path, at.line, at.col, rule, message});
+        emitUnlessSuppressed(_file, at.line, at.col, rule, message, _out,
+                             _uses);
     }
 
     void
     emitAtLine(int line, const std::string &rule,
                const std::string &message)
     {
-        Token t;
-        t.line = line;
-        t.col = 1;
-        emit(t, rule, message);
+        emitUnlessSuppressed(_file, line, 1, rule, message, _out, _uses);
     }
 
     /**
@@ -155,7 +129,6 @@ class RuleContext
 
   private:
     const LexedFile &_file;
-    const std::set<std::string> &_enabled;
     std::vector<Diagnostic> &_out;
     std::vector<SuppressionUse> *_uses;
 };
@@ -314,8 +287,7 @@ collectUnordered(const LexedFile &file, std::set<std::string> &names)
 {
     // Matching helpers only; nothing is emitted through this context.
     std::vector<Diagnostic> sink;
-    std::set<std::string> dummy;
-    RuleContext c(file, dummy, sink);
+    RuleContext c(file, sink);
 
     std::set<std::string> aliases;
 
@@ -655,57 +627,6 @@ ruleThreadCapture(RuleContext &ctx, const LexedFile &file,
     }
 }
 
-// ---- signal-unsafe ---------------------------------------------------
-
-const std::set<std::string> kSignalUnsafeAlloc = {
-    "new",  "delete",      "malloc",     "calloc",
-    "free", "realloc",     "make_unique", "make_shared"};
-
-const std::set<std::string> kSignalUnsafeLock = {
-    "lock",        "unlock",      "try_lock",    "lock_guard",
-    "unique_lock", "scoped_lock", "shared_lock", "mutex",
-    "condition_variable"};
-
-const std::set<std::string> kSignalUnsafeIo = {
-    "printf", "fprintf", "sprintf", "snprintf", "puts",  "putchar",
-    "fopen",  "fwrite",  "fread",   "fclose",   "fflush", "cout",
-    "cerr",   "clog",    "fatal",   "panic",    "inform", "warn"};
-
-/**
- * Functions whose head carries a `signal-handler` mark run between
- * any two instructions of the interrupted thread: the only portable
- * operations are lock-free atomic stores (the POSIX async-signal-safe
- * discipline). malloc holds the heap lock, a mutex the handler's own
- * thread may already hold deadlocks instantly, and stdio buffers are
- * in an unknown state — so allocation, locking, IO and throw are all
- * findings inside the tagged extent.
- */
-void
-ruleSignalUnsafe(RuleContext &ctx, const LexedFile &file,
-                 const SymbolIndex &index)
-{
-    for (const FunctionExtent &fe : index.functions) {
-        if (!fe.signalHandler || fe.file != file.path)
-            continue;
-        for (std::size_t i = 0; i < ctx.size(); ++i) {
-            const Token &t = ctx.toks()[i];
-            if (t.line < fe.firstLine || t.line > fe.lastLine)
-                continue;
-            if (t.kind != TokKind::kIdent)
-                continue;
-            const char *what = signalUnsafeCategory(t.text);
-            if (what == nullptr)
-                continue;
-            ctx.emit(t, "signal-unsafe",
-                     "'" + t.text + "' " + what +
-                         " inside a signal handler; only "
-                         "async-signal-safe operations (lock-free "
-                         "atomic stores) may run there — set a flag "
-                         "and act at the next event-loop boundary");
-        }
-    }
-}
-
 // ---- hot-path-alloc --------------------------------------------------
 
 void
@@ -735,18 +656,20 @@ ruleHotPathAlloc(RuleContext &ctx)
 
 } // namespace
 
-const char *
-signalUnsafeCategory(const std::string &ident)
+void
+emitUnlessSuppressed(const LexedFile &file, int line, int col,
+                     const std::string &rule, const std::string &message,
+                     std::vector<Diagnostic> &out,
+                     std::vector<SuppressionUse> *uses)
 {
-    if (kSignalUnsafeAlloc.count(ident) > 0)
-        return "allocates";
-    if (kSignalUnsafeLock.count(ident) > 0)
-        return "locks";
-    if (kSignalUnsafeIo.count(ident) > 0)
-        return "performs IO";
-    if (ident == "throw")
-        return "throws";
-    return nullptr;
+    auto it = file.marks.find(line);
+    if (it != file.marks.end() &&
+        (it->second.nolint || it->second.allowed.count(rule) > 0)) {
+        if (uses)
+            uses->push_back(SuppressionUse{file.path, line, rule});
+        return;
+    }
+    out.push_back(Diagnostic{file.path, line, col, rule, message});
 }
 
 bool
@@ -842,7 +765,8 @@ allRules()
         {"signal-unsafe",
          "a function tagged `astra-lint: signal-handler` may run "
          "between any two instructions; allocation, locking, IO or "
-         "throw there deadlocks or corrupts state",
+         "throw there, in its own body or anywhere down its call "
+         "chain, deadlocks or corrupts state",
          "restrict handlers to lock-free atomic flag stores and do "
          "the real work at the next event-loop boundary"},
         {"stale-suppression",
@@ -862,18 +786,6 @@ allRules()
          "narrow the lock scope with a block, or release via "
          "unique_lock::unlock() before waiting (cv.wait(lock, ...) "
          "with the lock as first argument is the sanctioned form)"},
-        {"unchecked-outcome",
-         "a call returning a type tagged `astra-lint: must-use` "
-         "(RunOutcome, parse results) whose value is dropped hides "
-         "failed runs from sweep summaries and CI gates",
-         "assign the result and branch on it, or cast to (void) with "
-         "a comment when the drop is intentional"},
-        {"signal-unsafe-transitive",
-         "a function tagged `astra-lint: signal-handler` reaches "
-         "allocation, locking, IO or throw through its callees; the "
-         "direct-scan rule cannot see past one call",
-         "make the handler store a lock-free atomic flag and perform "
-         "the chained work at the next event-loop boundary"},
     };
     return kRules;
 }
@@ -898,35 +810,23 @@ unorderedNames(const LexedFile &file)
 
 void
 runIndexRules(const LexedFile &file, const SymbolIndex &index,
-              const std::set<std::string> &enabled,
               std::vector<Diagnostic> &out,
               std::vector<SuppressionUse> *uses)
 {
-    RuleContext ctx(file, enabled, out, uses);
+    RuleContext ctx(file, out, uses);
     ruleSharedState(ctx, file, index);
     ruleUnresolvedMutex(ctx, file, index);
     ruleThreadCapture(ctx, file, index);
-    ruleSignalUnsafe(ctx, file, index);
     ruleHotPathAlloc(ctx);
 }
 
 void
-runIndexRules(const std::vector<LexedFile> &files, const SymbolIndex &index,
-              const std::set<std::string> &enabled,
-              std::vector<Diagnostic> &out,
-              std::vector<SuppressionUse> *uses)
-{
-    for (const LexedFile &f : files)
-        runIndexRules(f, index, enabled, out, uses);
-}
-
-void
-runTokenRules(const LexedFile &file, const std::set<std::string> &enabled,
+runTokenRules(const LexedFile &file,
               const std::set<std::string> &extra_tracked,
               std::vector<Diagnostic> &out,
               std::vector<SuppressionUse> *uses)
 {
-    RuleContext ctx(file, enabled, out, uses);
+    RuleContext ctx(file, out, uses);
     ruleNoRand(ctx);
     ruleNoWallClock(ctx, file);
     ruleNoFloat(ctx);
@@ -936,12 +836,8 @@ runTokenRules(const LexedFile &file, const std::set<std::string> &enabled,
     rulePtrKeyOrder(ctx);
     rulePtrSort(ctx);
 
-    for (const LexError &e : file.errors) {
-        Token t;
-        t.line = e.line;
-        t.col = 1;
-        ctx.emit(t, "parse-error", e.what);
-    }
+    for (const LexError &e : file.errors)
+        ctx.emitAtLine(e.line, "parse-error", e.what);
 }
 
 } // namespace astra::lint

@@ -43,7 +43,7 @@ bool diagnosticLess(const Diagnostic &a, const Diagnostic &b);
  * One inline suppression that absorbed a finding: the `allow(<rule>)`
  * (or NOLINT) on @p line of @p file matched a diagnostic of @p rule.
  * The analyzer compares these against every suppression written in
- * the tree to report the stale ones (--strict-suppressions).
+ * the tree to report the stale ones.
  */
 struct SuppressionUse
 {
@@ -52,7 +52,20 @@ struct SuppressionUse
     std::string rule;
 };
 
-/** Static description of a rule, for --list-rules and --fixable. */
+/**
+ * Append a finding of @p rule at (@p line, @p col) of @p file unless
+ * that line carries `NOLINT` or an allow(@p rule) mark. A suppression
+ * that absorbs the finding is recorded in @p uses when given, so the
+ * stale-suppression pass can tell live suppressions from dead ones.
+ * Every rule emits through this.
+ */
+void emitUnlessSuppressed(const LexedFile &file, int line, int col,
+                          const std::string &rule,
+                          const std::string &message,
+                          std::vector<Diagnostic> &out,
+                          std::vector<SuppressionUse> *uses);
+
+/** Static description of a rule, for --list-rules. */
 struct RuleInfo
 {
     std::string id;
@@ -67,10 +80,10 @@ const std::vector<RuleInfo> &allRules();
 bool knownRule(const std::string &id);
 
 /**
- * Run every enabled token rule over @p file and append findings to
- * @p out. @p enabled is a set of rule ids (empty = all). Findings on
- * lines whose comments carry `NOLINT` or an allow-list mark naming
- * the rule are dropped here (and recorded in @p uses when given).
+ * Run every token rule over @p file and append findings to @p out.
+ * Findings on lines whose comments carry `NOLINT` or an allow-list
+ * mark naming the rule are dropped here (and recorded in @p uses when
+ * given).
  *
  * @p extra_tracked seeds the unordered-container symbol table with
  * names declared elsewhere (the analyzer passes the names found in a
@@ -78,40 +91,19 @@ bool knownRule(const std::string &id);
  * caught in out-of-line definitions too).
  */
 void runTokenRules(const LexedFile &file,
-                   const std::set<std::string> &enabled,
                    const std::set<std::string> &extra_tracked,
                    std::vector<Diagnostic> &out,
                    std::vector<SuppressionUse> *uses = nullptr);
 
 /**
  * Run the declaration-indexed concurrency rules (shared-state,
- * unresolved-mutex, thread-capture, hot-path-alloc) over every file,
+ * unresolved-mutex, thread-capture, hot-path-alloc) over @p file,
  * against the cross-TU @p index built by buildSymbolIndex(). Same
  * suppression semantics as runTokenRules.
  */
-void runIndexRules(const std::vector<LexedFile> &files,
-                   const SymbolIndex &index,
-                   const std::set<std::string> &enabled,
-                   std::vector<Diagnostic> &out,
-                   std::vector<SuppressionUse> *uses = nullptr);
-
-/**
- * Single-file form of runIndexRules, so the analyzer can fan files
- * out across worker threads (--threads); the index itself is built
- * serially and only read here.
- */
 void runIndexRules(const LexedFile &file, const SymbolIndex &index,
-                   const std::set<std::string> &enabled,
                    std::vector<Diagnostic> &out,
                    std::vector<SuppressionUse> *uses = nullptr);
-
-/**
- * Category of an identifier banned in async-signal context —
- * "allocates", "locks", "performs IO" or "throws" — or nullptr for a
- * safe token. Shared between the direct signal-unsafe rule and the
- * call-graph-transitive one (flow_rules.hh).
- */
-const char *signalUnsafeCategory(const std::string &ident);
 
 /**
  * The names of unordered-container variables/aliases declared in

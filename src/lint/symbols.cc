@@ -30,21 +30,6 @@ const std::set<std::string> kSkipStatement = {
     "static_assert", "asm", "delete", "throw",    "new",
     "class",     "struct",  "union",  "enum",     "namespace"};
 
-/**
- * Head identifiers that are never a function's return type (pure
- * specifiers). `void`/`auto`/`std` stay: they are legitimate first
- * type words, and only membership in mustUseTypes is ever consulted.
- */
-const std::set<std::string> kSpecifiers = {
-    "static",   "inline", "constexpr", "consteval", "virtual",
-    "explicit", "extern", "friend",    "const",     "volatile",
-    "mutable",  "unsigned", "signed",  "typename",  "template"};
-
-/** Head identifiers skipped when naming a class/enum definition. */
-const std::set<std::string> kTypeHeadSkip = {
-    "enum",  "class",   "struct",  "union",     "final",
-    "public", "private", "protected", "virtual"};
-
 /** Idents that cannot be a declarator name (specifiers and types). */
 const std::set<std::string> kNotAName = {
     "static",   "const",    "constexpr", "constinit", "thread_local",
@@ -145,8 +130,7 @@ class FileIndexer
 
     /**
      * Recover the declarator name (ident right before the first
-     * statement-level `(`) and first non-specifier head identifier
-     * from the head tokens [@p i, @p end).
+     * statement-level `(`) from the head tokens [@p i, @p end).
      */
     void
     nameFunction(FunctionExtent &fe, std::size_t i, std::size_t end)
@@ -183,8 +167,6 @@ class FileIndexer
             if (t.kind != TokKind::kIdent || paren > 0 || angle > 0)
                 continue;
             prev_ident = t.text;
-            if (fe.returnType.empty() && kSpecifiers.count(t.text) == 0)
-                fe.returnType = t.text;
         }
     }
 
@@ -207,32 +189,6 @@ class FileIndexer
         _scopes.push_back(Scope{ScopeKind::kFunction,
                                 static_cast<int>(_index.functions.size()) -
                                     1});
-    }
-
-    /**
-     * Record the class/enum defined by the head [@p i, @p end) into
-     * mustUseTypes when the head carries a must-use annotation.
-     */
-    void
-    maybeRecordMustUse(std::size_t i, std::size_t end)
-    {
-        int head_line = _toks[i].line;
-        bool marked = false;
-        for (int l : {head_line - 1, head_line}) {
-            if (const LineMarks *m = marksAt(_file, l))
-                marked = marked || m->mustUse;
-        }
-        if (!marked)
-            return;
-        for (std::size_t k = i; k < end; ++k) {
-            if (_toks[k].kind == TokKind::kIdent &&
-                kTypeHeadSkip.count(_toks[k].text) == 0) {
-                _index.mustUseTypes.insert(_toks[k].text);
-                return;
-            }
-            if (isPunct(k, ":")) // base/underlying-type list starts
-                return;
-        }
     }
 
     /** Consume one statement (or scope boundary) starting at @p i. */
@@ -367,14 +323,12 @@ class FileIndexer
             return end + 1;
         }
         if (first_ident == "enum") {
-            maybeRecordMustUse(i, end);
             _scopes.push_back(Scope{ScopeKind::kEnum, -1});
             return end + 1;
         }
         if ((first_ident == "class" || first_ident == "struct" ||
              first_ident == "union") &&
             !saw_top_paren) {
-            maybeRecordMustUse(i, end);
             _scopes.push_back(Scope{ScopeKind::kClass, -1});
             return end + 1;
         }

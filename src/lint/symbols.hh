@@ -85,14 +85,6 @@ struct FunctionExtent
     std::string name;
 
     /**
-     * First head identifier that is not a specifier — `RunOutcome`
-     * for `RunOutcome Cluster::outcome() const`. Heuristic (a
-     * qualified `std::vector<..>` return reads as `std`); only its
-     * membership in SymbolIndex::mustUseTypes is ever consulted.
-     */
-    std::string returnType;
-
-    /**
      * Body delimiters as indices into the owning LexedFile::tokens:
      * bodyBegin is the opening `{`, bodyEnd its matching `}`. Valid
      * only when hasBody — the CFG builder (cfg.hh) parses this range.
@@ -114,14 +106,6 @@ struct SymbolIndex
      * globals alike). `guarded-by(<name>)` resolves against this set.
      */
     std::set<std::string> mutexNames;
-
-    /**
-     * Class/enum names whose head carries a `must-use` annotation,
-     * unioned across all analyzed TUs. A function extent whose
-     * returnType is in this set yields results the unchecked-outcome
-     * rule refuses to see discarded.
-     */
-    std::set<std::string> mustUseTypes;
 
     /**
      * True when (file, line) sits inside a function extent whose head

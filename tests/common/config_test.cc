@@ -2,6 +2,9 @@
 
 #include <cstdio>
 #include <fstream>
+#include <regex>
+#include <set>
+#include <string>
 
 #include "common/config.hh"
 #include "common/logging.hh"
@@ -193,6 +196,33 @@ TEST(Config, LoadFileCollectsAllErrorsWithFileAndLine)
         EXPECT_NE(what.find("duplicate"), std::string::npos) << what;
     }
     std::remove(path);
+}
+
+TEST(Config, KeyTableMatchesParametersDoc)
+{
+    // Both directions drift: a new key lands without docs, or a doc
+    // row outlives a rename. The documented names are the backticked
+    // words in the first column of the docs/PARAMETERS.md tables.
+    std::ifstream doc(std::string(ASTRA_SOURCE_DIR) + "/docs/PARAMETERS.md");
+    ASSERT_TRUE(doc.good());
+    std::set<std::string> documented;
+    std::regex name("`([a-z0-9-]+)`");
+    std::string line;
+    while (std::getline(doc, line)) {
+        if (line.rfind('|', 0) != 0)
+            continue;
+        std::string first = line.substr(1, line.find('|', 1) - 1);
+        for (auto it = std::sregex_iterator(first.begin(), first.end(), name);
+             it != std::sregex_iterator(); ++it)
+            documented.insert((*it)[1].str());
+    }
+    std::vector<std::string> names = SimConfig::keyNames();
+    std::set<std::string> parsed(names.begin(), names.end());
+    EXPECT_EQ(parsed.size(), names.size()) << "a key is listed twice";
+    for (const std::string &k : parsed)
+        EXPECT_TRUE(documented.count(k)) << k << " is not documented";
+    for (const std::string &k : documented)
+        EXPECT_TRUE(parsed.count(k)) << k << " is documented but not parsed";
 }
 
 TEST(Config, TrySetReportsInsteadOfThrowing)

@@ -5,7 +5,8 @@
  * negative file per rule — positives declare their expected findings
  * inline with `FIRE(rule-id)` markers, asserted by exact rule-id,
  * file and line), the layering mini-trees, and a clean run over the
- * real src/tools/tests trees with the shipped allowlist.
+ * real src/tools/tests trees with the shipped allowlist. Every run
+ * reports stale suppressions, as the CLI does.
  *
  * ASTRA_SOURCE_DIR is injected by tests/CMakeLists.txt.
  */
@@ -22,7 +23,6 @@
 #include "lint/analyzer.hh"
 #include "lint/include_graph.hh"
 #include "lint/lexer.hh"
-#include "tests/support/json_lite.hh"
 
 namespace astra::lint
 {
@@ -65,23 +65,21 @@ expectedFindings(const std::string &relpath)
 
 /** Analyze fixture files in-process, without any allowlist. */
 std::vector<Diagnostic>
-analyzeFixtures(const std::vector<std::string> &files, bool strict = false)
+analyzeFixtures(const std::vector<std::string> &files)
 {
     LintOptions opts;
     opts.root = kRoot;
-    opts.strictSuppressions = strict;
     return analyzeFiles(opts, files);
 }
 
 /** Positive fixture: diagnostics must equal the FIRE markers exactly. */
 void
 expectMarkersMatch(const std::string &file,
-                   const std::vector<std::string> &together = {},
-                   bool strict = false)
+                   const std::vector<std::string> &together = {})
 {
     std::vector<std::string> files = together;
     files.push_back(kFixtures + file);
-    std::vector<Diagnostic> diags = analyzeFixtures(files, strict);
+    std::vector<Diagnostic> diags = analyzeFixtures(files);
     for (const Diagnostic &d : diags)
         EXPECT_EQ(d.file, kFixtures + file) << d.rule;
     EXPECT_EQ(findingSet(diags), expectedFindings(kFixtures + file))
@@ -92,10 +90,9 @@ expectMarkersMatch(const std::string &file,
 
 /** Negative fixture: zero diagnostics. */
 void
-expectClean(const std::string &file, bool strict = false)
+expectClean(const std::string &file)
 {
-    std::vector<Diagnostic> diags =
-        analyzeFixtures({kFixtures + file}, strict);
+    std::vector<Diagnostic> diags = analyzeFixtures({kFixtures + file});
     EXPECT_TRUE(diags.empty())
         << "fixture " << file << " reported:\n" << renderText(diags);
 }
@@ -263,23 +260,6 @@ TEST(LintLexer, ParsesConcurrencyAnnotations)
     EXPECT_FALSE(f.marks.count(3));
 }
 
-TEST(LintLexer, ParsesMustUseAnnotation)
-{
-    LexedFile f = lexSource("t.cc",
-                            "// astra-lint: must-use\n"
-                            "enum class Outcome { kOk, kBad };\n"
-                            "// astra-lint: must-used-not-a-mark\n"
-                            "int a;\n");
-    ASSERT_TRUE(f.marks.count(1));
-    EXPECT_TRUE(f.marks.at(1).mustUse);
-    // `must-use` is a line mark, not a file tag.
-    EXPECT_FALSE(f.fileTags.count("must-use"));
-    // Longer words sharing the prefix are ordinary (meaningless) tags.
-    if (f.marks.count(3)) {
-        EXPECT_FALSE(f.marks.at(3).mustUse);
-    }
-}
-
 TEST(LintLexer, TracksPositions)
 {
     LexedFile f = lexSource("t.cc", "int a;\n  long b;\n");
@@ -306,10 +286,12 @@ TEST(LintRules, RegistryKnowsEveryRule)
     EXPECT_TRUE(knownRule("stale-suppression"));
     EXPECT_TRUE(knownRule("use-after-move"));
     EXPECT_TRUE(knownRule("lock-across-wait"));
-    EXPECT_TRUE(knownRule("unchecked-outcome"));
-    EXPECT_TRUE(knownRule("signal-unsafe-transitive"));
+    EXPECT_TRUE(knownRule("signal-unsafe"));
+    // Retired ids: an allow(...) naming one is a stale suppression.
+    EXPECT_FALSE(knownRule("signal-unsafe-transitive"));
+    EXPECT_FALSE(knownRule("unchecked-outcome"));
     EXPECT_FALSE(knownRule("no-such-rule"));
-    EXPECT_GE(allRules().size(), 23u);
+    EXPECT_EQ(allRules().size(), 21u);
 }
 
 // ---- symbol index ----------------------------------------------------
@@ -365,7 +347,6 @@ TEST(LintSymbols, FunctionExtentsCarryNamesAndBodies)
     ASSERT_GE(idx.functions.size(), 2u);
     const FunctionExtent &fe0 = idx.functions[0];
     EXPECT_EQ(fe0.name, "outcome");
-    EXPECT_EQ(fe0.returnType, "RunOutcome");
     ASSERT_TRUE(fe0.hasBody);
     EXPECT_EQ(f.tokens[fe0.bodyBegin].text, "{");
     EXPECT_EQ(f.tokens[fe0.bodyEnd].text, "}");
@@ -373,20 +354,6 @@ TEST(LintSymbols, FunctionExtentsCarryNamesAndBodies)
     const FunctionExtent &fe1 = idx.functions[1];
     EXPECT_EQ(fe1.name, "plan");
     EXPECT_TRUE(fe1.hasBody);
-}
-
-TEST(LintSymbols, MustUseTypesCollectAnnotatedHeads)
-{
-    LexedFile f = lexSource("t.cc",
-                            "// astra-lint: must-use\n"
-                            "enum class ParseStatus { kOk, kBad };\n"
-                            "// astra-lint: must-use\n"
-                            "struct Outcome { int code; };\n"
-                            "enum class Plain { kA };\n");
-    SymbolIndex idx = buildSymbolIndex({f});
-    EXPECT_TRUE(idx.mustUseTypes.count("ParseStatus"));
-    EXPECT_TRUE(idx.mustUseTypes.count("Outcome"));
-    EXPECT_FALSE(idx.mustUseTypes.count("Plain"));
 }
 
 TEST(LintSymbols, FunctionExtentsCarryThreadConfinement)
@@ -523,25 +490,28 @@ TEST(LintFixtures, LockAcrossWait)
     expectClean("lock_across_wait_ok.cc");
 }
 
-TEST(LintFixtures, UncheckedOutcome)
-{
-    expectMarkersMatch("unchecked_outcome_bad.cc");
-    expectClean("unchecked_outcome_ok.cc");
-}
-
 TEST(LintFixtures, SignalUnsafeTransitive)
 {
-    expectMarkersMatch("signal_unsafe_transitive_bad.cc");
-    expectClean("signal_unsafe_transitive_ok.cc");
+    // Below depth 0 the finding sits on the handler's call that starts
+    // the chain, and the message spells the chain out.
+    std::vector<Diagnostic> diags =
+        analyzeFixtures({kFixtures + "signal_unsafe_bad.cc"});
+    std::vector<std::string> chained;
+    for (const Diagnostic &d : diags) {
+        if (d.line == 40)
+            chained.push_back(d.message);
+    }
+    ASSERT_EQ(chained.size(), 1u) << renderText(diags);
+    EXPECT_NE(chained[0].find("`printf` (performs IO) via onSignalChained "
+                              "-> noteInterrupt -> logStatus"),
+              std::string::npos)
+        << chained[0];
 }
 
 TEST(LintFixtures, StaleSuppression)
 {
-    // Stale detection only runs under strict suppressions, as CI does.
-    expectMarkersMatch("stale_suppression_bad.cc", {}, /*strict=*/true);
-    expectClean("stale_suppression_ok.cc", /*strict=*/true);
-    // Without strict mode the same dead allows pass silently.
-    expectClean("stale_suppression_bad.cc", /*strict=*/false);
+    expectMarkersMatch("stale_suppression_bad.cc");
+    expectClean("stale_suppression_ok.cc");
 }
 
 // ---- layering mini-trees ---------------------------------------------
@@ -601,21 +571,7 @@ TEST(LintLayering, RankTableMatchesDesign)
     EXPECT_EQ(layerName("tests/lint/lint_test.cc"), "tests");
 }
 
-// ---- selection, allowlist, rendering ---------------------------------
-
-TEST(LintConfig, RuleSelectionFilters)
-{
-    LintOptions opts;
-    opts.root = kRoot;
-    opts.rules = {"no-float"};
-    std::vector<Diagnostic> diags =
-        analyzeFiles(opts, {kFixtures + "no_rand_bad.cc"});
-    EXPECT_TRUE(diags.empty()) << renderText(diags);
-    diags = analyzeFiles(opts, {kFixtures + "no_float_bad.cc"});
-    EXPECT_FALSE(diags.empty());
-    for (const Diagnostic &d : diags)
-        EXPECT_EQ(d.rule, "no-float");
-}
+// ---- allowlist --------------------------------------------------------
 
 TEST(LintConfig, AllowlistSuppressesByPath)
 {
@@ -646,120 +602,12 @@ TEST(LintConfig, BadAllowlistRejected)
     EXPECT_NE(err.find("unknown rule"), std::string::npos) << err;
 }
 
-TEST(LintRender, JsonIsValidAndComplete)
-{
-    LintOptions opts;
-    opts.root = kRoot;
-    std::vector<Diagnostic> diags =
-        analyzeFiles(opts, {kFixtures + "no_float_bad.cc"});
-    ASSERT_FALSE(diags.empty());
-    std::string json = renderJson(diags);
-    EXPECT_TRUE(astra::testsupport::jsonValid(json)) << json;
-    EXPECT_NE(json.find("\"rule\": \"no-float\""), std::string::npos);
-    EXPECT_TRUE(astra::testsupport::jsonValid(renderJson({})));
-}
-
-TEST(LintRender, FixableSummarizesPerRule)
-{
-    LintOptions opts;
-    opts.root = kRoot;
-    std::vector<Diagnostic> diags =
-        analyzeFiles(opts, {kFixtures + "no_float_bad.cc"});
-    std::string summary = renderFixable(diags);
-    EXPECT_NE(summary.find("[no-float]"), std::string::npos);
-    EXPECT_NE(summary.find("fix:"), std::string::npos);
-    EXPECT_TRUE(renderFixable({}).empty());
-}
-
-TEST(LintRender, SarifIsValidAndCarriesRuleCatalog)
-{
-    LintOptions opts;
-    opts.root = kRoot;
-    std::vector<Diagnostic> diags =
-        analyzeFiles(opts, {kFixtures + "no_float_bad.cc"});
-    ASSERT_FALSE(diags.empty());
-    std::string sarif = renderSarif(diags);
-    EXPECT_TRUE(astra::testsupport::jsonValid(sarif)) << sarif;
-    EXPECT_NE(sarif.find("\"version\": \"2.1.0\""), std::string::npos);
-    EXPECT_NE(sarif.find("\"name\": \"astra-lint\""), std::string::npos);
-    EXPECT_NE(sarif.find("\"ruleId\": \"no-float\""), std::string::npos);
-    // The full rule catalog ships in every log, findings or not.
-    for (const RuleInfo &r : allRules())
-        EXPECT_NE(sarif.find("\"id\": \"" + r.id + "\""),
-                  std::string::npos)
-            << r.id;
-    EXPECT_TRUE(astra::testsupport::jsonValid(renderSarif({})));
-}
-
-TEST(LintBaseline, KeyIgnoresPosition)
-{
-    // Baseline keys deliberately omit line/col so unrelated edits that
-    // shift a pre-existing finding do not resurrect it.
-    Diagnostic a{"src/a.cc", 10, 3, "no-float", "float here"};
-    Diagnostic b{"src/a.cc", 99, 1, "no-float", "float here"};
-    Diagnostic c{"src/b.cc", 10, 3, "no-float", "float here"};
-    EXPECT_EQ(baselineKey(a), baselineKey(b));
-    EXPECT_NE(baselineKey(a), baselineKey(c));
-}
-
-TEST(LintBaseline, RoundTripsThroughFile)
-{
-    LintOptions opts;
-    opts.root = kRoot;
-    std::vector<Diagnostic> diags =
-        analyzeFiles(opts, {kFixtures + "no_float_bad.cc"});
-    ASSERT_FALSE(diags.empty());
-    std::string path = testing::TempDir() + "/lint_baseline.txt";
-    std::ofstream(path) << renderBaselineFile(diags);
-    std::set<std::string> keys;
-    std::string err;
-    ASSERT_TRUE(loadBaseline(path, keys, &err)) << err;
-    EXPECT_FALSE(keys.empty());
-    EXPECT_LE(keys.size(), diags.size()); // keys dedupe by design
-    for (const Diagnostic &d : diags)
-        EXPECT_TRUE(keys.count(baselineKey(d))) << baselineKey(d);
-    std::set<std::string> missing;
-    EXPECT_FALSE(loadBaseline(path + ".nope", missing, &err));
-}
-
-// ---- parallel analysis -----------------------------------------------
-
-TEST(LintThreads, DiagnosticsIdenticalAtAnyWorkerCount)
-{
-    // --threads must never change what is reported or in what order:
-    // per-file slots are merged in file order and the final sort is
-    // total, so the diagnostic streams are equal element-for-element.
-    LintOptions serial;
-    serial.root = kRoot;
-    serial.skipFixtureDirs = false;
-    std::vector<std::string> files =
-        collectFiles(serial, {"tests/lint/fixtures"});
-    ASSERT_GT(files.size(), 20u);
-    std::vector<Diagnostic> one = analyzeFiles(serial, files);
-    ASSERT_FALSE(one.empty());
-
-    LintOptions parallel = serial;
-    parallel.threads = 4;
-    std::vector<Diagnostic> four = analyzeFiles(parallel, files);
-    ASSERT_EQ(one.size(), four.size());
-    for (std::size_t i = 0; i < one.size(); ++i) {
-        EXPECT_EQ(one[i].file, four[i].file);
-        EXPECT_EQ(one[i].line, four[i].line);
-        EXPECT_EQ(one[i].col, four[i].col);
-        EXPECT_EQ(one[i].rule, four[i].rule);
-        EXPECT_EQ(one[i].message, four[i].message);
-    }
-}
-
 // ---- the real tree ---------------------------------------------------
 
 TEST(LintRealTree, SrcToolsTestsAreClean)
 {
     LintOptions opts;
     opts.root = kRoot;
-    // Strict suppressions, as CI runs: every inline allow and every
-    // allowlist entry must absorb at least one finding.
-    opts.strictSuppressions = true;
     std::string err;
     ASSERT_TRUE(loadAllowlist(kRoot + "/tools/lint-allow.conf", opts, &err))
         << err;

@@ -86,6 +86,14 @@ struct BadCase
     const char *text;
 };
 
+// gtest would print a BadCase as its raw bytes, and those (pointer
+// values) end up in every ctest id; print the name instead.
+void
+PrintTo(const BadCase &c, std::ostream *os)
+{
+    *os << c.name;
+}
+
 class WorkloadFileErrors : public ::testing::TestWithParam<BadCase>
 {
 };

@@ -6,37 +6,20 @@
  *   astra-lint [options] [paths...]      # paths default: src tools tests
  *
  *   --root=DIR         resolve paths and includes under DIR (default .)
- *   --rule=ID[,ID...]  run only the named rules
+ *   --no-allowlist     ignore tools/lint-allow.conf under --root
  *   --list-rules       print every rule id with rationale and exit
- *   --allowlist=FILE   load `<rule-id> <path-ERE>` suppressions
- *                      (default: tools/lint-allow.conf under --root,
- *                      when present)
- *   --no-allowlist     ignore the default allowlist
- *   --json             emit diagnostics as a JSON array
- *   --fixable          append a per-rule summary with suggested fixes
- *   --include-fixtures do not skip lint/fixtures dirs in directory walks
- *   --sarif=PATH       also write the findings as SARIF 2.1.0 to PATH
- *   --baseline=FILE    report (and fail on) only findings NOT in FILE;
- *                      known findings are counted as suppressed
- *   --write-baseline=FILE
- *                      write the current findings as a baseline and
- *                      exit 0 (the ratchet starting point)
- *   --strict-suppressions
- *                      fail on stale suppressions: inline allow(...)
- *                      comments and allowlist entries that matched no
- *                      finding (on in CI via tools/lint.sh)
- *   --threads=N        fan the per-file phases across N workers
- *                      (default 1; output is byte-identical at any N)
+ *
+ * Every rule runs, and every suppression must absorb a finding: an
+ * inline allow(...) comment or allowlist entry that matched nothing is
+ * itself a `stale-suppression` finding.
  *
  * Exit status: 0 clean, 1 diagnostics reported, 2 usage/config error.
- * tools/lint.sh builds and runs this as the CI static-analysis gate.
+ * ctest (`lint_tool_clean_tree`) and `tools/ci.sh --lint` run it over
+ * src, tools and tests as the static-analysis gate.
  */
 
-#include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -74,75 +57,17 @@ main(int argc, char **argv)
 {
     LintOptions opts;
     std::vector<std::string> paths;
-    std::string allowlist;
-    std::string sarif_path;
-    std::string baseline_path;
-    std::string write_baseline_path;
     bool no_allowlist = false;
-    bool json = false;
-    bool fixable = false;
 
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
-        auto value = [&](const char *prefix) {
-            return arg.substr(std::string(prefix).size());
-        };
-        if (arg == "--list-rules") {
+        if (arg == "--list-rules" || arg == "-h" || arg == "--help") {
             listRules();
             return 0;
         } else if (arg.rfind("--root=", 0) == 0) {
-            opts.root = value("--root=");
-        } else if (arg.rfind("--rule=", 0) == 0) {
-            std::string list = value("--rule=");
-            std::size_t start = 0;
-            while (start <= list.size()) {
-                std::size_t comma = list.find(',', start);
-                std::string id =
-                    list.substr(start, comma == std::string::npos
-                                           ? std::string::npos
-                                           : comma - start);
-                if (!id.empty()) {
-                    if (!knownRule(id))
-                        return usageError("unknown rule id '" + id +
-                                          "' (see --list-rules)");
-                    opts.rules.insert(id);
-                }
-                if (comma == std::string::npos)
-                    break;
-                start = comma + 1;
-            }
-        } else if (arg.rfind("--allowlist=", 0) == 0) {
-            allowlist = value("--allowlist=");
+            opts.root = arg.substr(std::string("--root=").size());
         } else if (arg == "--no-allowlist") {
             no_allowlist = true;
-        } else if (arg == "--json") {
-            json = true;
-        } else if (arg == "--fixable") {
-            fixable = true;
-        } else if (arg == "--include-fixtures") {
-            opts.skipFixtureDirs = false;
-        } else if (arg.rfind("--sarif=", 0) == 0) {
-            sarif_path = value("--sarif=");
-        } else if (arg.rfind("--baseline=", 0) == 0) {
-            baseline_path = value("--baseline=");
-        } else if (arg.rfind("--write-baseline=", 0) == 0) {
-            write_baseline_path = value("--write-baseline=");
-        } else if (arg == "--strict-suppressions") {
-            opts.strictSuppressions = true;
-        } else if (arg.rfind("--threads=", 0) == 0) {
-            std::string n = value("--threads=");
-            char *end = nullptr;
-            long parsed =
-                n.empty() ? 0 : std::strtol(n.c_str(), &end, 10);
-            if (n.empty() || (end && *end != '\0') || parsed < 1 ||
-                parsed > 256)
-                return usageError("--threads wants an integer in "
-                                  "[1, 256], got '" +
-                                  n + "'");
-            opts.threads = static_cast<int>(parsed);
-        } else if (arg == "-h" || arg == "--help") {
-            listRules();
-            return 0;
         } else if (!arg.empty() && arg[0] == '-') {
             return usageError("unknown option '" + arg + "'");
         } else {
@@ -153,19 +78,11 @@ main(int argc, char **argv)
     if (paths.empty())
         paths = {"src", "tools", "tests"};
 
-    if (allowlist.empty() && !no_allowlist) {
-        std::filesystem::path def =
-            std::filesystem::path(opts.root) / "tools/lint-allow.conf";
-        if (std::filesystem::exists(def))
-            allowlist = def.generic_string();
-    } else if (!allowlist.empty()) {
-        // An explicitly named allowlist may be given relative to the
-        // caller's cwd; keep it as-is.
-    }
-
-    if (!allowlist.empty()) {
+    std::filesystem::path allowlist =
+        std::filesystem::path(opts.root) / "tools/lint-allow.conf";
+    if (!no_allowlist && std::filesystem::exists(allowlist)) {
         std::string err;
-        if (!loadAllowlist(allowlist, opts, &err))
+        if (!loadAllowlist(allowlist.generic_string(), opts, &err))
             return usageError(err);
     }
 
@@ -174,58 +91,9 @@ main(int argc, char **argv)
         return usageError("no source files found under the given paths");
 
     std::vector<Diagnostic> diags = analyzeFiles(opts, files);
-
-    if (!write_baseline_path.empty()) {
-        std::ofstream out(write_baseline_path);
-        if (!out) {
-            return usageError("cannot write baseline '" +
-                              write_baseline_path + "'");
-        }
-        out << renderBaselineFile(diags);
-        std::printf("astra-lint: baseline with %zu finding%s written "
-                    "to %s\n",
-                    diags.size(), diags.size() == 1 ? "" : "s",
-                    write_baseline_path.c_str());
-        return 0;
-    }
-
-    std::size_t baselined = 0;
-    if (!baseline_path.empty()) {
-        std::set<std::string> keys;
-        std::string err;
-        if (!loadBaseline(baseline_path, keys, &err))
-            return usageError(err);
-        std::size_t before = diags.size();
-        diags.erase(std::remove_if(diags.begin(), diags.end(),
-                                   [&](const Diagnostic &d) {
-                                       return keys.count(
-                                                  baselineKey(d)) > 0;
-                                   }),
-                    diags.end());
-        baselined = before - diags.size();
-    }
-
-    if (!sarif_path.empty()) {
-        std::ofstream out(sarif_path);
-        if (!out)
-            return usageError("cannot write SARIF '" + sarif_path + "'");
-        out << renderSarif(diags);
-    }
-
-    if (json)
-        std::fputs(renderJson(diags).c_str(), stdout);
-    else
-        std::fputs(renderText(diags).c_str(), stdout);
-    if (fixable && !json)
-        std::fputs(renderFixable(diags).c_str(), stdout);
-
-    if (!json) {
-        std::printf("astra-lint: %zu file%s checked, %zu finding%s",
-                    files.size(), files.size() == 1 ? "" : "s",
-                    diags.size(), diags.size() == 1 ? "" : "s");
-        if (baselined > 0)
-            std::printf(" (%zu baselined)", baselined);
-        std::printf("\n");
-    }
+    std::fputs(renderText(diags).c_str(), stdout);
+    std::printf("astra-lint: %zu file%s checked, %zu finding%s\n",
+                files.size(), files.size() == 1 ? "" : "s", diags.size(),
+                diags.size() == 1 ? "" : "s");
     return diags.empty() ? 0 : 1;
 }
