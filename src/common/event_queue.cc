@@ -322,9 +322,13 @@ EventQueue::findNext(Tick bound)
                     return slotOf(r);
                 ++_cursorIdx; // stale (cancelled or recycled): skip
             }
-            // Bucket exhausted: reset it and advance to the next
-            // marked tick inside the window.
-            b.refs.clear();
+            // Bucket exhausted: reset it (releasing an oversized
+            // buffer) and advance to the next marked tick inside the
+            // window.
+            if (b.refs.capacity() > kBucketKeepRefs)
+                b.refs = std::vector<Ref>();
+            else
+                b.refs.clear();
             b.dirty = false;
             clearBucket(static_cast<std::size_t>(_cursorTick &
                                                  kWindowMask));

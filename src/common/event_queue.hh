@@ -143,6 +143,19 @@ class EventCallback
         }
     }
 
+    /**
+     * True when a callable of type @p Fn is stored inline (no heap
+     * allocation per event). Hot-path event functors static_assert it.
+     */
+    template <typename Fn>
+    static constexpr bool
+    fitsInline()
+    {
+        return sizeof(Fn) <= kInlineBytes &&
+               alignof(Fn) <= alignof(std::max_align_t) &&
+               std::is_nothrow_move_constructible_v<Fn>;
+    }
+
   private:
     struct Ops
     {
@@ -152,15 +165,6 @@ class EventCallback
         void (*destroy)(void *) noexcept;
         bool isInline;
     };
-
-    template <typename Fn>
-    static constexpr bool
-    fitsInline()
-    {
-        return sizeof(Fn) <= kInlineBytes &&
-               alignof(Fn) <= alignof(std::max_align_t) &&
-               std::is_nothrow_move_constructible_v<Fn>;
-    }
 
     template <typename Fn>
     static constexpr Ops kInlineOps = {
@@ -456,6 +460,15 @@ class EventQueue
         int lastPrio = 0;
         bool dirty = false;
     };
+
+    /**
+     * Largest ref buffer (8 KiB) an exhausted bucket keeps for reuse.
+     * A burst past it (thousands of link-busy retries at one free
+     * tick) would otherwise pin its high-water buffer in one of the
+     * kWindow buckets for the rest of the run; garnet-lite's buckets
+     * stay under it.
+     */
+    static constexpr std::size_t kBucketKeepRefs = 1024;
 
     /** Far-heap element: POD ref, ordered by (when, priority, seq). */
     struct FarRef

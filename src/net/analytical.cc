@@ -1,5 +1,8 @@
+// astra-lint: hot-path (every analytical hop, retry and delivery event
+// is scheduled here; transfers live in a slab, see allocTransfer)
 #include "net/analytical.hh"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/check.hh"
@@ -34,43 +37,71 @@ AnalyticalNetwork::AnalyticalNetwork(EventQueue &eq, const Topology &topo,
     setupUtilLanes(std::move(names), std::move(counts));
 }
 
+std::uint32_t
+AnalyticalNetwork::allocTransfer()
+{
+    if (_freeTransfers.empty()) {
+        const auto base = static_cast<std::uint32_t>(
+            _transferChunks.size() * kTransferChunk);
+        // Slab growth: amortized over every later reuse of the slots.
+        _transferChunks.push_back(std::make_unique<Transfer[]>(kTransferChunk)); // astra-lint: allow(hot-path-alloc)
+        // Reverse order so the lowest new slot is handed out first.
+        for (std::size_t i = kTransferChunk; i-- > 0;)
+            _freeTransfers.push_back(base + static_cast<std::uint32_t>(i));
+    }
+    const std::uint32_t slot = _freeTransfers.back();
+    _freeTransfers.pop_back();
+    return slot;
+}
+
+Message
+AnalyticalNetwork::releaseTransfer(std::uint32_t slot)
+{
+    Transfer &t = transferAt(slot);
+    Message msg = std::move(t.msg);
+    std::vector<LinkId>().swap(t.route);
+    _freeTransfers.push_back(slot);
+    return msg;
+}
+
 void
 AnalyticalNetwork::send(Message msg)
 {
     msg.sentAt = _eq.now();
-    if (msg.src == msg.dst) {
-        // Loopback: deliver on the next tick with no link usage.
-        _eq.scheduleAfter(1, [this, msg] { deliver(msg); });
+    const std::uint32_t slot = allocTransfer();
+    Transfer &t = transferAt(slot);
+    t.msg = std::move(msg);
+    t.next = 0;
+    if (t.msg.src == t.msg.dst) {
+        // Loopback: deliver on the next tick with no link usage (the
+        // empty route makes the step a delivery).
+        _eq.scheduleAfter(1, Step{this, slot});
         return;
     }
-    auto path = std::make_shared<std::vector<LinkId>>(
-        _fabric.resolve(msg.src, msg.dst, msg.hint));
+    t.route = _fabric.resolve(t.msg.src, t.msg.dst, t.msg.hint);
     // Transport-layer cost: messages leaving the pod pay the sender's
     // protocol-stack processing once (scale-out extension).
-    Tick proto = 0;
-    for (LinkId l : *path) {
-        if (_fabric.link(l).cls == LinkClass::ScaleOut) {
-            proto = _protocolDelay;
-            break;
-        }
-    }
-    if (proto > 0) {
-        _eq.scheduleAfter(proto,
-                          [this, msg = std::move(msg),
-                           path = std::move(path)]() mutable {
-                              hop(std::move(msg), std::move(path), 0);
-                          });
+    if (_protocolDelay > 0 &&
+        std::any_of(t.route.begin(), t.route.end(), [this](LinkId l) {
+            return _fabric.link(l).cls == LinkClass::ScaleOut;
+        })) {
+        _eq.scheduleAfter(_protocolDelay, Step{this, slot});
         return;
     }
-    hop(std::move(msg), std::move(path), 0);
+    step(slot);
 }
 
 void
-AnalyticalNetwork::hop(Message msg,
-                       std::shared_ptr<std::vector<LinkId>> path,
-                       std::size_t idx)
+AnalyticalNetwork::step(std::uint32_t slot)
 {
-    const LinkId l = (*path)[idx];
+    Transfer &t = transferAt(slot);
+    if (t.next == t.route.size()) {
+        // Full message present at destination after serialization and
+        // propagation.
+        deliver(releaseTransfer(slot));
+        return;
+    }
+    const LinkId l = t.route[t.next];
     const LinkDesc &desc = _fabric.link(l);
     const LinkParams &p = _fabric.params(desc.cls);
     Tick &free_at = _freeAt[std::size_t(l)];
@@ -86,14 +117,11 @@ AnalyticalNetwork::hop(Message msg,
         }
         // Link busy: retry when it frees up. FIFO order is preserved by
         // the event queue's deterministic tiebreak.
-        _eq.schedule(free_at, [this, msg = std::move(msg),
-                               path = std::move(path), idx]() mutable {
-            hop(std::move(msg), std::move(path), idx);
-        });
+        _eq.schedule(free_at, Step{this, slot});
         return;
     }
 
-    Tick tx = txTime(desc.cls, msg.bytes);
+    Tick tx = txTime(desc.cls, t.msg.bytes);
     if (FaultManager *fm = faults()) {
         // The analytical model serializes whole messages, so faults
         // apply per busy interval: a degraded link stretches the
@@ -106,13 +134,10 @@ AnalyticalNetwork::hop(Message msg,
         if (factor <= 0.0) {
             const Tick resume = fm->downUntil(int(l), now);
             if (resume == FaultPlan::kEnd) {
-                notifyLoss(msg, int(l));
+                notifyLoss(releaseTransfer(slot), int(l));
                 return;
             }
-            _eq.schedule(resume, [this, msg = std::move(msg),
-                                  path = std::move(path), idx]() mutable {
-                hop(std::move(msg), std::move(path), idx);
-            });
+            _eq.schedule(resume, Step{this, slot});
             return;
         }
         if (factor < 1.0)
@@ -129,28 +154,22 @@ AnalyticalNetwork::hop(Message msg,
         _busyUntil[std::size_t(l)] = start + tx;
     }
     free_at = start + tx;
-    accountHop(msg.bytes, desc.cls);
+    accountHop(t.msg.bytes, desc.cls);
     if (_metrics) {
         LinkUsage &u = _usage[std::size_t(l)];
         u.busy += tx;
-        u.bytes += msg.bytes;
+        u.bytes += t.msg.bytes;
         ++u.grants;
         _txHist.record(static_cast<double>(tx));
         addDimBusy(desc.dim, tx);
         maybeEmitUtilCounters(now);
     }
 
-    const bool last = (idx + 1 == path->size());
-    if (last) {
-        // Full message present at destination after serialization and
-        // propagation.
-        _eq.schedule(start + tx + p.latency,
-                     [this, msg = std::move(msg)] { deliver(msg); });
-        return;
-    }
-
     Tick next_ready;
-    if (_routing == PacketRouting::Software) {
+    if (++t.next == t.route.size()) {
+        // Last link: the next step delivers.
+        next_ready = start + tx + p.latency;
+    } else if (_routing == PacketRouting::Software) {
         // Store-and-forward: entire message must arrive before the next
         // hop can begin.
         next_ready = start + tx + p.latency + _routerLatency;
@@ -160,10 +179,7 @@ AnalyticalNetwork::hop(Message msg,
         // still serializes the full message, so bandwidth is conserved.
         next_ready = start + p.latency + _routerLatency;
     }
-    _eq.schedule(next_ready, [this, msg = std::move(msg),
-                              path = std::move(path), idx]() mutable {
-        hop(std::move(msg), std::move(path), idx + 1);
-    });
+    _eq.schedule(next_ready, Step{this, slot});
 }
 
 void

@@ -20,7 +20,8 @@
 #define ASTRA_NET_ANALYTICAL_HH
 
 #include <cmath>
-#include <deque>
+#include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "common/config.hh"
@@ -92,20 +93,77 @@ class AnalyticalNetwork : public NetworkApi
     void registerCheckers(ValidatorRegistry &reg) override;
 
     /**
-     * Drain-time invariants: the independent busy-until ledger must
-     * agree with the backend's own per-link free-at state. Raises an
-     * ASTRA_CHECK diagnostic on violation. No-op unless the backend
-     * was constructed with validation enabled.
+     * Drain-time invariants: no transfer slot is still live, and the
+     * independent busy-until ledger agrees with the backend's own
+     * per-link free-at state (checked only when the backend was
+     * constructed with validation enabled). Raises an ASTRA_CHECK
+     * diagnostic on violation.
      */
     void validateDrain() const;
 
+    /** Transfers sent but not yet delivered or lost (for tests). */
+    std::size_t
+    liveTransfers() const
+    {
+        return _transferChunks.size() * kTransferChunk -
+               _freeTransfers.size();
+    }
+
   private:
     /**
-     * Message @p msg is ready to claim link path[idx] at the current
-     * time; reserve it and schedule the next hop / delivery.
+     * One in-flight transfer: the message, its resolved route and the
+     * index of the next link to claim (route.size() once the last link
+     * is granted, so the next step delivers).
      */
-    void hop(Message msg, std::shared_ptr<std::vector<LinkId>> path,
-             std::size_t idx);
+    struct Transfer
+    {
+        Message msg;
+        std::vector<LinkId> route;
+        std::uint32_t next = 0;
+    };
+
+    /**
+     * The event every transfer schedules — loopback, protocol delay,
+     * hop, busy retry, down-window park and delivery alike. Two words,
+     * so it is stored inline in the event slab (no heap per event).
+     */
+    struct Step
+    {
+        AnalyticalNetwork *net;
+        std::uint32_t slot;
+
+        void operator()() const { net->step(slot); }
+    };
+    static_assert(EventCallback::fitsInline<Step>());
+
+    /** Transfer slab granularity: chunk addresses are stable. */
+    static constexpr std::size_t kTransferChunkBits = 6;
+    static constexpr std::size_t kTransferChunk =
+        std::size_t(1) << kTransferChunkBits;
+
+    Transfer &
+    transferAt(std::uint32_t slot)
+    {
+        return _transferChunks[slot >> kTransferChunkBits]
+                              [slot & (kTransferChunk - 1)];
+    }
+
+    /** Take a free transfer slot, growing the slab by a chunk when dry. */
+    std::uint32_t allocTransfer();
+
+    /**
+     * Free @p slot and hand back its message. The route buffer is
+     * released too, so a free slot holds no heap memory and a receiver
+     * or loss handler that sends again can reuse the slot.
+     */
+    Message releaseTransfer(std::uint32_t slot);
+
+    /**
+     * Advance transfer @p slot at the current time: deliver it when
+     * every link is granted, else claim its next link (or wait for it)
+     * and schedule the following step.
+     */
+    void step(std::uint32_t slot);
 
     EventQueue &_eq;
     Fabric _fabric;
@@ -113,6 +171,10 @@ class AnalyticalNetwork : public NetworkApi
     Tick _routerLatency;
     Tick _protocolDelay; //!< scale-out transport cost per message
     std::vector<Tick> _freeAt;
+
+    // In-flight transfer slab with a LIFO free list.
+    std::vector<std::unique_ptr<Transfer[]>> _transferChunks;
+    std::vector<std::uint32_t> _freeTransfers;
 
     /**
      * Busy-interval non-overlap ledger (integrity layer): an

@@ -108,6 +108,10 @@ AnalyticalNetwork::registerCheckers(ValidatorRegistry &reg)
 void
 AnalyticalNetwork::validateDrain() const
 {
+    ASTRA_CHECK(liveTransfers() == 0,
+                "analytical backend drained with %zu transfer slot(s) "
+                "still live",
+                liveTransfers());
     if (!_validate)
         return; // ledger was never maintained; nothing to cross-check
     ASTRA_CHECK(_busyUntil.size() == _freeAt.size(),

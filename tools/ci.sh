@@ -3,8 +3,8 @@
 # sanitizer matrix.
 #
 #   tools/ci.sh          # lint gate, normal build + full ctest,
-#                        # validated smoke, TSan build + concurrency
-#                        # subset
+#                        # validated smoke, perfbench goldens, TSan
+#                        # build + concurrency subset
 #   tools/ci.sh --lint   # the static-analysis gate only (astra-lint
 #                        # over src, tools and tests)
 #   tools/ci.sh --ubsan  # + UBSan tree with -DASTRA_VALIDATE=ON, full
@@ -15,7 +15,7 @@
 #   tools/ci.sh --full   # also run the *full* suite under TSan (slow)
 #
 # Build trees: build/ (normal), build-tsan/, build-ubsan/, build-asan/,
-# all gitignored.
+# .bench_build/ (perfbench), all gitignored.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -149,6 +149,21 @@ grep -q '"results_identical": true' build/ci_bench.json \
 grep -q '"digests_identical": true' build/ci_bench.json \
     || { echo "perf smoke: parallel sweep digests diverged" >&2; exit 1; }
 echo "perf smoke: $(grep -o '"per_event_ns": [0-9.]*' build/ci_bench.json) (informational)"
+
+echo "=== host-time benchmark smoke (perfbench/run.py) ==="
+# Every repetition of each BENCHMARK.json workload must reproduce
+# perfbench/goldens.json: "correct": true and "failed": 0 gate hard,
+# timing is printed only (as in the perf smoke above).
+workloads="$(python3 -c 'import json
+print(*(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))')"
+for w in $workloads; do
+    result="$(python3 perfbench/run.py --workload "$w" --seconds 2 | tail -n 1)"
+    echo "perfbench $w: $result"
+    python3 -c 'import json, sys
+r = json.loads(sys.argv[1])
+sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)' "$result" \
+        || { echo "perfbench $w: a repetition was not correct" >&2; exit 1; }
+done
 
 echo "=== interrupt/resume smoke (docs/robustness.md) ==="
 # Journaled resume gates hard: a sweep SIGINTed mid-flight and resumed

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Regenerate tests/golden/digests.txt: the retired-event digest
 # (--digest) of an all-reduce over every configs/*.cfg under both
-# backends, plus one GPT-2 pipeline run. The golden_digests ctest
-# re-runs every line of the file and fails on any difference.
+# backends, plus a GPT-2 pipeline run under software and hardware
+# routing. The golden_digests ctest re-runs every line of the file and
+# fails on any difference.
 #
 #   tools/update_goldens.sh [ASTRA_SIM]   # default: build/tools/astra-sim
 #
@@ -24,6 +25,10 @@ done
 # GPT-2 under GPipe: the analytical link-busy retries of its large
 # activations park most of its events 16k-32k ticks ahead.
 cases+=("--model=gpt2 --pipeline=64 --num-packages=4 --package-rows=4 --local-dim=2")
+# The same run under hardware routing: multi-hop virtual cut-through.
+# (A hardware-routed all-reduce adds nothing: its 1-hop ring routes
+# retire the software-routed stream.)
+cases+=("--model=gpt2 --pipeline=64 --num-packages=4 --package-rows=4 --local-dim=2 --packet-routing=hardware")
 
 tmp="$(mktemp)"
 trap 'rm -f "$tmp"' EXIT
