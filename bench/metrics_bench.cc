@@ -10,6 +10,10 @@
  * price of per-link usage tracking, histograms, and counter lanes —
  * the PR budget is <= 10% on both backends.
  *
+ * The determinism digest (digest=1, which every explore sweep turns
+ * on) is measured the same way, on vs off per backend. Its row is
+ * reported only; the 10% budget covers net-metrics alone.
+ *
  * Emits the numbers as JSON (--out=FILE, default BENCH_metrics.json)
  * so the overhead trajectory is tracked across PRs. --quick shrinks
  * the message sizes for CI; checked-in numbers come from the full run.
@@ -41,29 +45,31 @@ wallMs(const std::function<void()> &fn)
 
 struct Measurement
 {
-    double onMs = 0;     //!< best-of-reps, net-metrics=1
-    double offMs = 0;    //!< best-of-reps, net-metrics=0
-    Tick commOn = 0;     //!< simulated result with metrics on
+    double onMs = 0;     //!< best-of-reps, observer on
+    double offMs = 0;    //!< best-of-reps, observer off
+    Tick commOn = 0;     //!< simulated result with the observer on
     Tick commOff = 0;    //!< ... and off (must be identical)
 
     double overhead() const { return safeDiv(onMs - offMs, offMs); }
 };
 
+/** Time the collective with the observer @p flag on and off. */
 Measurement
-measure(SimConfig cfg, CollectiveKind kind, Bytes bytes, int reps)
+measure(SimConfig cfg, bool SimConfig::*flag, const char *flag_name,
+        CollectiveKind kind, Bytes bytes, int reps)
 {
     Measurement m;
     m.onMs = m.offMs = 1e300;
     for (int r = 0; r < reps; ++r) {
         // Alternate the order so cache warm-up noise cancels out.
-        for (bool metrics : {r % 2 == 0, r % 2 != 0}) {
-            cfg.netMetrics = metrics;
+        for (bool on : {r % 2 == 0, r % 2 != 0}) {
+            cfg.*flag = on;
             Tick comm = 0;
             const double ms = wallMs([&] {
                 Cluster cluster(cfg);
                 comm = cluster.runCollective(kind, bytes);
             });
-            if (metrics) {
+            if (on) {
                 m.onMs = std::min(m.onMs, ms);
                 m.commOn = comm;
             } else {
@@ -73,18 +79,19 @@ measure(SimConfig cfg, CollectiveKind kind, Bytes bytes, int reps)
         }
     }
     if (m.commOn != m.commOff)
-        fatal("net-metrics changed the simulation: %llu != %llu ticks "
+        fatal("%s changed the simulation: %llu != %llu ticks "
               "(observer-only contract violated)",
-              static_cast<unsigned long long>(m.commOn),
+              flag_name, static_cast<unsigned long long>(m.commOn),
               static_cast<unsigned long long>(m.commOff));
     return m;
 }
 
 void
-report(const char *name, const Measurement &m)
+report(const char *name, const char *what, const Measurement &m)
 {
-    std::printf("  %-12s on %8.1f ms, off %8.1f ms, overhead %+.1f%%\n",
-                name, m.onMs, m.offMs, 100 * m.overhead());
+    std::printf("  %-12s %-11s on %8.1f ms, off %8.1f ms, "
+                "overhead %+.1f%%\n",
+                name, what, m.onMs, m.offMs, 100 * m.overhead());
 }
 
 } // namespace
@@ -93,8 +100,8 @@ int
 main(int argc, char **argv)
 {
     BenchArgs args = parseArgs(argc, argv);
-    banner("metrics_bench", "network instrumentation overhead "
-                            "(net-metrics on vs off)");
+    banner("metrics_bench", "observer overhead (net-metrics and "
+                            "digest, on vs off)");
 
     std::string out_path = "BENCH_metrics.json";
     std::erase_if(args.rawOverrides, [&](const auto &kv) {
@@ -117,12 +124,19 @@ main(int argc, char **argv)
     SimConfig gar = ana;
     gar.backend = NetworkBackend::GarnetLite;
 
-    const Measurement a =
-        measure(ana, CollectiveKind::AllReduce, ana_bytes, reps);
-    report("analytical", a);
-    const Measurement g =
-        measure(gar, CollectiveKind::AllReduce, gar_bytes, reps);
-    report("garnet-lite", g);
+    const auto kind = CollectiveKind::AllReduce;
+    const Measurement a = measure(ana, &SimConfig::netMetrics,
+                                  "net-metrics", kind, ana_bytes, reps);
+    report("analytical", "net-metrics", a);
+    const Measurement ad =
+        measure(ana, &SimConfig::digest, "digest", kind, ana_bytes, reps);
+    report("analytical", "digest", ad);
+    const Measurement g = measure(gar, &SimConfig::netMetrics,
+                                  "net-metrics", kind, gar_bytes, reps);
+    report("garnet-lite", "net-metrics", g);
+    const Measurement gd =
+        measure(gar, &SimConfig::digest, "digest", kind, gar_bytes, reps);
+    report("garnet-lite", "digest", gd);
 
     const double worst = std::max(a.overhead(), g.overhead());
     std::printf("  worst-case overhead: %+.1f%% (budget 10%%)\n", worst * 100);
@@ -145,7 +159,10 @@ main(int argc, char **argv)
         "    \"metrics_on_ms\": %.2f,\n"
         "    \"metrics_off_ms\": %.2f,\n"
         "    \"overhead\": %.4f,\n"
-        "    \"comm_cycles\": %llu\n"
+        "    \"comm_cycles\": %llu,\n"
+        "    \"digest_on_ms\": %.2f,\n"
+        "    \"digest_off_ms\": %.2f,\n"
+        "    \"digest_overhead\": %.4f\n"
         "  },\n"
         "  \"garnet_lite\": {\n"
         "    \"config\": \"garnet-lite torus-4x4x4 allreduce\",\n"
@@ -153,7 +170,10 @@ main(int argc, char **argv)
         "    \"metrics_on_ms\": %.2f,\n"
         "    \"metrics_off_ms\": %.2f,\n"
         "    \"overhead\": %.4f,\n"
-        "    \"comm_cycles\": %llu\n"
+        "    \"comm_cycles\": %llu,\n"
+        "    \"digest_on_ms\": %.2f,\n"
+        "    \"digest_off_ms\": %.2f,\n"
+        "    \"digest_overhead\": %.4f\n"
         "  },\n"
         "  \"worst_overhead\": %.4f,\n"
         "  \"budget\": 0.10,\n"
@@ -161,10 +181,11 @@ main(int argc, char **argv)
         "}\n",
         args.quick ? "true" : "false", reps,
         static_cast<unsigned long long>(ana_bytes), a.onMs, a.offMs,
-        a.overhead(), static_cast<unsigned long long>(a.commOn),
+        a.overhead(), static_cast<unsigned long long>(a.commOn), ad.onMs,
+        ad.offMs, ad.overhead(),
         static_cast<unsigned long long>(gar_bytes), g.onMs, g.offMs,
-        g.overhead(), static_cast<unsigned long long>(g.commOn),
-        worst, worst <= 0.10 ? "true" : "false");
+        g.overhead(), static_cast<unsigned long long>(g.commOn), gd.onMs,
+        gd.offMs, gd.overhead(), worst, worst <= 0.10 ? "true" : "false");
     std::fclose(f);
     std::printf("wrote %s\n", out_path.c_str());
     return 0;

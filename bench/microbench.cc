@@ -15,6 +15,7 @@
 
 #include "common/event_queue.hh"
 #include "common/units.hh"
+#include "common/validate.hh"
 #include "core/cluster.hh"
 
 namespace
@@ -37,6 +38,59 @@ BM_EventQueueScheduleRun(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_EventQueueScheduleRun)->Arg(1024)->Arg(65536);
+
+/** The FNV-1a byte loop Fnv1aDigest::mix must equal (the ablation). */
+struct ByteLoopDigest
+{
+    std::uint64_t h = Fnv1aDigest::kOffsetBasis;
+
+    void
+    mix(std::uint64_t v)
+    {
+        for (int i = 0; i < 8; ++i) {
+            h ^= (v >> (8 * i)) & 0xffU;
+            h *= Fnv1aDigest::kPrime;
+        }
+    }
+};
+
+/**
+ * Digest cost per retired event, folded as the event queue does:
+ * (tick, priority, sequence) of a typical stream, eight events per
+ * tick at priority 0. Arg 0 is the plain byte loop, arg 1 is
+ * Fnv1aDigest::mix, which folds the high zero bytes in one multiply.
+ */
+template <class Digest>
+std::uint64_t
+foldEvents(int n, std::uint64_t when)
+{
+    Digest d;
+    for (int i = 0; i < n; ++i) {
+        when += (i % 8 == 0) ? 37 : 0;
+        d.mix(when);
+        d.mix(0);
+        d.mix(std::uint64_t(i));
+    }
+    if constexpr (requires { d.h; })
+        return d.h;
+    else
+        return d.value();
+}
+
+void
+BM_DigestFoldPerEvent(benchmark::State &state)
+{
+    const int n = 1 << 16;
+    std::uint64_t start = 1000; // a run-time input: no constant folding
+    benchmark::DoNotOptimize(start);
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(state.range(0) == 0
+                                     ? foldEvents<ByteLoopDigest>(n, start)
+                                     : foldEvents<Fnv1aDigest>(n, start));
+    }
+    state.SetItemsProcessed(state.iterations() * n);
+}
+BENCHMARK(BM_DigestFoldPerEvent)->Arg(0)->Arg(1);
 
 void
 BM_RingAllReduce(benchmark::State &state)

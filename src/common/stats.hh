@@ -23,6 +23,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/types.hh"
@@ -183,6 +184,10 @@ class Histogram
 /**
  * A named bag of counters, accumulators and histograms. Hierarchical
  * names use dots ("sys3.queue.P2").
+ *
+ * The *Ref accessors hand out references that stay valid until
+ * clear() (std::map nodes never move), so a hot path can resolve a
+ * name once and then add through the reference (see StatSlots).
  */
 class StatGroup
 {
@@ -193,6 +198,9 @@ class StatGroup
     {
         _counters[name] += delta;
     }
+
+    /** Mutable counter @p name, created at zero on first use. */
+    double &counterRef(const std::string &name) { return _counters[name]; }
 
     /** Set counter @p name to @p value (creates it). */
     void
@@ -230,6 +238,12 @@ class StatGroup
         static const Accumulator empty;
         auto it = _accs.find(name);
         return it == _accs.end() ? empty : it->second;
+    }
+
+    /** Mutable accumulator @p name, created empty on first use. */
+    Accumulator &accumulatorRef(const std::string &name)
+    {
+        return _accs[name];
     }
 
     /** Mutable histogram @p name, created empty on first use. */
@@ -274,7 +288,7 @@ class StatGroup
     /** Render this group as a JSON object. */
     std::string toJson(int indent = 0) const;
 
-    /** Drop all recorded data. */
+    /** Drop all recorded data; invalidates every *Ref reference. */
     void
     clear()
     {
@@ -287,6 +301,46 @@ class StatGroup
     std::map<std::string, double> _counters;
     std::map<std::string, Accumulator> _accs;
     std::map<std::string, Histogram> _hists;
+};
+
+/**
+ * Stat slots of one StatGroup indexed by a small integer (a phase, a
+ * dimension, a collective kind): slot i resolves its name on first
+ * use, so the group's key set and every value match name-keyed
+ * recording, and later uses are a pointer load with no string work.
+ * @p T is double (a counter), Accumulator or Histogram. The group must
+ * outlive the slots and never be clear()ed while they are in use.
+ */
+template <class T>
+class StatSlots
+{
+  public:
+    /** Slot @p i of @p g, named by @p name() the first time. */
+    template <class NameFn>
+    T &
+    at(StatGroup &g, std::size_t i, NameFn &&name)
+    {
+        if (i < _refs.size() && _refs[i]) [[likely]]
+            return *_refs[i];
+        return resolve(g, i, name());
+    }
+
+  private:
+    [[gnu::noinline]] T &
+    resolve(StatGroup &g, std::size_t i, const std::string &name)
+    {
+        if (i >= _refs.size())
+            _refs.resize(i + 1, nullptr);
+        if constexpr (std::is_same_v<T, double>)
+            _refs[i] = &g.counterRef(name);
+        else if constexpr (std::is_same_v<T, Accumulator>)
+            _refs[i] = &g.accumulatorRef(name);
+        else
+            _refs[i] = &g.histogramRef(name);
+        return *_refs[i];
+    }
+
+    std::vector<T *> _refs;
 };
 
 /**

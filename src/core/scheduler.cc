@@ -10,6 +10,22 @@
 namespace astra
 {
 
+void
+PhaseDelayStats::record(StatGroup &g, int i, LayerId layer, double v)
+{
+    const auto slot = std::size_t(i);
+    auto name = [&] { return strprintf("%s.P%d", _what, i); };
+    _acc.at(g, slot, name).sample(v);
+    _hist.at(g, slot, name).record(v);
+    if (layer >= 0) {
+        if (std::size_t(layer) >= _layer.size())
+            _layer.resize(std::size_t(layer) + 1);
+        _layer[std::size_t(layer)].at(g, slot, [&] {
+            return strprintf("layer%d.%s.P%d", layer, _what, i);
+        }).sample(v);
+    }
+}
+
 Scheduler::Scheduler(Sys &sys, const SimConfig &cfg)
     : _sys(sys), _policy(cfg.schedulingPolicy),
       _threshold(cfg.dispatchThreshold), _width(cfg.dispatchWidth),
@@ -79,13 +95,8 @@ Scheduler::dispatch()
 void
 Scheduler::sampleReadyDelay(Stream *s, Tick now)
 {
-    const double wait = static_cast<double>(now - s->submittedAt);
-    _sys.stats().sample("queue.P0", wait);
-    _sys.stats().record("queue.P0", wait);
-    if (s->handle()->layer >= 0) {
-        _sys.stats().sample(
-            strprintf("layer%d.queue.P0", s->handle()->layer), wait);
-    }
+    _queueDelay.record(_sys.stats(), 0, s->handle()->layer,
+                       static_cast<double>(now - s->submittedAt));
 }
 
 void
@@ -138,15 +149,9 @@ Scheduler::admit(Stream *s, const LsqKey &key)
     Lsq &q = _lsqs[key];
     ++q.active;
     const Tick now = _sys.now();
-    const double wait = static_cast<double>(
-        now - s->enqueuedAt[std::size_t(key.phase)]);
-    _sys.stats().sample(strprintf("queue.P%d", key.phase + 1), wait);
-    _sys.stats().record(strprintf("queue.P%d", key.phase + 1), wait);
-    if (s->handle()->layer >= 0) {
-        _sys.stats().sample(strprintf("layer%d.queue.P%d",
-                                      s->handle()->layer, key.phase + 1),
-                            wait);
-    }
+    _queueDelay.record(_sys.stats(), key.phase + 1, s->handle()->layer,
+                       static_cast<double>(
+                           now - s->enqueuedAt[std::size_t(key.phase)]));
     _sys.startStreamPhase(*s);
 }
 

@@ -106,10 +106,11 @@ Sys::sendMessage(Stream &stream, int dst_rank, int channel, Bytes bytes,
                          stream.myRank()};
     msg.payload = std::move(payload);
 
-    _stats.inc("sent.messages");
-    _stats.inc("sent.bytes", static_cast<double>(bytes));
-    _stats.inc("sent.bytes." + _topo.dim(ph.dim).name,
-               static_cast<double>(bytes));
+    hotCounter(SentMessages) += 1;
+    hotCounter(SentBytes) += static_cast<double>(bytes);
+    _sentBytesByDim.at(_stats, std::size_t(ph.dim), [&] {
+        return "sent.bytes." + _topo.dim(ph.dim).name;
+    }) += static_cast<double>(bytes);
     _net.send(std::move(msg));
 }
 
@@ -129,9 +130,9 @@ Sys::sendP2P(NodeId dst, Bytes bytes, std::uint64_t tag)
     msg.hint = RouteHint{-1, static_cast<int>(tag & 0xffff)};
     msg.tag.stream = tag;
     msg.tag.phase = -1;
-    _stats.inc("sent.messages");
-    _stats.inc("sent.bytes", static_cast<double>(bytes));
-    _stats.inc("sent.bytes.p2p", static_cast<double>(bytes));
+    hotCounter(SentMessages) += 1;
+    hotCounter(SentBytes) += static_cast<double>(bytes);
+    hotCounter(SentBytesP2P) += static_cast<double>(bytes);
     _net.send(std::move(msg));
 }
 
@@ -317,10 +318,9 @@ Sys::streamPhaseDone(Stream &stream)
     const int p = stream.phase();
     const Tick t = now();
     stream.finishedAt[std::size_t(p)] = t;
-    const double active =
-        static_cast<double>(t - stream.startedAt[std::size_t(p)]);
-    _stats.sample(strprintf("network.P%d", p + 1), active);
-    _stats.record(strprintf("network.P%d", p + 1), active);
+    _networkDelay.record(
+        _stats, p + 1, stream.handle()->layer,
+        static_cast<double>(t - stream.startedAt[std::size_t(p)]));
     if (_trace) {
         const PhaseDesc &ph = stream.phaseDesc();
         const char *op = toString(ph.op);
@@ -330,11 +330,6 @@ Sys::streamPhaseDone(Stream &stream)
                                static_cast<unsigned long long>(
                                    stream.id())),
                      stream.startedAt[std::size_t(p)], t);
-    }
-    if (stream.handle()->layer >= 0) {
-        _stats.sample(strprintf("layer%d.network.P%d",
-                                stream.handle()->layer, p + 1),
-                      active);
     }
 
     // Defer the transition so the algorithm's stack unwinds before the
@@ -414,23 +409,27 @@ Sys::finishStream(Stream &stream)
         _inspector(stream);
 
     auto handle = stream.handle();
-    _stats.inc("completed.chunks");
+    hotCounter(CompletedChunks) += 1;
 
     // End-to-end chunk latency (submit -> all phases complete), overall
     // and per collective kind, plus the data-movement count.
     const double latency =
         static_cast<double>(now() - stream.submittedAt);
-    _stats.record("chunk.latency", latency);
-    _stats.record(strprintf("chunk.latency.%s", toString(stream.kind())),
-                  latency);
-    _stats.inc("chunk.payloads", static_cast<double>(d.payloadsApplied()));
+    const CollectiveKind kind = stream.kind();
+    _chunkLatency.at(_stats, 0, [] {
+        return std::string("chunk.latency");
+    }).record(latency);
+    _chunkLatency.at(_stats, 1 + std::size_t(kind), [kind] {
+        return strprintf("chunk.latency.%s", toString(kind));
+    }).record(latency);
+    hotCounter(ChunkPayloads) += static_cast<double>(d.payloadsApplied());
 
     // Erase before firing callbacks: onComplete may issue collectives.
     _streams.erase(stream.id());
 
     if (--handle->remainingChunks == 0) {
         handle->completedAt = now();
-        _stats.inc("completed.sets");
+        hotCounter(CompletedSets) += 1;
         if (handle->onComplete) {
             // The callback usually captures the handle; clear it
             // before firing or the shared_ptr cycle outlives

@@ -189,12 +189,41 @@ class Sys
     /** Replay any messages buffered for (sid, phase). */
     void drainUnmatched(Stream &stream);
 
+    /** Fixed-name counters of the per-message and per-chunk paths. */
+    enum HotCounter : std::size_t
+    {
+        SentMessages,
+        SentBytes,
+        SentBytesP2P,
+        CompletedChunks,
+        ChunkPayloads,
+        CompletedSets,
+    };
+
+    /** Counter @p c of _stats, resolved on first use. */
+    double &
+    hotCounter(HotCounter c)
+    {
+        static constexpr const char *kNames[] = {
+            "sent.messages",    "sent.bytes",     "sent.bytes.p2p",
+            "completed.chunks", "chunk.payloads", "completed.sets",
+        };
+        return _hotCounters.at(_stats, c,
+                               [c] { return std::string(kNames[c]); });
+    }
+
     NodeId _id;
     const Topology &_topo;
     NetworkApi &_net;
     const SimConfig &_cfg;
     Scheduler _scheduler;
+    /** Never clear()ed: the slots below hold references into it. */
     StatGroup _stats;
+    StatSlots<double> _hotCounters;       //!< by HotCounter
+    StatSlots<double> _sentBytesByDim;    //!< "sent.bytes.<dim name>"
+    PhaseDelayStats _networkDelay{"network"};
+    /** "chunk.latency" at 0, "chunk.latency.<kind>" at 1 + kind. */
+    StatSlots<Histogram> _chunkLatency;
 
     /** Dispatch a point-to-point arrival. */
     void onP2PMessage(const Message &msg);

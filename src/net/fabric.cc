@@ -67,8 +67,8 @@ Fabric::route(NodeId src, NodeId dst, const RouteHint &hint) const
     const DimInfo &info = _topo.dim(d);
 
     // src and dst must differ only along dimension d.
-    Coord cs = _topo.coordOf(src);
-    Coord cd = _topo.coordOf(dst);
+    const Coord &cs = _topo.coordOf(src);
+    const Coord &cd = _topo.coordOf(dst);
     for (int i = 0; i < 4; ++i) {
         if (i != d && cs[i] != cd[i]) {
             panic("route: %d -> %d not confined to dimension %d", src,
@@ -111,7 +111,7 @@ Fabric::routeMapped(NodeId src, NodeId dst, int channel_seed) const
     // first (it is the cheapest), using the seed to spread traffic
     // over the channels/switches of each dimension.
     NodeId cur = src;
-    const Coord target = _topo.coordOf(dst);
+    const Coord &target = _topo.coordOf(dst);
     for (int d = 0; d < _topo.numDims(); ++d) {
         if (_topo.coordOf(cur)[d] == target[d])
             continue;

@@ -47,6 +47,16 @@ Topology::Topology(const SimConfig &cfg)
             DimPattern::Switch, cfg.scaleoutSwitches,
         });
     }
+
+    // Node ids are mixed-radix with dimension 0 fastest: count the
+    // coordinates up like an odometer instead of dividing per node.
+    _coords.reserve(std::size_t(_numNodes));
+    Coord c;
+    for (NodeId node = 0; node < _numNodes; ++node) {
+        _coords.push_back(c);
+        for (int d = 0; d < 4 && ++c[d] == _size[std::size_t(d)]; ++d)
+            c[d] = 0;
+    }
 }
 
 void
@@ -63,18 +73,10 @@ Topology::numSwitches(int d) const
     return dim(d).pattern == DimPattern::Switch ? dim(d).channels : 0;
 }
 
-Coord
-Topology::coordOf(NodeId node) const
+void
+Topology::badNode(NodeId node) const
 {
-    if (node < 0 || node >= _numNodes)
-        panic("node %d out of range [0,%d)", node, _numNodes);
-    Coord c;
-    int rest = node;
-    for (int d = 0; d < 4; ++d) {
-        c[d] = rest % _size[std::size_t(d)];
-        rest /= _size[std::size_t(d)];
-    }
-    return c;
+    panic("node %d out of range [0,%d)", node, _numNodes);
 }
 
 NodeId

@@ -115,8 +115,14 @@ class Topology
     /** Static info for dimension @p d. */
     const DimInfo &dim(int d) const { return _dims.at(std::size_t(d)); }
 
-    /** Coordinates of @p node. */
-    Coord coordOf(NodeId node) const;
+    /** Coordinates of @p node (a table lookup; range-checked). */
+    const Coord &
+    coordOf(NodeId node) const
+    {
+        if (node < 0 || node >= _numNodes)
+            badNode(node);
+        return _coords[std::size_t(node)];
+    }
 
     /** Node at coordinates @p c. */
     NodeId nodeAt(const Coord &c) const;
@@ -173,8 +179,12 @@ class Topology
     std::vector<DimInfo> _dims;
     int _numNodes;
     int _scaleoutDim = -1;
+    /** coordOf() per node, precomputed: the per-message paths
+     *  (routing, sends, group ranks) read it instead of dividing. */
+    std::vector<Coord> _coords;
 
     void checkDim(int d) const;
+    [[noreturn]] void badNode(NodeId node) const;
 };
 
 } // namespace astra

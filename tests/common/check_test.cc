@@ -13,6 +13,7 @@
 #include "common/check.hh"
 #include "common/event_queue.hh"
 #include "common/logging.hh"
+#include "common/random.hh"
 #include "common/validate.hh"
 #include "core/cluster.hh"
 #include "net/validate.hh"
@@ -137,6 +138,46 @@ TEST(Digest, RepeatableAndOrderSensitive)
     EXPECT_EQ(a.value(), b.value());
     EXPECT_NE(a.value(), c.value());
     EXPECT_NE(a.value(), Fnv1aDigest{}.value());
+
+    // Known answers from the offset basis.
+    auto once = [](std::uint64_t v) {
+        Fnv1aDigest d;
+        d.mix(v);
+        return d.value();
+    };
+    EXPECT_EQ(once(0), 0xa8c7f832281a39c5ULL);
+    EXPECT_EQ(once(0x61), 0x6926124a7b1433c4ULL);
+    EXPECT_EQ(once(~0ULL), 0x8cf51a8bfca3883dULL);
+
+    // mix() folds the zero bytes above the highest non-zero byte as
+    // one multiply; it must equal the plain 8-step byte loop.
+    std::uint64_t ref = Fnv1aDigest::kOffsetBasis;
+    auto refMix = [&ref](std::uint64_t v) {
+        for (int i = 0; i < 8; ++i) {
+            ref ^= (v >> (8 * i)) & 0xffU;
+            ref *= Fnv1aDigest::kPrime;
+        }
+    };
+    Fnv1aDigest d;
+    const std::uint64_t edges[] = {
+        0, 1, 0xff, 0x100, 0xffffffffULL, 1ULL << 56, ~0ULL,
+        static_cast<std::uint64_t>(std::int64_t(-1)), // priority -1
+    };
+    for (std::uint64_t v : edges) {
+        d.mix(v);
+        refMix(v);
+        ASSERT_EQ(d.value(), ref) << "after mixing " << v;
+    }
+    Rng rng(2024);
+    for (int i = 0; i < 20000; ++i) {
+        // Spread values over every significant-byte count 0..8.
+        const int bits = static_cast<int>(rng.below(65));
+        const std::uint64_t v =
+            bits == 0 ? 0 : rng.next() >> (64 - bits);
+        d.mix(v);
+        refMix(v);
+        ASSERT_EQ(d.value(), ref) << "after mixing " << v;
+    }
 }
 
 TEST(Digest, EventQueueDigestIsRunInvariant)

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/stats.hh"
 #include "tests/support/json_lite.hh"
 
@@ -104,6 +106,43 @@ TEST(StatGroup, ClearDropsEverything)
     EXPECT_TRUE(g.counters().empty());
     EXPECT_TRUE(g.accumulators().empty());
     EXPECT_TRUE(g.histograms().empty());
+}
+
+TEST(StatSlots, MatchNameKeyedRecordingAndResolveOnFirstUse)
+{
+    // Slots and name-keyed calls recording the same samples must give
+    // byte-identical JSON; an unused slot creates no key.
+    StatGroup by_name, by_slot;
+    StatSlots<double> counters;
+    StatSlots<Accumulator> accs;
+    StatSlots<Histogram> hists;
+    int resolved = 0;
+    auto named = [&resolved](std::string n) {
+        return [n, &resolved] {
+            ++resolved;
+            return n;
+        };
+    };
+    for (int i = 0; i < 50; ++i) {
+        const double v = 3.0 * i + 0.5;
+        by_name.inc("sent.bytes.local", v);
+        counters.at(by_slot, 2, named("sent.bytes.local")) += v;
+        by_name.sample("queue.P1", v);
+        accs.at(by_slot, 1, named("queue.P1")).sample(v);
+        by_name.record("network.P3", v);
+        hists.at(by_slot, 3, named("network.P3")).record(v);
+    }
+    EXPECT_EQ(resolved, 3);
+    EXPECT_EQ(by_slot.toJson(), by_name.toJson());
+    EXPECT_EQ(by_slot.counters().size(), 1u);
+
+    // A slot's reference survives later insertions into the group.
+    for (int i = 0; i < 100; ++i)
+        by_slot.inc("filler" + std::to_string(i));
+    counters.at(by_slot, 2, named("sent.bytes.local")) += 1.0;
+    EXPECT_EQ(resolved, 3);
+    EXPECT_DOUBLE_EQ(by_slot.counter("sent.bytes.local"),
+                     by_name.counter("sent.bytes.local") + 1.0);
 }
 
 TEST(Histogram, BucketBoundaries)

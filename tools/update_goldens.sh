@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Regenerate tests/golden/digests.txt: the retired-event digest
-# (--digest) of an all-reduce over every configs/*.cfg under both
-# backends, plus a GPT-2 pipeline run under software and hardware
-# routing. The golden_digests ctest re-runs every line of the file and
-# fails on any difference.
+# (--digest) and the SHA-256 of the metric report (--report-json) of
+# an all-reduce over every configs/*.cfg under both backends, a GPT-2
+# pipeline run under software and hardware routing, and a data/model/
+# hybrid training run of each NodeTrainer model. The golden_digests
+# ctest re-runs every line of the file and fails on any difference.
 #
 #   tools/update_goldens.sh [ASTRA_SIM]   # default: build/tools/astra-sim
 #
@@ -29,23 +30,34 @@ cases+=("--model=gpt2 --pipeline=64 --num-packages=4 --package-rows=4 --local-di
 # (A hardware-routed all-reduce adds nothing: its 1-hop ring routes
 # retire the software-routed stream.)
 cases+=("--model=gpt2 --pipeline=64 --num-packages=4 --package-rows=4 --local-dim=2 --packet-routing=hardware")
+# One training run per NodeTrainer model (data, model and hybrid
+# parallelism) on a 2x2x2 torus.
+for model in resnet50 transformer dlrm vgg16; do
+    cases+=("--model=$model --num-packages=2 --package-rows=2 --local-dim=2")
+done
 
 tmp="$(mktemp)"
-trap 'rm -f "$tmp"' EXIT
+report="$(mktemp)"
+trap 'rm -f "$tmp" "$report"' EXIT
 {
-    echo "# Retired-event digests of astra-sim runs: <digest> <arguments>."
-    echo "# Checked by the golden_digests ctest (tests/golden/check_digests.cmake);"
-    echo "# regenerate with tools/update_goldens.sh."
+    echo "# Goldens of astra-sim runs: <digest> <report-sha256> <arguments>,"
+    echo "# the retired-event digest (--digest) and the SHA-256 of the metric"
+    echo "# report (--report-json). Checked by the golden_digests ctest"
+    echo "# (tests/golden/check_digests.cmake); regenerate with"
+    echo "# tools/update_goldens.sh."
     for args in "${cases[@]}"; do
         # shellcheck disable=SC2086 # $args is a word list on purpose
-        digest="$("$SIM" $args --digest | sed -n 's/^event digest: //p')"
+        digest="$("$SIM" $args --digest --report-json="$report" |
+                  sed -n 's/^event digest: //p')"
         if [ -z "$digest" ]; then
             echo "no digest printed by: $SIM $args --digest" >&2
             exit 1
         fi
-        echo "$digest $args"
+        sha="$(sha256sum "$report" | cut -d' ' -f1)"
+        echo "$digest $sha $args"
     done
 } > "$tmp"
 mv "$tmp" "$OUT"
+rm -f "$report"
 trap - EXIT
 echo "wrote $OUT (${#cases[@]} runs)"
