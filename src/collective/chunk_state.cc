@@ -139,11 +139,10 @@ ChunkState::applyRangePayload(const RangePayload &payload)
         if (payload.reduce) {
             // Reducing the same partial twice would be numerically
             // wrong in a real system; catch schedule bugs here.
-            BitVec overlap = incoming;
-            overlap &= mine;
+            const bool duplicate = incoming.intersects(mine);
             if (!_valid[std::size_t(e)])
                 panic("reducing into invalid element %d", e);
-            if (!overlap.none()) {
+            if (duplicate) {
                 panic("duplicate contribution reduced into element %d "
                       "(mine=%s incoming=%s)",
                       e, mine.toString().c_str(),

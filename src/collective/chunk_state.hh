@@ -18,8 +18,11 @@
  *
  * The property tests assert the semantics of Fig. 4 on these states
  * (e.g. after all-reduce every node holds every element with all E
- * contributions). The tracking costs a few bit operations per message
- * and is always on.
+ * contributions), and Sys::finishStream checks them on every run: the
+ * tracking is always on. Its per-message cost is the payload: one
+ * shared RangePayload block plus one array of per-element BitVecs,
+ * whose words are stored inline for groups of up to 128 nodes, so
+ * copying and merging them allocates nothing more.
  */
 
 #ifndef ASTRA_COLLECTIVE_CHUNK_STATE_HH

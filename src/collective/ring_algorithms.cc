@@ -30,9 +30,12 @@ RingPassBase::onMessage(const Message &msg)
     auto payload = std::static_pointer_cast<RangePayload>(msg.payload);
     if (!payload)
         panic("ring pass message without payload");
-    if (_pending.count(s))
+    if (_pending.empty())
+        _pending.resize(std::size_t(_d - 1));
+    std::shared_ptr<RangePayload> &slot = _pending[std::size_t(s)];
+    if (slot)
         panic("duplicate ring step %d", s);
-    _pending[s] = std::move(payload);
+    slot = std::move(payload);
     pumpReceives();
 }
 
@@ -41,12 +44,10 @@ RingPassBase::pumpReceives()
 {
     if (!_started || _completed || _processing)
         return;
-    auto it = _pending.find(_nextRecvStep);
-    if (it == _pending.end())
+    const int s = _nextRecvStep;
+    if (std::size_t(s) >= _pending.size() || !_pending[std::size_t(s)])
         return;
-    auto payload = std::move(it->second);
-    const int s = it->first;
-    _pending.erase(it);
+    auto payload = std::move(_pending[std::size_t(s)]);
     _processing = true;
     // The endpoint (NMU) spends endpointDelay cycles per received
     // message before its data is usable.

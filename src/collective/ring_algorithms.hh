@@ -23,8 +23,8 @@
 #ifndef ASTRA_COLLECTIVE_RING_ALGORITHMS_HH
 #define ASTRA_COLLECTIVE_RING_ALGORITHMS_HH
 
-#include <map>
 #include <memory>
+#include <vector>
 
 #include "collective/algorithm.hh"
 
@@ -76,7 +76,11 @@ class RingPassBase : public PhaseAlgorithm
     bool _processing = false;  //!< endpoint busy with a message
     bool _started = false;
     bool _completed = false;
-    std::map<int, std::shared_ptr<RangePayload>> _pending;
+    /**
+     * Arrived, not yet processed payloads by local step: d-1 slots,
+     * allocated on the first arrival (null = not arrived or done).
+     */
+    std::vector<std::shared_ptr<RangePayload>> _pending;
 };
 
 /** Ring reduce-scatter. */

@@ -7,6 +7,11 @@
  * it. The property tests use these to prove the algorithms implement
  * the semantics of Fig. 4 (e.g. after all-reduce, every node holds
  * every segment with all N contributions).
+ *
+ * Up to kInlineBits bits live inside the object, so constructing or
+ * copying a contribution set of a group of at most 128 nodes (every
+ * configuration of the paper, Fig. 17's 2x8x8 included) allocates
+ * nothing; larger vectors keep their words on the heap.
  */
 
 #ifndef ASTRA_COMMON_BITVEC_HH
@@ -14,8 +19,8 @@
 
 #include <cstdint>
 #include <cstddef>
+#include <memory>
 #include <string>
-#include <vector>
 
 namespace astra
 {
@@ -26,35 +31,46 @@ namespace astra
 class BitVec
 {
   public:
+    /** Words stored inline; larger vectors use the heap. */
+    static constexpr std::size_t kInlineWords = 2;
+    static constexpr std::size_t kInlineBits = kInlineWords * 64;
+
     BitVec() = default;
 
     /** Construct @p nbits zeroed bits. */
-    explicit BitVec(std::size_t nbits)
-        : _nbits(nbits), _words((nbits + 63) / 64, 0)
-    {}
+    explicit BitVec(std::size_t nbits);
+
+    BitVec(const BitVec &o) { *this = o; }
+    BitVec(BitVec &&o) noexcept { *this = std::move(o); }
+    BitVec &operator=(const BitVec &o);
+    /** Leaves @p o empty (size 0). */
+    BitVec &operator=(BitVec &&o) noexcept;
 
     /** Number of bits. */
     std::size_t size() const { return _nbits; }
+
+    /** True when the words live on the heap (size() > kInlineBits). */
+    bool onHeap() const { return _nbits > kInlineBits; }
 
     /** Set bit @p i. */
     void
     set(std::size_t i)
     {
-        _words[i / 64] |= (std::uint64_t{1} << (i % 64));
+        words()[i / 64] |= (std::uint64_t{1} << (i % 64));
     }
 
     /** Clear bit @p i. */
     void
     reset(std::size_t i)
     {
-        _words[i / 64] &= ~(std::uint64_t{1} << (i % 64));
+        words()[i / 64] &= ~(std::uint64_t{1} << (i % 64));
     }
 
     /** Test bit @p i. */
     bool
     test(std::size_t i) const
     {
-        return (_words[i / 64] >> (i % 64)) & 1;
+        return (words()[i / 64] >> (i % 64)) & 1;
     }
 
     /** Number of set bits. */
@@ -72,17 +88,31 @@ class BitVec
     /** In-place intersection. Sizes must match. */
     BitVec &operator&=(const BitVec &o);
 
-    /** True if this and @p o share any set bit. */
+    /** True if this and @p o share any set bit. Sizes must match. */
     bool intersects(const BitVec &o) const;
 
-    bool operator==(const BitVec &o) const = default;
+    /** Same size and same bits (different sizes compare unequal). */
+    bool operator==(const BitVec &o) const;
 
     /** "0101..." rendering, bit 0 first. */
     std::string toString() const;
 
   private:
+    std::size_t numWords() const { return (_nbits + 63) / 64; }
+
+    std::uint64_t *words() { return _heap ? _heap.get() : _inline; }
+    const std::uint64_t *
+    words() const
+    {
+        return _heap ? _heap.get() : _inline;
+    }
+
+    /** Panic unless @p o has this vector's size. */
+    void checkSize(const BitVec &o) const;
+
     std::size_t _nbits = 0;
-    std::vector<std::uint64_t> _words;
+    std::uint64_t _inline[kInlineWords] = {};
+    std::unique_ptr<std::uint64_t[]> _heap; //!< set iff onHeap()
 };
 
 } // namespace astra

@@ -29,8 +29,21 @@ PhaseDelayStats::record(StatGroup &g, int i, LayerId layer, double v)
 Scheduler::Scheduler(Sys &sys, const SimConfig &cfg)
     : _sys(sys), _policy(cfg.schedulingPolicy),
       _threshold(cfg.dispatchThreshold), _width(cfg.dispatchWidth),
-      _concurrency(cfg.lsqConcurrency)
+      _concurrency(cfg.lsqConcurrency),
+      _lsqDims(std::size_t(sys.topology().numDims())), _lsqChannels(1)
 {
+    for (int d = 0; d < sys.topology().numDims(); ++d) {
+        _lsqChannels = std::max(
+            _lsqChannels, std::size_t(sys.topology().dim(d).channels));
+    }
+}
+
+Scheduler::LsqKey
+Scheduler::lsqKeyAt(std::size_t i) const
+{
+    return LsqKey{int(i / (_lsqDims * _lsqChannels)),
+                  int(i / _lsqChannels % _lsqDims),
+                  int(i % _lsqChannels)};
 }
 
 Scheduler::LsqKey
@@ -120,7 +133,12 @@ void
 Scheduler::enqueue(Stream *s, int p)
 {
     const LsqKey key = keyFor(s, p);
-    Lsq &q = _lsqs[key];
+    const std::size_t slot = lsqIndex(key);
+    if (slot >= _lsqs.size()) {
+        // A plan deeper than any seen: add every LSQ of its phases.
+        _lsqs.resize(std::size_t(key.phase + 1) * _lsqDims * _lsqChannels);
+    }
+    Lsq &q = _lsqs[slot];
     auto pos = std::lower_bound(
         q.waiting.begin(), q.waiting.end(), s,
         [](const Stream *a, const Stream *b) { return a->id() < b->id(); });
@@ -135,10 +153,14 @@ Scheduler::enqueue(Stream *s, int p)
 void
 Scheduler::pump(const LsqKey &key)
 {
-    Lsq &q = _lsqs[key];
-    while (q.active < _concurrency && !q.waiting.empty()) {
-        Stream *s = q.waiting.front();
-        q.waiting.erase(q.waiting.begin());
+    // Re-index every round: admit() starts the phase algorithm, so no
+    // reference into the table is held across it.
+    const std::size_t slot = lsqIndex(key);
+    while (_lsqs[slot].active < _concurrency &&
+           !_lsqs[slot].waiting.empty()) {
+        std::vector<Stream *> &waiting = _lsqs[slot].waiting;
+        Stream *s = waiting.front();
+        waiting.erase(waiting.begin());
         admit(s, key);
     }
 }
@@ -146,7 +168,7 @@ Scheduler::pump(const LsqKey &key)
 void
 Scheduler::admit(Stream *s, const LsqKey &key)
 {
-    Lsq &q = _lsqs[key];
+    Lsq &q = _lsqs[lsqIndex(key)];
     ++q.active;
     const Tick now = _sys.now();
     _queueDelay.record(_sys.stats(), key.phase + 1, s->handle()->layer,
@@ -178,10 +200,10 @@ Scheduler::promoteIfWaiting(Stream *stream, int p)
     if (stream->phase() != p || stream->phaseStarted())
         return;
     const LsqKey key = keyFor(stream, p);
-    auto it = _lsqs.find(key);
-    if (it == _lsqs.end())
+    const std::size_t slot = lsqIndex(key);
+    if (slot >= _lsqs.size())
         return;
-    auto &waiting = it->second.waiting;
+    auto &waiting = _lsqs[slot].waiting;
     auto pos = std::find(waiting.begin(), waiting.end(), stream);
     if (pos == waiting.end())
         return;
@@ -193,7 +215,7 @@ void
 Scheduler::onPhaseFinished(Stream *stream, int p, bool stream_complete)
 {
     const LsqKey key = keyFor(stream, p);
-    Lsq &q = _lsqs[key];
+    Lsq &q = _lsqs[lsqIndex(key)];
     ASTRA_CHECK(q.active > 0,
                 "LSQ accounting underflow on npu %d: phase %d "
                 "(dim %d channel %d) of stream %llu finished with "

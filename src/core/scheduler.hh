@@ -31,7 +31,6 @@
 #define ASTRA_CORE_SCHEDULER_HH
 
 #include <deque>
-#include <map>
 #include <vector>
 
 #include "common/config.hh"
@@ -115,8 +114,6 @@ class Scheduler
         int phase;
         int dim;
         int channel;
-
-        auto operator<=>(const LsqKey &) const = default;
     };
 
     struct Lsq
@@ -127,6 +124,18 @@ class Scheduler
 
     /** Key of the LSQ stream @p s uses for phase @p p. */
     LsqKey keyFor(const Stream *s, int p) const;
+
+    /** Slot of @p key in _lsqs (keys in lexicographic order). */
+    std::size_t
+    lsqIndex(const LsqKey &key) const
+    {
+        return (std::size_t(key.phase) * _lsqDims + std::size_t(key.dim)) *
+                   _lsqChannels +
+               std::size_t(key.channel);
+    }
+
+    /** Key of slot @p i of _lsqs (inverse of lsqIndex). */
+    LsqKey lsqKeyAt(std::size_t i) const;
 
     /** Put @p s into its phase-@p p LSQ and try admissions. */
     void enqueue(Stream *s, int p);
@@ -153,7 +162,14 @@ class Scheduler
     int _concurrency;
 
     std::deque<Stream *> _ready;
-    std::map<LsqKey, Lsq> _lsqs;
+    /**
+     * Every LSQ, indexed densely by lsqIndex(): dimensions and channels
+     * are bounded by the topology, and the table grows by whole phases
+     * when a deeper plan first enqueues (in enqueue() only).
+     */
+    std::vector<Lsq> _lsqs;
+    std::size_t _lsqDims;     //!< topology dimensions
+    std::size_t _lsqChannels; //!< most channels of any dimension
     PhaseDelayStats _queueDelay{"queue"};
     int _phase0Active = 0;
     int _inFlight = 0;

@@ -82,7 +82,7 @@ Sys::issueCollective(const CollectiveRequest &req)
         auto stream = std::make_unique<Stream>(
             *this, sid, req.kind, chunk_bytes, plan, group, handle);
         Stream *raw = stream.get();
-        _streams[sid] = std::move(stream);
+        insertStream(sid, std::move(stream));
         _scheduler.submit(raw);
     }
     return handle;
@@ -167,12 +167,7 @@ Sys::onMessageLost(const Message &msg, int link)
 
     // Note the timeout on the live chunk so the legal-transition table
     // vets it: a loss racing a finalized chunk dies under validation.
-    Stream *s = nullptr;
-    if (msg.tag.phase >= 0) {
-        auto it = _streams.find(msg.tag.stream);
-        if (it != _streams.end())
-            s = it->second.get();
-    }
+    Stream *s = msg.tag.phase >= 0 ? findStream(msg.tag.stream) : nullptr;
     if (s)
         s->data().noteTimeout();
 
@@ -250,6 +245,47 @@ Sys::onP2PMessage(const Message &msg)
     });
 }
 
+Stream *
+Sys::findStream(StreamId sid) const
+{
+    if (sid < _streamBase || sid - _streamBase >= _streams.size())
+        return nullptr;
+    return _streams[std::size_t(sid - _streamBase)].get();
+}
+
+void
+Sys::insertStream(StreamId sid, std::unique_ptr<Stream> stream)
+{
+    // Ids only grow, so a new stream lands at (or past) the back; the
+    // slots of skipped ids (single-participant chunks) stay null.
+    if (_streams.empty())
+        _streamBase = sid;
+    _streams.resize(std::size_t(sid - _streamBase) + 1);
+    _streams.back() = std::move(stream);
+    ++_liveStreams;
+}
+
+void
+Sys::eraseStream(StreamId sid)
+{
+    _streams[std::size_t(sid - _streamBase)].reset();
+    --_liveStreams;
+    // Trim finished ids off the front so the table spans the live
+    // window only: all of it once no stream is live, else when the
+    // finished prefix is half the table (each slot moves O(1) times).
+    while (_streamHead < _streams.size() && !_streams[_streamHead])
+        ++_streamHead;
+    if (_streamHead == _streams.size()) {
+        _streams.clear();
+        _streamHead = 0;
+    } else if (2 * _streamHead >= _streams.size()) {
+        _streams.erase(_streams.begin(),
+                       _streams.begin() + std::ptrdiff_t(_streamHead));
+        _streamBase += _streamHead;
+        _streamHead = 0;
+    }
+}
+
 bool
 Sys::hasBufferedMessages(StreamId sid, int phase) const
 {
@@ -266,9 +302,8 @@ Sys::onMessage(const Message &msg)
     const StreamId sid = msg.tag.stream;
     const int phase = msg.tag.phase;
 
-    auto it = _streams.find(sid);
-    if (it != _streams.end()) {
-        Stream &s = *it->second;
+    if (Stream *found = findStream(sid)) {
+        Stream &s = *found;
         if (s.phase() == phase && s.phaseStarted()) {
             s.algorithm()->onMessage(msg);
             return;
@@ -342,11 +377,11 @@ Sys::streamPhaseDone(Stream &stream)
 void
 Sys::advanceStream(StreamId sid)
 {
-    auto it = _streams.find(sid);
-    if (it == _streams.end())
+    Stream *found = findStream(sid);
+    if (!found)
         panic("advanceStream: stream %llu vanished",
               static_cast<unsigned long long>(sid));
-    Stream &s = *it->second;
+    Stream &s = *found;
     const int p = s.phase();
     const bool last = (std::size_t(p) + 1 == s.plan().size());
     s.clearAlgorithm();
@@ -425,7 +460,7 @@ Sys::finishStream(Stream &stream)
     hotCounter(ChunkPayloads) += static_cast<double>(d.payloadsApplied());
 
     // Erase before firing callbacks: onComplete may issue collectives.
-    _streams.erase(stream.id());
+    eraseStream(stream.id());
 
     if (--handle->remainingChunks == 0) {
         handle->completedAt = now();

@@ -106,7 +106,18 @@ class Sys
     }
 
     /** Streams still alive (issued, not completed). */
-    std::size_t liveStreams() const { return _streams.size(); }
+    std::size_t liveStreams() const { return _liveStreams; }
+
+    /**
+     * Slots of the stream table: the id span from the oldest live
+     * stream to the newest (0 when none is live). Bounded by the live
+     * window, not by the number of collectives run.
+     */
+    std::size_t
+    streamWindow() const
+    {
+        return _streams.size() - _streamHead;
+    }
 
     /**
      * Monotonic progress heartbeat for the livelock watchdog
@@ -189,6 +200,15 @@ class Sys
     /** Replay any messages buffered for (sid, phase). */
     void drainUnmatched(Stream &stream);
 
+    /** The live stream @p sid, or null (not issued yet, or finished). */
+    Stream *findStream(StreamId sid) const;
+
+    /** Add the just-issued stream @p sid to the table. */
+    void insertStream(StreamId sid, std::unique_ptr<Stream> stream);
+
+    /** Destroy stream @p sid and trim finished ids off the front. */
+    void eraseStream(StreamId sid);
+
     /** Fixed-name counters of the per-message and per-chunk paths. */
     enum HotCounter : std::size_t
     {
@@ -229,7 +249,15 @@ class Sys
     void onP2PMessage(const Message &msg);
 
     StreamId _nextStreamId = 1;
-    std::map<StreamId, std::unique_ptr<Stream>> _streams;
+    /**
+     * Live streams by id - _streamBase; null marks a finished id or
+     * one with nothing to communicate. Ids outside it are not live.
+     * A vector, not a deque: building a Sys allocates nothing for it.
+     */
+    std::vector<std::unique_ptr<Stream>> _streams;
+    StreamId _streamBase = 1;     //!< id of _streams[0]
+    std::size_t _streamHead = 0;  //!< finished prefix not yet trimmed
+    std::size_t _liveStreams = 0;
     std::map<std::pair<StreamId, std::int32_t>, std::vector<Message>>
         _unmatched;
     /** (src, tag) -> pending receive callback / early arrival count. */

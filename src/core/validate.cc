@@ -29,7 +29,9 @@ Scheduler::validateDrained() const
                 "scheduler on npu %d drained with %d chunk(s) still "
                 "in flight",
                 npu, _inFlight);
-    for (const auto &[key, q] : _lsqs) {
+    for (std::size_t i = 0; i < _lsqs.size(); ++i) {
+        const Lsq &q = _lsqs[i];
+        const LsqKey key = lsqKeyAt(i);
         ASTRA_CHECK(q.waiting.empty() && q.active == 0,
                     "LSQ (phase %d dim %d channel %d) on npu %d "
                     "drained with %zu waiting and %d active chunk(s)",

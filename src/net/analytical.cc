@@ -20,6 +20,7 @@ AnalyticalNetwork::AnalyticalNetwork(EventQueue &eq, const Topology &topo,
       _routerLatency(cfg.routerLatency),
       _protocolDelay(cfg.scaleoutProtocolDelay),
       _freeAt(std::size_t(_fabric.numLinks()), 0),
+      _maxHops(_fabric.maxRouteLength()),
       _validate(validationAtLeast(ValidateLevel::kBasic)),
       _busyUntil(_validate ? std::size_t(_fabric.numLinks()) : 0, 0),
       _metrics(cfg.netMetrics),
@@ -45,6 +46,7 @@ AnalyticalNetwork::allocTransfer()
             _transferChunks.size() * kTransferChunk);
         // Slab growth: amortized over every later reuse of the slots.
         _transferChunks.push_back(std::make_unique<Transfer[]>(kTransferChunk)); // astra-lint: allow(hot-path-alloc)
+        _routes.resize(_transferChunks.size() * kTransferChunk * _maxHops);
         // Reverse order so the lowest new slot is handed out first.
         for (std::size_t i = kTransferChunk; i-- > 0;)
             _freeTransfers.push_back(base + static_cast<std::uint32_t>(i));
@@ -59,7 +61,6 @@ AnalyticalNetwork::releaseTransfer(std::uint32_t slot)
 {
     Transfer &t = transferAt(slot);
     Message msg = std::move(t.msg);
-    std::vector<LinkId>().swap(t.route);
     _freeTransfers.push_back(slot);
     return msg;
 }
@@ -71,6 +72,7 @@ AnalyticalNetwork::send(Message msg)
     const std::uint32_t slot = allocTransfer();
     Transfer &t = transferAt(slot);
     t.msg = std::move(msg);
+    t.hops = 0;
     t.next = 0;
     if (t.msg.src == t.msg.dst) {
         // Loopback: deliver on the next tick with no link usage (the
@@ -78,11 +80,17 @@ AnalyticalNetwork::send(Message msg)
         _eq.scheduleAfter(1, Step{this, slot});
         return;
     }
-    t.route = _fabric.resolve(t.msg.src, t.msg.dst, t.msg.hint);
+    _resolved.clear();
+    _fabric.resolve(t.msg.src, t.msg.dst, t.msg.hint, _resolved);
+    if (_resolved.size() > _maxHops)
+        panic("route of %zu links exceeds the fabric bound %zu",
+              _resolved.size(), _maxHops);
+    std::copy(_resolved.begin(), _resolved.end(), routeOf(slot));
+    t.hops = static_cast<std::uint32_t>(_resolved.size());
     // Transport-layer cost: messages leaving the pod pay the sender's
     // protocol-stack processing once (scale-out extension).
     if (_protocolDelay > 0 &&
-        std::any_of(t.route.begin(), t.route.end(), [this](LinkId l) {
+        std::any_of(_resolved.begin(), _resolved.end(), [this](LinkId l) {
             return _fabric.link(l).cls == LinkClass::ScaleOut;
         })) {
         _eq.scheduleAfter(_protocolDelay, Step{this, slot});
@@ -95,13 +103,13 @@ void
 AnalyticalNetwork::step(std::uint32_t slot)
 {
     Transfer &t = transferAt(slot);
-    if (t.next == t.route.size()) {
+    if (t.next == t.hops) {
         // Full message present at destination after serialization and
         // propagation.
         deliver(releaseTransfer(slot));
         return;
     }
-    const LinkId l = t.route[t.next];
+    const LinkId l = routeOf(slot)[t.next];
     const LinkDesc &desc = _fabric.link(l);
     const LinkParams &p = _fabric.params(desc.cls);
     Tick &free_at = _freeAt[std::size_t(l)];
@@ -166,7 +174,7 @@ AnalyticalNetwork::step(std::uint32_t slot)
     }
 
     Tick next_ready;
-    if (++t.next == t.route.size()) {
+    if (++t.next == t.hops) {
         // Last link: the next step delivers.
         next_ready = start + tx + p.latency;
     } else if (_routing == PacketRouting::Software) {

@@ -111,14 +111,15 @@ class AnalyticalNetwork : public NetworkApi
 
   private:
     /**
-     * One in-flight transfer: the message, its resolved route and the
-     * index of the next link to claim (route.size() once the last link
-     * is granted, so the next step delivers).
+     * One in-flight transfer: the message, the length of its resolved
+     * route (stored at routeOf(slot)) and the index of the next link to
+     * claim (hops once the last link is granted, so the next step
+     * delivers).
      */
     struct Transfer
     {
         Message msg;
-        std::vector<LinkId> route;
+        std::uint32_t hops = 0;
         std::uint32_t next = 0;
     };
 
@@ -148,13 +149,19 @@ class AnalyticalNetwork : public NetworkApi
                               [slot & (kTransferChunk - 1)];
     }
 
+    /** The route of transfer @p slot (its first hops entries). */
+    LinkId *
+    routeOf(std::uint32_t slot)
+    {
+        return _routes.data() + std::size_t(slot) * _maxHops;
+    }
+
     /** Take a free transfer slot, growing the slab by a chunk when dry. */
     std::uint32_t allocTransfer();
 
     /**
-     * Free @p slot and hand back its message. The route buffer is
-     * released too, so a free slot holds no heap memory and a receiver
-     * or loss handler that sends again can reuse the slot.
+     * Free @p slot and hand back its message, so a receiver or loss
+     * handler that sends again can reuse the slot.
      */
     Message releaseTransfer(std::uint32_t slot);
 
@@ -175,6 +182,16 @@ class AnalyticalNetwork : public NetworkApi
     // In-flight transfer slab with a LIFO free list.
     std::vector<std::unique_ptr<Transfer[]>> _transferChunks;
     std::vector<std::uint32_t> _freeTransfers;
+    /**
+     * Routes by slot, _maxHops (Fabric::maxRouteLength) links each,
+     * grown with the slab. One buffer rather than a vector per slot:
+     * resolving allocates nothing, and tearing the network down frees
+     * no per-slot blocks, which the next Cluster build would otherwise
+     * pay for as allocator consolidation (docs/performance.md).
+     */
+    std::size_t _maxHops;
+    std::vector<LinkId> _routes;
+    std::vector<LinkId> _resolved; //!< resolve() scratch, reused
 
     /**
      * Busy-interval non-overlap ledger (integrity layer): an

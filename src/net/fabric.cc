@@ -54,12 +54,12 @@ Fabric::Fabric(const Topology &topo, const SimConfig &cfg,
     }
 }
 
-std::vector<LinkId>
-Fabric::route(NodeId src, NodeId dst, const RouteHint &hint) const
+void
+Fabric::route(NodeId src, NodeId dst, const RouteHint &hint,
+              std::vector<LinkId> &out) const
 {
-    std::vector<LinkId> path;
     if (src == dst)
-        return path;
+        return;
 
     const int d = hint.dim;
     if (d < 0 || d >= _topo.numDims())
@@ -87,25 +87,24 @@ Fabric::route(NodeId src, NodeId dst, const RouteHint &hint) const
             if (guard-- < 0)
                 panic("route: ring walk did not terminate");
             LinkId l = per_node[std::size_t(cur)];
-            path.push_back(l);
+            out.push_back(l);
             cur = link(l).to;
         }
     } else {
         const int s = hint.channel;
         if (s < 0 || s >= _topo.numSwitches(d))
             panic("route: switch %d out of range in dim %d", s, d);
-        path.push_back(_upLinks.at({d, s})[std::size_t(src)]);
-        path.push_back(_downLinks.at({d, s})[std::size_t(dst)]);
+        out.push_back(_upLinks.at({d, s})[std::size_t(src)]);
+        out.push_back(_downLinks.at({d, s})[std::size_t(dst)]);
     }
-    return path;
 }
 
-std::vector<LinkId>
-Fabric::routeMapped(NodeId src, NodeId dst, int channel_seed) const
+void
+Fabric::routeMapped(NodeId src, NodeId dst, int channel_seed,
+                    std::vector<LinkId> &out) const
 {
-    std::vector<LinkId> path;
     if (src == dst)
-        return path;
+        return;
 
     // Correct coordinates dimension by dimension, local dimension
     // first (it is the cheapest), using the seed to spread traffic
@@ -120,11 +119,24 @@ Fabric::routeMapped(NodeId src, NodeId dst, int channel_seed) const
         const NodeId next = _topo.nodeAt(next_c);
         const int channels = _topo.dim(d).channels;
         const RouteHint hint{d, channel_seed % channels};
-        std::vector<LinkId> seg = route(cur, next, hint);
-        path.insert(path.end(), seg.begin(), seg.end());
+        route(cur, next, hint, out);
         cur = next;
     }
-    return path;
+}
+
+std::size_t
+Fabric::maxRouteLength() const
+{
+    // A dimension-ordered route crosses each dimension at most once:
+    // up to size-1 ring links, or a switch's up- and down-link.
+    std::size_t n = 0;
+    for (int d = 0; d < _topo.numDims(); ++d) {
+        const DimInfo &info = _topo.dim(d);
+        if (info.size >= 2)
+            n += info.pattern == DimPattern::Ring ? std::size_t(info.size - 1)
+                                                  : 2;
+    }
+    return n;
 }
 
 int

@@ -71,9 +71,21 @@ class Fabric
     std::vector<LinkId>
     resolve(NodeId src, NodeId dst, const RouteHint &hint) const
     {
+        std::vector<LinkId> path;
+        resolve(src, dst, hint, path);
+        return path;
+    }
+
+    /** resolve(), appending the links to @p out (no allocation once
+     *  @p out has the capacity). */
+    void
+    resolve(NodeId src, NodeId dst, const RouteHint &hint,
+            std::vector<LinkId> &out) const
+    {
         if (!_oneToOne || hint.dim < 0)
-            return routeMapped(src, dst, hint.channel);
-        return route(src, dst, hint);
+            routeMapped(src, dst, hint.channel, out);
+        else
+            route(src, dst, hint, out);
     }
 
     /**
@@ -82,7 +94,16 @@ class Fabric
      * switches deterministically.
      */
     std::vector<LinkId>
-    routeMapped(NodeId src, NodeId dst, int channel_seed) const;
+    routeMapped(NodeId src, NodeId dst, int channel_seed) const
+    {
+        std::vector<LinkId> path;
+        routeMapped(src, dst, channel_seed, path);
+        return path;
+    }
+
+    /** routeMapped(), appending the links to @p out. */
+    void routeMapped(NodeId src, NodeId dst, int channel_seed,
+                     std::vector<LinkId> &out) const;
 
     /** Number of links. */
     int numLinks() const { return static_cast<int>(_links.size()); }
@@ -121,10 +142,22 @@ class Fabric
      * An empty route is returned when src == dst.
      */
     std::vector<LinkId>
-    route(NodeId src, NodeId dst, const RouteHint &hint) const;
+    route(NodeId src, NodeId dst, const RouteHint &hint) const
+    {
+        std::vector<LinkId> path;
+        route(src, dst, hint, path);
+        return path;
+    }
+
+    /** route(), appending the links to @p out. */
+    void route(NodeId src, NodeId dst, const RouteHint &hint,
+               std::vector<LinkId> &out) const;
 
     /** Number of hops route() would take (without building it). */
     int hopCount(NodeId src, NodeId dst, const RouteHint &hint) const;
+
+    /** Most links any route resolve() returns can have. */
+    std::size_t maxRouteLength() const;
 
     const Topology &topology() const { return _topo; }
 

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <vector>
+
 #include "common/logging.hh"
 #include "common/units.hh"
 #include "core/cluster.hh"
@@ -174,6 +178,75 @@ TEST(Sys, InspectorSeesEveryChunk)
     });
     cluster.runCollective(CollectiveKind::AllReduce, 3000);
     EXPECT_EQ(seen, 3);
+}
+
+TEST(Sys, MessageForUnissuedStreamIsBufferedThenDrained)
+{
+    // Nodes 1..3 issue stream 1 while node 0 has not reached it yet:
+    // their messages to node 0 wait in its unmatched buffer and are
+    // replayed once node 0 issues the same collective.
+    SimConfig cfg;
+    cfg.torus(1, 4, 1);
+    cfg.preferredSetSplits = 1;
+    Cluster cluster(cfg);
+    CollectiveRequest req;
+    req.kind = CollectiveKind::AllReduce;
+    req.bytes = 64 * KiB;
+    std::vector<std::shared_ptr<CollectiveHandle>> handles;
+    for (NodeId n = 1; n < 4; ++n)
+        handles.push_back(cluster.node(n).issueCollective(req));
+    cluster.eventQueue().run();
+
+    Sys &late = cluster.node(0);
+    EXPECT_EQ(late.liveStreams(), 0u);
+    EXPECT_TRUE(late.hasBufferedMessages(/*sid=*/1, /*phase=*/0));
+    for (const auto &h : handles)
+        EXPECT_FALSE(h->done());
+
+    handles.push_back(late.issueCollective(req));
+    cluster.run();
+    for (const auto &h : handles)
+        EXPECT_TRUE(h->done());
+    EXPECT_FALSE(late.hasBufferedMessages(1, 0));
+    EXPECT_EQ(late.liveStreams(), 0u);
+}
+
+TEST(Sys, StreamTableShrinksBackAfterManyCollectives)
+{
+    // 10,000 back-to-back collectives, each issued from the previous
+    // one's completion: the stream table spans only the live chunks,
+    // never the run, and is empty at the end.
+    SimConfig cfg;
+    cfg.torus(1, 2, 1);
+    cfg.preferredSetSplits = 2;
+    Cluster cluster(cfg);
+    constexpr int kCollectives = 10000;
+    std::vector<int> issued(2, 0);
+    std::size_t max_window = 0;
+    std::function<void(NodeId)> issue = [&](NodeId n) {
+        Sys &sys = cluster.node(n);
+        if (issued[std::size_t(n)]++ == kCollectives)
+            return;
+        CollectiveRequest req;
+        req.kind = CollectiveKind::AllReduce;
+        req.bytes = 4096;
+        req.onComplete = [&issue, n] { issue(n); };
+        sys.issueCollective(req);
+        max_window = std::max(max_window, sys.streamWindow());
+    };
+    issue(0);
+    issue(1);
+    cluster.run();
+    for (NodeId n = 0; n < 2; ++n) {
+        const Sys &sys = cluster.node(n);
+        EXPECT_EQ(issued[std::size_t(n)], kCollectives + 1);
+        EXPECT_EQ(sys.liveStreams(), 0u);
+        EXPECT_EQ(sys.streamWindow(), 0u);
+        EXPECT_DOUBLE_EQ(sys.stats().counter("completed.sets"),
+                         double(kCollectives));
+    }
+    // One set (two chunks) is live per node at a time.
+    EXPECT_EQ(max_window, 2u);
 }
 
 } // namespace

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/logging.hh"
 #include "net/fabric.hh"
 
@@ -37,6 +39,30 @@ TEST(Fabric, AllToAllLinkCount)
     Fabric f(topo, cfg);
     // Local rings: 16 nodes x 2 channels; switches: 7 x 16 x (up+down).
     EXPECT_EQ(f.numLinks(), 16 * 2 + 7 * 16 * 2);
+}
+
+TEST(Fabric, MaxRouteLengthIsTheLongestRoute)
+{
+    // The analytical backend sizes each transfer's route slot with
+    // maxRouteLength(): no route may exceed it, and it should be tight.
+    SimConfig torus;
+    torus.torus(2, 3, 4);
+    SimConfig a2a;
+    a2a.allToAll(2, 8, 7);
+    for (const SimConfig &cfg : {torus, a2a}) {
+        Topology topo(cfg);
+        Fabric f(topo, cfg, /*one_to_one=*/false);
+        std::size_t longest = 0;
+        for (NodeId src = 0; src < topo.numNodes(); ++src) {
+            for (NodeId dst = 0; dst < topo.numNodes(); ++dst) {
+                for (int seed = 0; seed < 8; ++seed) {
+                    longest = std::max(
+                        longest, f.routeMapped(src, dst, seed).size());
+                }
+            }
+        }
+        EXPECT_EQ(longest, f.maxRouteLength());
+    }
 }
 
 TEST(Fabric, RingRouteWalksTheChannel)

@@ -151,11 +151,13 @@ grep -q '"digests_identical": true' build/ci_bench.json \
 echo "perf smoke: $(grep -o '"per_event_ns": [0-9.]*' build/ci_bench.json) (informational)"
 
 echo "=== host-time benchmark smoke (perfbench/run.py) ==="
-# Every repetition of each BENCHMARK.json workload must reproduce
-# perfbench/goldens.json: "correct": true and "failed": 0 gate hard,
-# timing is printed only (as in the perf smoke above).
+# Every repetition of each BENCHMARK.json workload, and of
+# resnet50_train (the system-layer and chunk-tracking workload), must
+# reproduce perfbench/goldens.json: "correct": true and "failed": 0
+# gate hard, timing is printed only (as in the perf smoke above).
 workloads="$(python3 -c 'import json
 print(*(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))')"
+workloads="$workloads resnet50_train"
 for w in $workloads; do
     result="$(python3 perfbench/run.py --workload "$w" --seconds 2 | tail -n 1)"
     echo "perfbench $w: $result"

@@ -6,6 +6,10 @@
 # hybrid training run of each NodeTrainer model. The golden_digests
 # ctest re-runs every line of the file and fails on any difference.
 #
+# Also regenerate tests/golden/explore16.csv: the ranked result table
+# of a 16-NPU explore sweep with each candidate's event digest. The
+# golden_explore ctest byte-compares a fresh run against it.
+#
 #   tools/update_goldens.sh [ASTRA_SIM]   # default: build/tools/astra-sim
 #
 # Run it from any directory; config paths in the file are relative to
@@ -16,6 +20,7 @@ cd "$(dirname "$0")/.."
 
 SIM="${1:-build/tools/astra-sim}"
 OUT=tests/golden/digests.txt
+EXPLORE_OUT=tests/golden/explore16.csv
 
 cases=()
 for cfg in configs/*.cfg; do
@@ -61,3 +66,12 @@ mv "$tmp" "$OUT"
 rm -f "$report"
 trap - EXIT
 echo "wrote $OUT (${#cases[@]} runs)"
+
+# The explore sweep covers the direct (switch-dimension) algorithms
+# that no single-collective line above reaches.
+explore="$(mktemp)"
+trap 'rm -f "$explore"' EXIT
+"$SIM" --explore=16 --bytes=256KB --digest --report-csv="$explore" >/dev/null
+mv "$explore" "$EXPLORE_OUT"
+trap - EXIT
+echo "wrote $EXPLORE_OUT ($(($(wc -l < "$EXPLORE_OUT") - 1)) candidates)"
