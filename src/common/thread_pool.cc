@@ -123,7 +123,6 @@ ThreadPool::workerLoop()
 
 // pool.wait() joins every worker before this frame returns, so the
 // by-reference captures below cannot dangle or race past the call.
-// astra-lint: thread-confined(pool.wait joins before return)
 void
 parallelFor(int jobs, std::size_t count,
             const std::function<void(std::size_t)> &fn)

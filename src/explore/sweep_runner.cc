@@ -51,7 +51,6 @@ SweepRunner::SweepRunner(int jobs)
 
 // forEach delegates to parallelFor, which joins before returning;
 // workers write disjoint candidates[i] slots by index.
-// astra-lint: thread-confined(forEach joins before return)
 void
 SweepRunner::evaluate(std::vector<CandidateResult> &candidates,
                       CollectiveKind kind, Bytes bytes,

@@ -8,9 +8,7 @@
 #include <sstream>
 #include <tuple>
 
-#include "lint/flow_rules.hh"
 #include "lint/include_graph.hh"
-#include "lint/symbols.hh"
 
 namespace astra::lint
 {
@@ -25,13 +23,6 @@ isSourceFile(const fs::path &p)
 {
     std::string ext = p.extension().string();
     return ext == ".cc" || ext == ".hh" || ext == ".cpp" || ext == ".hpp";
-}
-
-/** True when @p relpath sits inside a lint fixture corpus. */
-bool
-inFixtureDir(const std::string &relpath)
-{
-    return relpath.find("lint/fixtures/") != std::string::npos;
 }
 
 std::string
@@ -74,14 +65,18 @@ rootRelative(const std::string &p, const std::string &root)
 bool
 loadAllowlist(const std::string &path, LintOptions &opts, std::string *err)
 {
-    std::ifstream in(path);
-    if (!in) {
-        if (err)
-            *err = path + ": cannot open allowlist";
-        return false;
-    }
-    std::string line;
     int lineno = 0;
+    auto fail = [&](const std::string &what) {
+        if (err)
+            *err = lineno == 0 ? path + ": " + what
+                               : path + ":" + std::to_string(lineno) +
+                                     ": " + what;
+        return false;
+    };
+    std::ifstream in(path);
+    if (!in)
+        return fail("cannot open allowlist");
+    std::string line;
     while (std::getline(in, line)) {
         ++lineno;
         std::size_t hash = line.find('#');
@@ -91,25 +86,13 @@ loadAllowlist(const std::string &path, LintOptions &opts, std::string *err)
         std::string rule, pattern, extra;
         if (!(ss >> rule))
             continue; // blank line
-        if (!(ss >> pattern) || (ss >> extra)) {
-            if (err)
-                *err = path + ":" + std::to_string(lineno) +
-                       ": want `<rule-id> <path-regex>`";
-            return false;
-        }
-        if (rule != "*" && !knownRule(rule)) {
-            if (err)
-                *err = path + ":" + std::to_string(lineno) +
-                       ": unknown rule id '" + rule + "'";
-            return false;
-        }
+        if (!(ss >> pattern) || (ss >> extra))
+            return fail("want `<rule-id> <path-regex>`");
+        if (rule != "*" && !knownRule(rule))
+            return fail("unknown rule id '" + rule + "'");
         std::regex probe;
-        if (!compileRegex(pattern, probe)) {
-            if (err)
-                *err = path + ":" + std::to_string(lineno) +
-                       ": bad regex '" + pattern + "'";
-            return false;
-        }
+        if (!compileRegex(pattern, probe))
+            return fail("bad regex '" + pattern + "'");
         opts.allow.push_back(AllowEntry{rule, pattern, path, lineno});
     }
     return true;
@@ -133,7 +116,8 @@ collectFiles(const LintOptions &opts, const std::vector<std::string> &paths)
                         .lexically_relative(opts.root)
                         .generic_string();
                 rel = relNormal(rel);
-                if (inFixtureDir(rel))
+                // A lint fixture corpus of deliberate violations.
+                if (rel.find("lint/fixtures/") != std::string::npos)
                     continue;
                 out.push_back(rel);
             }
@@ -165,8 +149,6 @@ analyzeFiles(const LintOptions &opts, const std::vector<std::string> &files)
     for (const LexedFile &lf : lexed)
         declared[lf.path] = unorderedNames(lf);
 
-    SymbolIndex index = buildSymbolIndex(lexed);
-
     std::vector<Diagnostic> diags;
     std::vector<SuppressionUse> uses;
     for (const LexedFile &lf : lexed) {
@@ -182,13 +164,9 @@ analyzeFiles(const LintOptions &opts, const std::vector<std::string> &files)
             }
         }
         runTokenRules(lf, extra, diags, &uses);
-        runIndexRules(lf, index, diags, &uses);
-        runFlowRulesFile(lf, index, diags, &uses);
     }
 
-    // Whole-program passes: the call-graph rule and the include graph
-    // need every file at once.
-    runFlowRulesGlobal(lexed, index, diags, &uses);
+    // The include graph needs every file at once.
     checkIncludeGraph(lexed, opts.root, diags, &uses);
 
     // Allowlist filter, counting the findings each entry absorbs: a
@@ -256,7 +234,12 @@ analyzeFiles(const LintOptions &opts, const std::vector<std::string> &files)
                     "` matched no finding (delete it)"});
     }
 
-    std::sort(diags.begin(), diags.end(), diagnosticLess);
+    // Sort key: path, then position, then rule id.
+    std::sort(diags.begin(), diags.end(),
+              [](const Diagnostic &a, const Diagnostic &b) {
+                  return std::tie(a.file, a.line, a.col, a.rule) <
+                         std::tie(b.file, b.line, b.col, b.rule);
+              });
     return diags;
 }
 

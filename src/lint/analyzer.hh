@@ -54,11 +54,11 @@ std::vector<std::string> collectFiles(const LintOptions &opts,
 /**
  * Lex and analyze @p files (relative to opts.root): token rules per
  * file (sharing unordered-container declarations between a header and
- * its sibling source), then the project-wide call-graph and
- * include-graph checks. Returns diagnostics sorted by (file, line,
- * col, rule), after allowlist filtering, followed by one
- * `stale-suppression` finding per inline allow(...) comment or
- * allowlist entry that absorbed nothing.
+ * its sibling source), then the project-wide include-graph checks.
+ * Returns diagnostics sorted by (file, line, col, rule), after
+ * allowlist filtering, followed by one `stale-suppression` finding
+ * per inline allow(...) comment or allowlist entry that absorbed
+ * nothing.
  */
 std::vector<Diagnostic> analyzeFiles(const LintOptions &opts,
                                      const std::vector<std::string> &files);

@@ -141,7 +141,7 @@ checkIncludeGraph(const std::vector<LexedFile> &files,
     // endpoints were both analyzed.
     std::map<std::string, int> colour; // 0 white, 1 grey, 2 black
     std::vector<std::string> path;
-    std::set<std::string> reported;
+    std::set<std::set<std::string>> reported; // node sets of cycles
 
     std::function<void(const std::string &)> visit =
         [&](const std::string &node) {
@@ -169,10 +169,7 @@ checkIncludeGraph(const std::vector<LexedFile> &files,
                             key.insert(path[i]);
                         }
                         chain += e.to;
-                        std::string canon;
-                        for (const std::string &k : key)
-                            canon += k + "|";
-                        if (reported.insert(canon).second) {
+                        if (reported.insert(key).second) {
                             emitUnlessSuppressed(
                                 *byPath.at(node), e.line, 1,
                                 "include-cycle", "include cycle: " + chain,

@@ -9,16 +9,9 @@
  * An include from a lower layer into an upper one inverts that DAG and
  * is how "the network backend knows about workloads" rot starts.
  *
- * Ranks (higher may include lower or equal; never the reverse):
- *
- *     6  explore, lint          (drivers over everything below)
- *     5  workload
- *     4  core                   (the paper's "system layer")
- *     3  collective
- *     2  net, topo
- *     1  compute, fault
- *     0  common
- *   top  tools, tests, bench, examples   (outside the DAG)
+ * Higher-ranked layers may include lower or equal ones, never the
+ * reverse; the rank table is srcDirRank() in include_graph.cc, drawn
+ * as a DAG in docs/static-analysis.md.
  *
  * The checker also runs a file-level cycle detection over the resolved
  * project includes: header guards make include cycles compile, but a

@@ -32,15 +32,14 @@ isStringPrefix(const std::string &id)
 }
 
 /**
- * Parse suppression markers and annotations out of one comment line:
- * a NOLINT word, plus the constructs behind the `astra-lint:` comment
- * tag — rule-id allow-lists, the concurrency annotations naming a
- * guarding mutex or declaring thread confinement (into @p marks), and
- * bare tag words, which are file-scoped declarations (into
- * @p file_tags): an allocator-tu tag marks a TU that legitimately
- * uses placement new, a hot-path tag opts it into the allocation
- * rule. (This doc spells the grammar indirectly on purpose: writing a
- * literal mark here would annotate this very line.)
+ * Parse markers out of one comment line: a NOLINT word, plus the
+ * constructs behind the `astra-lint:` comment tag — rule-id
+ * allow-lists and the signal-handler mark (into @p marks), and bare
+ * tag words, which are file-scoped declarations (into @p file_tags):
+ * an allocator-tu tag marks a TU that legitimately uses placement
+ * new, a hot-path tag opts it into the allocation rule. (This doc
+ * spells the grammar indirectly on purpose: writing a literal mark
+ * here would annotate this very line.)
  */
 void
 parseMarkers(const std::string &comment, LineMarks &marks,
@@ -60,35 +59,12 @@ parseMarkers(const std::string &comment, LineMarks &marks,
         std::size_t p = pos + kTag.size();
         while (p < comment.size() && comment[p] == ' ')
             ++p;
-        static const std::string kGuard = "guarded-by(";
-        if (comment.compare(p, kGuard.size(), kGuard) == 0) {
-            std::size_t b = p + kGuard.size();
-            std::size_t close = comment.find(')', b);
-            if (close == std::string::npos)
-                break;
-            std::size_t s = comment.find_first_not_of(" \t", b);
-            std::size_t e = comment.find_last_not_of(" \t", close - 1);
-            if (s != std::string::npos && s <= e)
-                marks.guardedBy = comment.substr(s, e - s + 1);
-            pos = close;
-            continue;
-        }
-        static const std::string kConfined = "thread-confined(";
-        if (comment.compare(p, kConfined.size(), kConfined) == 0) {
-            // The reason is documentation for the reader; the mark is
-            // what the rules consume.
-            marks.threadConfined = true;
-            std::size_t close = comment.find(')', p + kConfined.size());
-            pos = close == std::string::npos ? p + kConfined.size()
-                                             : close;
-            continue;
-        }
         static const std::string kSignal = "signal-handler";
         if (comment.compare(p, kSignal.size(), kSignal) == 0 &&
             (p + kSignal.size() >= comment.size() ||
              !isTagChar(comment[p + kSignal.size()]))) {
             // A line mark, not a file tag: it binds to the function
-            // head on (or right below) this line, like thread-confined.
+            // that follows this line.
             marks.signalHandler = true;
             pos = p + kSignal.size();
             continue;
@@ -231,19 +207,8 @@ lexSource(const std::string &path, const std::string &source)
     auto markLine = [&](int line, const std::string &text) {
         LineMarks &m = out.marks[line];
         parseMarkers(text, m, out.fileTags);
-        if (m.allowed.empty() && !m.nolint && m.guardedBy.empty() &&
-            !m.threadConfined && !m.signalHandler)
+        if (m.allowed.empty() && !m.nolint && !m.signalHandler)
             out.marks.erase(line);
-    };
-
-    // Physical start line of the preprocessing directive currently
-    // being tokenized (0 = none); closed at the next real newline.
-    int directive_start = 0;
-    auto closeDirective = [&](int end_line) {
-        if (directive_start != 0) {
-            out.directiveSpans.emplace_back(directive_start, end_line);
-            directive_start = 0;
-        }
     };
 
     // Consume a (non-raw) quoted literal whose opening delimiter has
@@ -269,7 +234,6 @@ lexSource(const std::string &path, const std::string &source)
         char ch = c.peek();
 
         if (ch == '\n') {
-            closeDirective(c.line());
             c.advance();
             line_start = true;
             continue;
@@ -352,9 +316,7 @@ lexSource(const std::string &path, const std::string &source)
                 // the directive line still feeds suppression marks.
             } else {
                 // Other directives are tokenized like code so rules
-                // still see `#define BAD float`; record the span so
-                // the symbol indexer can skip the non-declaration.
-                directive_start = line;
+                // still see `#define BAD float`.
                 out.tokens.push_back({TokKind::kPunct, "#", line, col});
                 if (!directive.empty())
                     out.tokens.push_back(
@@ -470,24 +432,11 @@ lexSource(const std::string &path, const std::string &source)
         }
 
         // ---- punctuation: `::` and `->` fused, rest single-char --
-        if (ch == ':' && c.peek(1) == ':') {
-            c.advance();
-            c.advance();
-            out.tokens.push_back({TokKind::kPunct, "::", line, col});
-            continue;
-        }
-        if (ch == '-' && c.peek(1) == '>') {
-            c.advance();
-            c.advance();
-            out.tokens.push_back({TokKind::kPunct, "->", line, col});
-            continue;
-        }
-        c.advance();
-        out.tokens.push_back({TokKind::kPunct, std::string(1, ch),
-                              line, col});
+        std::string punct(1, c.advance());
+        if ((ch == ':' && c.peek() == ':') || (ch == '-' && c.peek() == '>'))
+            punct += c.advance();
+        out.tokens.push_back({TokKind::kPunct, punct, line, col});
     }
-    closeDirective(c.line()); // directive on the last line, no newline
-
     return out;
 }
 

@@ -6,12 +6,12 @@
  * "float" in a comment or the string "rand()" in a log message could
  * fail CI. This lexer produces real preprocessing tokens — comments,
  * string literals (including raw strings) and character literals are
- * consumed and never reach a rule — plus the two side channels the
- * analyzer needs:
+ * consumed and never reach a rule — plus the side channels the analyzer
+ * needs:
  *
- *   - per-line suppression marks parsed out of comments
- *     (`// NOLINT`, and rule-id allow-lists behind the `astra-lint:`
- *     comment tag),
+ *   - per-line marks parsed out of comments (`// NOLINT`, rule-id
+ *     allow-lists behind the `astra-lint:` comment tag, and the
+ *     signal-handler mark),
  *   - file-level tags (`// astra-lint: allocator-tu`) that describe
  *     the whole translation unit rather than one line, and
  *   - the file's `#include` directives with line numbers, feeding the
@@ -24,9 +24,7 @@
  * and a `//` comment ending in `\` swallows the next physical line.
  * Trigraphs are not handled (removed from the language in C++17), and
  * preprocessing directives other than #include are tokenized like
- * ordinary code so rules still see `#define BAD float`; their line
- * spans are recorded in `directiveSpans` so the symbol indexer
- * (symbols.hh) can tell directive tokens from declarations.
+ * ordinary code so rules still see `#define BAD float`.
  */
 
 #ifndef ASTRA_LINT_LEXER_HH
@@ -58,8 +56,8 @@ struct Token
 };
 
 /**
- * Suppression marks and concurrency annotations found in the comments
- * of one source line (the annotation grammar, docs/static-analysis.md).
+ * Marks found in the comments of one source line (the annotation
+ * grammar, docs/static-analysis.md).
  */
 struct LineMarks
 {
@@ -67,25 +65,9 @@ struct LineMarks
     std::set<std::string> allowed;  //!< rule ids from an allow-list mark
 
     /**
-     * Mutex named by a guarded-by annotation, empty when the line
-     * carries none. The shared-state rule accepts the annotated
-     * declaration; the unresolved-mutex rule checks the name resolves
-     * in the cross-TU symbol index.
-     */
-    std::string guardedBy;
-
-    /**
-     * Line carries a thread-confined annotation: the declaration (or
-     * the scope whose head this line is) never escapes its owning
-     * thread, for the reason stated in the annotation.
-     */
-    bool threadConfined = false;
-
-    /**
-     * Line carries a signal-handler annotation: the function whose
-     * head this line is (or precedes) runs in async-signal context,
-     * so the signal-unsafe rule restricts it and its callees to
-     * async-signal-safe operations.
+     * Line carries a signal-handler annotation: the function that
+     * follows runs in async-signal context, so the signal-unsafe rule
+     * restricts its body to std::atomic member operations.
      */
     bool signalHandler = false;
 };
@@ -113,15 +95,6 @@ struct LexedFile
     std::map<int, LineMarks> marks;  //!< line -> suppression marks
     std::vector<IncludeDirective> includes;
     std::vector<LexError> errors;    //!< unterminated literals etc.
-
-    /**
-     * Inclusive (first, last) physical-line spans of preprocessing
-     * directives other than #include (`#define`, `#pragma`, `#if`...),
-     * splice-continued lines included. Directive bodies are tokenized
-     * so token rules still see them, but they are not declarations —
-     * the symbol indexer skips tokens inside these spans.
-     */
-    std::vector<std::pair<int, int>> directiveSpans;
 
     /**
      * File-level tags: `// astra-lint: <tag>` comments whose word after

@@ -1,7 +1,7 @@
 #include "lint/rules.hh"
 
-#include <algorithm>
 #include <cstddef>
+#include <map>
 
 namespace astra::lint
 {
@@ -71,18 +71,6 @@ class RuleContext
         return _file.fileTags.count(tag) > 0;
     }
 
-    /** thread-confined(<reason>) annotation on @p line or the line above. */
-    bool
-    confinedNear(int line) const
-    {
-        for (int l : {line - 1, line}) {
-            auto it = _file.marks.find(l);
-            if (it != _file.marks.end() && it->second.threadConfined)
-                return true;
-        }
-        return false;
-    }
-
     void
     emit(const Token &at, const std::string &rule,
          const std::string &message)
@@ -133,22 +121,40 @@ class RuleContext
     std::vector<SuppressionUse> *_uses;
 };
 
-// ---- no-rand ---------------------------------------------------------
+// ---- no-rand / no-float / no-throw / no-abort ------------------------
 
+/** The single-token bans: each finding is one identifier or call. */
 void
-ruleNoRand(RuleContext &ctx)
+ruleBannedTokens(RuleContext &ctx)
 {
     for (std::size_t i = 0; i < ctx.size(); ++i) {
-        if (ctx.identIn(i, kRandCalls) && ctx.isPunct(i + 1, "(")) {
-            ctx.emit(ctx.toks()[i], "no-rand",
-                     ctx.toks()[i].text +
-                         "() breaks simulation determinism (use "
-                         "astra::Rng, common/random.hh)");
-        }
-        if (ctx.isIdent(i, "random_device")) {
-            ctx.emit(ctx.toks()[i], "no-rand",
+        const Token &t = ctx.toks()[i];
+        const bool call = ctx.isPunct(i + 1, "(");
+        if (ctx.identIn(i, kRandCalls) && call) {
+            ctx.emit(t, "no-rand",
+                     t.text + "() breaks simulation determinism (use "
+                              "astra::Rng, common/random.hh)");
+        } else if (ctx.isIdent(i, "random_device")) {
+            ctx.emit(t, "no-rand",
                      "std::random_device is a nondeterministic seed "
                      "source (use astra::Rng, common/random.hh)");
+        } else if (ctx.isIdent(i, "float")) {
+            // A keyword token matches everywhere the type can appear —
+            // declarations, std::vector<float>, using F = float, casts
+            // — and never inside comments or strings (the grep rule's
+            // blind spots).
+            ctx.emit(t, "no-float",
+                     "float is too narrow for ticks/sizes above 2^24 "
+                     "(use Tick/Bytes/double)");
+        } else if (ctx.isIdent(i, "throw")) {
+            ctx.emit(t, "no-throw",
+                     "raw throw (use ASTRA_CHECK/fatal()/panic() so "
+                     "failures report context)");
+        } else if ((ctx.isIdent(i, "abort") || ctx.isIdent(i, "terminate")) &&
+                   call) {
+            ctx.emit(t, "no-abort",
+                     t.text + "() skips the failure handler (use "
+                              "ASTRA_CHECK/fatal()/panic())");
         }
     }
 }
@@ -201,35 +207,33 @@ ruleNoWallClock(RuleContext &ctx, const LexedFile &file)
     }
 }
 
-// ---- no-float --------------------------------------------------------
+// ---- no-naked-new / allocator-tu / hot-path-alloc ---------------------
 
 void
-ruleNoFloat(RuleContext &ctx)
-{
-    // A keyword token matches everywhere the type can appear —
-    // declarations, std::vector<float>, using F = float, casts — and
-    // never inside comments or strings (the grep rule's blind spots).
-    for (std::size_t i = 0; i < ctx.size(); ++i) {
-        if (ctx.isIdent(i, "float")) {
-            ctx.emit(ctx.toks()[i], "no-float",
-                     "float is too narrow for ticks/sizes above 2^24 "
-                     "(use Tick/Bytes/double)");
-        }
-    }
-}
-
-// ---- no-naked-new / allocator-tu -------------------------------------
-
-void
-ruleNoNakedNew(RuleContext &ctx)
+ruleAllocations(RuleContext &ctx)
 {
     const bool allocator_tu = ctx.fileTagged("allocator-tu");
+    // Only TUs that opted in via the hot-path file tag are checked for
+    // every allocation; allocator TUs (the slab/arena implementations
+    // themselves) are where the amortized allocations belong.
+    const bool hot_path = ctx.fileTagged("hot-path") && !allocator_tu;
+    const char *kHotMsg =
+        "allocation in a hot-path TU (per-event allocations regress "
+        "the slab discipline; use the arena/free-list, or move setup "
+        "work out of the pump)";
     for (std::size_t i = 0; i < ctx.size(); ++i) {
-        if (!ctx.isIdent(i, "new"))
+        if ((ctx.isIdent(i, "make_unique") || ctx.isIdent(i, "make_shared")) &&
+            (ctx.isPunct(i + 1, "<") || ctx.isPunct(i + 1, "("))) {
+            if (hot_path)
+                ctx.emit(ctx.toks()[i], "hot-path-alloc", kHotMsg);
             continue;
+        }
         // operator-new declarations are not allocations.
-        if (i > 0 && ctx.isIdent(i - 1, "operator"))
+        if (!ctx.isIdent(i, "new") ||
+            (i > 0 && ctx.isIdent(i - 1, "operator")))
             continue;
+        if (hot_path)
+            ctx.emit(ctx.toks()[i], "hot-path-alloc", kHotMsg);
         // Placement new (`new (buf) T`) constructs without allocating,
         // so it is never an ownership leak — but manual lifetime
         // management belongs only in files that declare themselves
@@ -237,13 +241,12 @@ ruleNoNakedNew(RuleContext &ctx)
         // file-level tag, so the construct cannot quietly spread into
         // ordinary simulation code.
         if (ctx.isPunct(i + 1, "(")) {
-            if (allocator_tu)
-                continue;
-            ctx.emit(ctx.toks()[i], "allocator-tu",
-                     "placement new outside an allocator TU (move the "
-                     "construct into a slab/arena file tagged "
-                     "allocator-tu, or own the object via "
-                     "make_unique/containers)");
+            if (!allocator_tu)
+                ctx.emit(ctx.toks()[i], "allocator-tu",
+                         "placement new outside an allocator TU (move the "
+                         "construct into a slab/arena file tagged "
+                         "allocator-tu, or own the object via "
+                         "make_unique/containers)");
             continue;
         }
         ctx.emit(ctx.toks()[i], "no-naked-new",
@@ -252,39 +255,20 @@ ruleNoNakedNew(RuleContext &ctx)
     }
 }
 
-// ---- no-throw / no-abort ---------------------------------------------
-
-void
-ruleNoThrowAbort(RuleContext &ctx)
-{
-    for (std::size_t i = 0; i < ctx.size(); ++i) {
-        if (ctx.isIdent(i, "throw")) {
-            ctx.emit(ctx.toks()[i], "no-throw",
-                     "raw throw (use ASTRA_CHECK/fatal()/panic() so "
-                     "failures report context)");
-            continue;
-        }
-        if ((ctx.isIdent(i, "abort") || ctx.isIdent(i, "terminate")) &&
-            ctx.isPunct(i + 1, "(")) {
-            ctx.emit(ctx.toks()[i], "no-abort",
-                     ctx.toks()[i].text +
-                         "() skips the failure handler (use "
-                         "ASTRA_CHECK/fatal()/panic())");
-        }
-    }
-}
+} // namespace
 
 // ---- unordered-iter --------------------------------------------------
 
 /**
- * Collect names bound to unordered containers in @p file: variables
- * and parameters declared with an unordered type (or an alias of
- * one), plus functions returning one — iterating a call result is
- * just as order-sensitive.
+ * Names bound to unordered containers in @p file: variables and
+ * parameters declared with an unordered type (or an alias of one),
+ * plus functions returning one — iterating a call result is just as
+ * order-sensitive.
  */
-void
-collectUnordered(const LexedFile &file, std::set<std::string> &names)
+std::set<std::string>
+unorderedNames(const LexedFile &file)
 {
+    std::set<std::string> names;
     // Matching helpers only; nothing is emitted through this context.
     std::vector<Diagnostic> sink;
     RuleContext c(file, sink);
@@ -345,14 +329,18 @@ collectUnordered(const LexedFile &file, std::set<std::string> &names)
             file.tokens[j].kind == TokKind::kIdent)
             names.insert(file.tokens[j].text);
     }
+    return names;
 }
+
+namespace
+{
 
 void
 ruleUnorderedIter(RuleContext &ctx, const LexedFile &file,
                   const std::set<std::string> &extra_tracked)
 {
-    std::set<std::string> tracked = extra_tracked;
-    collectUnordered(file, tracked);
+    std::set<std::string> tracked = unorderedNames(file);
+    tracked.insert(extra_tracked.begin(), extra_tracked.end());
 
     const char *kMsg =
         "iteration order over an unordered container is "
@@ -529,127 +517,90 @@ rulePtrSort(RuleContext &ctx)
     }
 }
 
-// ---- shared-state (declaration-indexed) ------------------------------
+// ---- signal-unsafe ---------------------------------------------------
 
-void
-ruleSharedState(RuleContext &ctx, const LexedFile &file,
-                const SymbolIndex &index)
+/** Identifiers banned in async-signal context, by what they do. */
+const std::map<std::string, std::string> kSignalUnsafe = [] {
+    std::map<std::string, std::string> m;
+    for (const char *id : {"new", "delete", "malloc", "calloc", "free",
+                           "realloc", "make_unique", "make_shared"})
+        m[id] = "allocates";
+    for (const char *id :
+         {"lock", "unlock", "try_lock", "lock_guard", "unique_lock",
+          "scoped_lock", "shared_lock", "mutex", "condition_variable"})
+        m[id] = "locks";
+    for (const char *id :
+         {"printf", "fprintf", "sprintf", "snprintf", "puts", "putchar",
+          "fopen", "fwrite", "fread", "fclose", "fflush", "cout", "cerr",
+          "clog", "fatal", "panic", "inform", "warn"})
+        m[id] = "performs IO";
+    m["throw"] = "throws";
+    return m;
+}();
+
+/** Keywords that read like `ident (` but are not calls. */
+const std::set<std::string> kNotCalls = {
+    "if",     "while",   "for",      "switch",        "return",
+    "sizeof", "alignof", "decltype", "static_assert", "noexcept",
+    "catch",  "typeid",  "alignas"};
+
+/** The std::atomic member operations a handler may call. */
+bool
+isAtomicOp(const std::string &name)
 {
-    for (const VarDecl &v : index.vars) {
-        if (v.file != file.path)
-            continue;
-        // Instance members are per-object state, not static storage;
-        // they may still carry guarded-by annotations (checked by
-        // unresolved-mutex) but are not required to.
-        if (v.scope == VarScope::kClassMember)
-            continue;
-        if (v.isConst || v.isAtomic || v.isThreadLocal || v.isSync)
-            continue;
-        if (!v.guardedBy.empty() || v.threadConfined)
-            continue;
-        ctx.emitAtLine(
-            v.line, "shared-state",
-            "mutable static-storage variable '" + v.name +
-                "' is unsynchronized: make it std::atomic, constexpr "
-                "or thread_local, or annotate it `astra-lint: "
-                "guarded-by(<mutex>)` / `thread-confined(<reason>)`");
-    }
+    return name == "store" || name == "load" || name == "exchange" ||
+           name.rfind("fetch_", 0) == 0 ||
+           name.rfind("compare_exchange_", 0) == 0;
 }
 
-// ---- unresolved-mutex ------------------------------------------------
-
+/**
+ * A function whose head follows a `signal-handler` mark runs between
+ * any two instructions of the interrupted thread: the only portable
+ * operations are lock-free atomic stores (the POSIX async-signal-safe
+ * discipline). malloc holds the heap lock, a mutex the handler's own
+ * thread may already hold deadlocks instantly, and stdio buffers are
+ * in an unknown state. The rule brace-matches the body that follows
+ * the mark and reports every allocation, lock, IO or throw token in
+ * it, and every call other than a std::atomic member operation —
+ * whatever a callee does is out of sight, so the body stays local.
+ */
 void
-ruleUnresolvedMutex(RuleContext &ctx, const LexedFile &file,
-                    const SymbolIndex &index)
+ruleSignalUnsafe(RuleContext &ctx, const LexedFile &file)
 {
-    for (const auto &[line, m] : file.marks) {
-        if (m.guardedBy.empty())
+    for (const auto &[mark_line, m] : file.marks) {
+        if (!m.signalHandler)
             continue;
-        if (index.mutexNames.count(m.guardedBy) > 0)
+        std::size_t open = 0;
+        while (open < ctx.size() && ctx.toks()[open].line < mark_line)
+            ++open;
+        // The first `{` outside parentheses opens the body; a `;`
+        // first means a bodiless declaration.
+        while (open < ctx.size() && !ctx.isPunct(open, "{") &&
+               !ctx.isPunct(open, ";"))
+            open = ctx.isPunct(open, "(") ? ctx.findMatch(open) + 1 : open + 1;
+        if (!ctx.isPunct(open, "{"))
             continue;
-        ctx.emitAtLine(line, "unresolved-mutex",
-                       "guarded-by(" + m.guardedBy +
-                           ") names no mutex declared anywhere in the "
-                           "analyzed tree (typo, or the lock was "
-                           "removed and the annotation went stale)");
-    }
-}
-
-// ---- thread-capture --------------------------------------------------
-
-const std::set<std::string> kPoolEntryPoints = {"submit", "forEach",
-                                                "parallelFor"};
-
-void
-ruleThreadCapture(RuleContext &ctx, const LexedFile &file,
-                  const SymbolIndex &index)
-{
-    for (std::size_t i = 0; i + 1 < ctx.size(); ++i) {
-        if (!ctx.identIn(i, kPoolEntryPoints) || !ctx.isPunct(i + 1, "("))
-            continue;
-        std::size_t close = ctx.findMatch(i + 1);
-        if (close >= ctx.size())
-            continue;
-        for (std::size_t j = i + 2; j < close; ++j) {
-            if (!ctx.isPunct(j, "["))
+        std::size_t close = ctx.findMatch(open);
+        for (std::size_t k = open + 1; k < close; ++k) {
+            const Token &t = ctx.toks()[k];
+            if (t.kind != TokKind::kIdent)
                 continue;
-            // `x[...]` is a subscript, not a lambda introducer.
-            const Token &prev = ctx.toks()[j - 1];
-            if (prev.kind == TokKind::kIdent ||
-                prev.kind == TokKind::kNumber ||
-                (prev.kind == TokKind::kPunct &&
-                 (prev.text == "]" || prev.text == ")")))
+            auto unsafe = kSignalUnsafe.find(t.text);
+            bool member = ctx.isPunct(k - 1, ".") || ctx.isPunct(k - 1, "->");
+            std::string what;
+            if (unsafe != kSignalUnsafe.end())
+                what = "'" + t.text + "' " + unsafe->second;
+            else if (ctx.isPunct(k + 1, "(") && kNotCalls.count(t.text) == 0 &&
+                     !(member && isAtomicOp(t.text)))
+                what = "call to '" + t.text + "'";
+            else
                 continue;
-            std::size_t intro_end = ctx.findMatch(j);
-            if (intro_end >= close)
-                break;
-            bool by_ref = false;
-            for (std::size_t k = j + 1; k < intro_end; ++k) {
-                if (ctx.isPunct(k, "&")) {
-                    by_ref = true;
-                    break;
-                }
-            }
-            if (!by_ref)
-                continue;
-            int call_line = ctx.toks()[i].line;
-            if (ctx.confinedNear(call_line) ||
-                index.threadConfinedAt(file.path, call_line))
-                continue;
-            ctx.emit(ctx.toks()[j], "thread-capture",
-                     "lambda passed to " + ctx.toks()[i].text +
-                         "() captures by reference; the worker may "
-                         "outlive or race the captured frame (capture "
-                         "by value, or annotate the enclosing scope "
-                         "`astra-lint: thread-confined(<reason>)` if "
-                         "it joins before returning)");
-        }
-    }
-}
-
-// ---- hot-path-alloc --------------------------------------------------
-
-void
-ruleHotPathAlloc(RuleContext &ctx)
-{
-    // Only TUs that opted in via the hot-path file tag are checked;
-    // allocator TUs (the slab/arena implementations themselves) are
-    // where the amortized allocations belong.
-    if (!ctx.fileTagged("hot-path") || ctx.fileTagged("allocator-tu"))
-        return;
-    const char *kMsg =
-        "allocation in a hot-path TU (per-event allocations regress "
-        "the slab discipline; use the arena/free-list, or move setup "
-        "work out of the pump)";
-    for (std::size_t i = 0; i < ctx.size(); ++i) {
-        if (ctx.isIdent(i, "new")) {
-            if (i > 0 && ctx.isIdent(i - 1, "operator"))
-                continue;
-            ctx.emit(ctx.toks()[i], "hot-path-alloc", kMsg);
-        } else if ((ctx.isIdent(i, "make_unique") ||
-                    ctx.isIdent(i, "make_shared")) &&
-                   (ctx.isPunct(i + 1, "<") || ctx.isPunct(i + 1, "("))) {
-            ctx.emit(ctx.toks()[i], "hot-path-alloc", kMsg);
+            ctx.emit(t, "signal-unsafe",
+                     what + " inside a signal handler; only std::atomic "
+                            "member operations (store, load, exchange, "
+                            "fetch_*, compare_exchange_*) may run there — "
+                            "set a flag and act at the next event-loop "
+                            "boundary");
         }
     }
 }
@@ -670,18 +621,6 @@ emitUnlessSuppressed(const LexedFile &file, int line, int col,
         return;
     }
     out.push_back(Diagnostic{file.path, line, col, rule, message});
-}
-
-bool
-diagnosticLess(const Diagnostic &a, const Diagnostic &b)
-{
-    if (a.file != b.file)
-        return a.file < b.file;
-    if (a.line != b.line)
-        return a.line < b.line;
-    if (a.col != b.col)
-        return a.col < b.col;
-    return a.rule < b.rule;
 }
 
 const std::vector<RuleInfo> &
@@ -739,24 +678,6 @@ allRules()
          "tag the implementing file with a file-level `astra-lint: "
          "allocator-tu` comment, or own the object via "
          "make_unique/containers"},
-        {"shared-state",
-         "mutable static-storage state without a synchronization "
-         "discipline races once a thread pool or the partitioned event "
-         "loop touches it",
-         "make it std::atomic/constexpr/thread_local, or annotate "
-         "`astra-lint: guarded-by(<mutex>)` / "
-         "`thread-confined(<reason>)`"},
-        {"unresolved-mutex",
-         "a guarded-by(<mutex>) annotation naming no declared mutex is "
-         "a typo or went stale when the lock was removed",
-         "name an existing mutex variable, or delete the annotation"},
-        {"thread-capture",
-         "reference captures handed to ThreadPool::submit/forEach/"
-         "parallelFor can dangle or race when the worker outlives the "
-         "frame",
-         "capture by value, or annotate the enclosing scope "
-         "`astra-lint: thread-confined(<reason>)` when it joins before "
-         "returning"},
         {"hot-path-alloc",
          "per-event allocations in hot-path TUs (event queue, "
          "garnet-lite pump) regress the slab discipline",
@@ -764,28 +685,15 @@ allRules()
          "the pump"},
         {"signal-unsafe",
          "a function tagged `astra-lint: signal-handler` may run "
-         "between any two instructions; allocation, locking, IO or "
-         "throw there, in its own body or anywhere down its call "
-         "chain, deadlocks or corrupts state",
+         "between any two instructions; allocation, locking, IO, throw "
+         "or a call to anything but a std::atomic member operation in "
+         "its body deadlocks or corrupts state",
          "restrict handlers to lock-free atomic flag stores and do "
          "the real work at the next event-loop boundary"},
         {"stale-suppression",
          "a suppression that matches zero findings hides nothing and "
          "will silently mask the next real finding at that site",
          "delete the unused allow(...) comment or allowlist entry"},
-        {"use-after-move",
-         "a local read after std::move on some path holds an "
-         "unspecified value; under a reordered config sweep that "
-         "becomes a nondeterministic result",
-         "reassign or .clear()/.reset() the variable before the read, "
-         "or restructure so the move is the last use on every path"},
-        {"lock-across-wait",
-         "a scoped lock held across a condition-variable wait, pool "
-         "submit or event-loop pump serializes the simulator or "
-         "deadlocks when the waited work needs the same mutex",
-         "narrow the lock scope with a block, or release via "
-         "unique_lock::unlock() before waiting (cv.wait(lock, ...) "
-         "with the lock as first argument is the sanctioned form)"},
     };
     return kRules;
 }
@@ -800,26 +708,6 @@ knownRule(const std::string &id)
     return false;
 }
 
-std::set<std::string>
-unorderedNames(const LexedFile &file)
-{
-    std::set<std::string> names;
-    collectUnordered(file, names);
-    return names;
-}
-
-void
-runIndexRules(const LexedFile &file, const SymbolIndex &index,
-              std::vector<Diagnostic> &out,
-              std::vector<SuppressionUse> *uses)
-{
-    RuleContext ctx(file, out, uses);
-    ruleSharedState(ctx, file, index);
-    ruleUnresolvedMutex(ctx, file, index);
-    ruleThreadCapture(ctx, file, index);
-    ruleHotPathAlloc(ctx);
-}
-
 void
 runTokenRules(const LexedFile &file,
               const std::set<std::string> &extra_tracked,
@@ -827,14 +715,13 @@ runTokenRules(const LexedFile &file,
               std::vector<SuppressionUse> *uses)
 {
     RuleContext ctx(file, out, uses);
-    ruleNoRand(ctx);
+    ruleBannedTokens(ctx);
     ruleNoWallClock(ctx, file);
-    ruleNoFloat(ctx);
-    ruleNoNakedNew(ctx);
-    ruleNoThrowAbort(ctx);
+    ruleAllocations(ctx);
     ruleUnorderedIter(ctx, file, extra_tracked);
     rulePtrKeyOrder(ctx);
     rulePtrSort(ctx);
+    ruleSignalUnsafe(ctx, file);
 
     for (const LexError &e : file.errors)
         ctx.emitAtLine(e.line, "parse-error", e.what);

@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "lint/lexer.hh"
-#include "lint/symbols.hh"
 
 namespace astra::lint
 {
@@ -35,9 +34,6 @@ struct Diagnostic
     std::string rule;
     std::string message;
 };
-
-/** Sort key: path, then position, then rule id. */
-bool diagnosticLess(const Diagnostic &a, const Diagnostic &b);
 
 /**
  * One inline suppression that absorbed a finding: the `allow(<rule>)`
@@ -73,7 +69,7 @@ struct RuleInfo
     std::string fix;     //!< suggested mechanical fix
 };
 
-/** Every token + project rule, in stable id order. */
+/** Every token + include-graph rule, in stable id order. */
 const std::vector<RuleInfo> &allRules();
 
 /** True if @p id names a known rule. */
@@ -92,16 +88,6 @@ bool knownRule(const std::string &id);
  */
 void runTokenRules(const LexedFile &file,
                    const std::set<std::string> &extra_tracked,
-                   std::vector<Diagnostic> &out,
-                   std::vector<SuppressionUse> *uses = nullptr);
-
-/**
- * Run the declaration-indexed concurrency rules (shared-state,
- * unresolved-mutex, thread-capture, hot-path-alloc) over @p file,
- * against the cross-TU @p index built by buildSymbolIndex(). Same
- * suppression semantics as runTokenRules.
- */
-void runIndexRules(const LexedFile &file, const SymbolIndex &index,
                    std::vector<Diagnostic> &out,
                    std::vector<SuppressionUse> *uses = nullptr);
 

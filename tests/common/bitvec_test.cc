@@ -216,13 +216,13 @@ TEST_P(BitVecBoundary, CopyIsDeepAndMoveEmptiesTheSource)
     BitVec moved(std::move(src));
     EXPECT_EQ(moved, a);
     // The moved-from state is specified: empty.
-    EXPECT_EQ(src.size(), 0u); // astra-lint: allow(use-after-move)
+    EXPECT_EQ(src.size(), 0u);
     EXPECT_TRUE(src.none());
 
     BitVec target(7);
     target = std::move(moved);
     EXPECT_EQ(target, a);
-    EXPECT_EQ(moved.size(), 0u); // astra-lint: allow(use-after-move)
+    EXPECT_EQ(moved.size(), 0u);
 
     // A moved-from vector is reusable.
     moved = a;

@@ -18,7 +18,6 @@ TEST(ThreadPool, DefaultThreadsIsAtLeastOne)
     EXPECT_GE(ThreadPool::defaultThreads(), 1);
 }
 
-// astra-lint: thread-confined(pool.wait joins before the frame exits)
 TEST(ThreadPool, RunsEverySubmittedJob)
 {
     ThreadPool pool(4);
@@ -30,7 +29,6 @@ TEST(ThreadPool, RunsEverySubmittedJob)
     EXPECT_EQ(ran.load(), 100);
 }
 
-// astra-lint: thread-confined(every submit is followed by a wait)
 TEST(ThreadPool, WaitIsReusable)
 {
     ThreadPool pool(2);
@@ -52,7 +50,6 @@ TEST(ThreadPool, WaitOnIdlePoolReturnsImmediately)
 
 // The pool's destructor drains the queue before the captured counter
 // dies; that drain is exactly what this test proves.
-// astra-lint: thread-confined(pool destructor drains before counter dies)
 TEST(ThreadPool, DestructorDrainsOutstandingJobs)
 {
     std::atomic<int> ran{0};
@@ -65,7 +62,6 @@ TEST(ThreadPool, DestructorDrainsOutstandingJobs)
     EXPECT_EQ(ran.load(), 50);
 }
 
-// astra-lint: thread-confined(pool.wait joins before the frame exits)
 TEST(ThreadPool, WaitRethrowsFirstJobException)
 {
     ThreadPool pool(2);
@@ -85,7 +81,6 @@ TEST(ThreadPool, WaitRethrowsFirstJobException)
 // wait() — never allowed to escape the worker thread, where it would
 // call std::terminate. The drain path has no wait() left to rethrow
 // on, so surviving the scope exit IS the assertion.
-// astra-lint: thread-confined(pool destructor drains before counter dies)
 TEST(ThreadPool, DestructorDrainsThrowingJobsWithoutTerminate)
 {
     std::atomic<int> ran{0};
@@ -104,7 +99,6 @@ TEST(ThreadPool, DestructorDrainsThrowingJobsWithoutTerminate)
     EXPECT_EQ(ran.load(), 20);
 }
 
-// astra-lint: thread-confined(pool.wait joins before the frame exits)
 TEST(ThreadPool, EveryJobRunsEvenWhenEarlierJobsThrow)
 {
     ThreadPool pool(4);
@@ -123,7 +117,6 @@ TEST(ThreadPool, EveryJobRunsEvenWhenEarlierJobsThrow)
     EXPECT_EQ(ran.load(), 100);
 }
 
-// astra-lint: thread-confined(parallelFor joins before returning)
 TEST(ParallelFor, CoversEveryIndexExactlyOnce)
 {
     for (int jobs : {1, 2, 4, 8}) {
@@ -135,7 +128,6 @@ TEST(ParallelFor, CoversEveryIndexExactlyOnce)
     }
 }
 
-// astra-lint: thread-confined(parallelFor joins; disjoint out[i] slots)
 TEST(ParallelFor, SerialAndParallelProduceIdenticalOutput)
 {
     auto compute = [](int jobs) {
@@ -147,7 +139,6 @@ TEST(ParallelFor, SerialAndParallelProduceIdenticalOutput)
     EXPECT_EQ(compute(1), compute(4));
 }
 
-// astra-lint: thread-confined(parallelFor joins before returning)
 TEST(ParallelFor, ZeroCountIsANoop)
 {
     bool ran = false;

@@ -188,7 +188,6 @@ TEST(FaultRun, EmptyPlanIsBitForBitIdenticalToNoPlan)
     EXPECT_EQ(digestOf(true), digestOf(false));
 }
 
-// astra-lint: thread-confined(forEach joins; disjoint results[i] slots)
 TEST(FaultRun, SweepOverFaultScenariosIsSerialParallelIdentical)
 {
     // Four fault scenarios, each its own Cluster: a --jobs=4 sweep must

@@ -1,9 +1,9 @@
-// Positive fixture for signal-unsafe: a function whose head carries
+// Positive fixture for signal-unsafe: a function whose head follows
 // the `astra-lint: signal-handler` mark may run between any two
-// instructions of the interrupted thread, so allocating, locking or
-// doing IO inside it or anything it calls is a finding — malloc holds
-// the heap lock, the mutex may already be held by this very thread,
-// and stdio buffers are in an unknown state.
+// instructions of the interrupted thread, so allocating, locking,
+// doing IO or calling anything but a std::atomic member operation in
+// its body is a finding — malloc holds the heap lock, the mutex may
+// already be held by this very thread, and stdio is in an unknown state.
 
 std::atomic<int> g_pending{0};
 std::mutex g_handler_mutex;
@@ -31,8 +31,8 @@ noteInterrupt(int code)
     logStatus(code);
 }
 
-// The handler itself is clean, but its callee chain reaches printf:
-// reported once, at the call that starts the chain.
+// No unsafe token of its own, but the call's target is out of sight
+// (here it reaches printf), so the call itself is the finding.
 // astra-lint: signal-handler
 extern "C" void
 onSignalChained(int sig)

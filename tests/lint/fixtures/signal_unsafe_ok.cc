@@ -1,9 +1,8 @@
 // Negative fixture for signal-unsafe: a conforming handler does
 // nothing but a lock-free atomic store — the one portable
-// async-signal-safe operation — directly or down its whole callee
-// chain, and the real work happens later, in untagged code at an
-// event-loop boundary, where allocation and locking are perfectly
-// legal.
+// async-signal-safe operation — and the real work happens later, in
+// untagged code at an event-loop boundary, where allocation and
+// locking are perfectly legal.
 
 std::atomic<int> g_interrupt_flag{0};
 
@@ -22,23 +21,4 @@ drainAtEventBoundary()
         auto work = std::make_unique<int>(42);
         (void)work;
     }
-}
-
-void
-recordFlag(int sig)
-{
-    g_flag = sig;
-}
-
-void
-forwardFlag(int sig)
-{
-    recordFlag(sig);
-}
-
-// astra-lint: signal-handler
-extern "C" void
-onSignalClean(int sig)
-{
-    forwardFlag(sig);
 }

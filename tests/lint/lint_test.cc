@@ -1,7 +1,7 @@
 /**
  * @file
- * astra-lint test suite (docs/static-analysis.md): lexer units, the
- * fixture corpus under tests/lint/fixtures/ (one positive and one
+ * astra-lint test suite (docs/static-analysis.md): lexer and rule
+ * units, the fixture corpus under tests/lint/fixtures/ (one positive and one
  * negative file per rule — positives declare their expected findings
  * inline with `FIRE(rule-id)` markers, asserted by exact rule-id,
  * file and line), the layering mini-trees, and a clean run over the
@@ -229,35 +229,19 @@ TEST(LintLexer, RawStringDelimiterValidated)
     EXPECT_FALSE(unterminated.errors.empty());
 }
 
-TEST(LintLexer, RecordsDirectiveSpans)
+TEST(LintLexer, ParsesSignalHandlerMark)
 {
-    // `#define` bodies are tokenized (rules still see them) but their
-    // physical-line spans — splice continuations included — are
-    // recorded so the symbol indexer can skip the non-declarations.
     LexedFile f = lexSource("t.cc",
-                            "#define ACC(x) \\\n    ((x) + 1)\n"
-                            "#pragma once\n"
-                            "#include <vector>\n"
-                            "int g = 0;\n");
-    ASSERT_EQ(f.directiveSpans.size(), 2u);
-    EXPECT_EQ(f.directiveSpans[0].first, 1);
-    EXPECT_GE(f.directiveSpans[0].second, 2);
-    EXPECT_EQ(f.directiveSpans[1].first, 3);
-    ASSERT_EQ(f.includes.size(), 1u); // #include is its own channel
-}
-
-TEST(LintLexer, ParsesConcurrencyAnnotations)
-{
-    LexedFile f = lexSource(
-        "t.cc",
-        "int a; // astra-lint: guarded-by(g_lock)\n"
-        "// astra-lint: thread-confined(joined before return)\n"
-        "int b;\n");
+                            "// astra-lint: signal-handler\n"
+                            "void h(int) {}\n"
+                            "// astra-lint: signal-handlers\n");
     ASSERT_TRUE(f.marks.count(1));
-    EXPECT_EQ(f.marks.at(1).guardedBy, "g_lock");
-    ASSERT_TRUE(f.marks.count(2));
-    EXPECT_TRUE(f.marks.at(2).threadConfined);
+    EXPECT_TRUE(f.marks.at(1).signalHandler);
+    EXPECT_FALSE(f.fileTags.count("signal-handler")); // a line mark
+    EXPECT_FALSE(f.marks.count(2));
+    // A longer word is a file tag, not the mark.
     EXPECT_FALSE(f.marks.count(3));
+    EXPECT_TRUE(f.fileTags.count("signal-handlers"));
 }
 
 TEST(LintLexer, TracksPositions)
@@ -279,99 +263,43 @@ TEST(LintRules, RegistryKnowsEveryRule)
     EXPECT_TRUE(knownRule("no-float"));
     EXPECT_TRUE(knownRule("layer-dag"));
     EXPECT_TRUE(knownRule("allocator-tu"));
-    EXPECT_TRUE(knownRule("shared-state"));
-    EXPECT_TRUE(knownRule("unresolved-mutex"));
-    EXPECT_TRUE(knownRule("thread-capture"));
     EXPECT_TRUE(knownRule("hot-path-alloc"));
     EXPECT_TRUE(knownRule("stale-suppression"));
-    EXPECT_TRUE(knownRule("use-after-move"));
-    EXPECT_TRUE(knownRule("lock-across-wait"));
     EXPECT_TRUE(knownRule("signal-unsafe"));
     // Retired ids: an allow(...) naming one is a stale suppression.
-    EXPECT_FALSE(knownRule("signal-unsafe-transitive"));
-    EXPECT_FALSE(knownRule("unchecked-outcome"));
+    for (const char *retired :
+         {"shared-state", "unresolved-mutex", "thread-capture",
+          "use-after-move", "lock-across-wait", "signal-unsafe-transitive",
+          "unchecked-outcome"})
+        EXPECT_FALSE(knownRule(retired)) << retired;
     EXPECT_FALSE(knownRule("no-such-rule"));
-    EXPECT_EQ(allRules().size(), 21u);
+    EXPECT_EQ(allRules().size(), 16u);
 }
 
-// ---- symbol index ----------------------------------------------------
-
-TEST(LintSymbols, IndexesVariableScopesAndTraits)
+TEST(LintRules, SignalUnsafeIsBodyLocal)
 {
-    LexedFile f = lexSource("t.cc",
-                            "#include <atomic>\n"
-                            "#include <mutex>\n"
-                            "int g_plain = 0;\n"
-                            "std::atomic<int> g_atomic{0};\n"
-                            "std::mutex g_lock;\n"
-                            "struct S { static int s_count; int _m; };\n"
-                            "int f() { static int s_local = 1;"
-                            " int autovar = 2; return s_local + autovar; }\n");
-    SymbolIndex idx = buildSymbolIndex({f});
-    auto find = [&](const std::string &name) -> const VarDecl * {
-        for (const VarDecl &v : idx.vars)
-            if (v.name == name)
-                return &v;
-        return nullptr;
-    };
-    ASSERT_NE(find("g_plain"), nullptr);
-    EXPECT_EQ(find("g_plain")->scope, VarScope::kNamespace);
-    EXPECT_FALSE(find("g_plain")->isAtomic);
-    ASSERT_NE(find("g_atomic"), nullptr);
-    EXPECT_TRUE(find("g_atomic")->isAtomic);
-    ASSERT_NE(find("g_lock"), nullptr);
-    EXPECT_TRUE(find("g_lock")->isSync);
-    EXPECT_TRUE(idx.mutexNames.count("g_lock"));
-    ASSERT_NE(find("s_count"), nullptr);
-    EXPECT_EQ(find("s_count")->scope, VarScope::kClassStatic);
-    ASSERT_NE(find("_m"), nullptr);
-    EXPECT_EQ(find("_m")->scope, VarScope::kClassMember);
-    ASSERT_NE(find("s_local"), nullptr);
-    EXPECT_EQ(find("s_local")->scope, VarScope::kLocalStatic);
-    EXPECT_EQ(find("autovar"), nullptr); // automatic storage not indexed
-}
-
-TEST(LintSymbols, FunctionExtentsCarryNamesAndBodies)
-{
-    LexedFile f = lexSource("t.cc",
-                            "RunOutcome\n"
-                            "outcome(int x)\n"
-                            "{\n"
-                            "    return decide(x);\n"
-                            "}\n"
-                            "static const Plan &Cluster::plan() const\n"
-                            "{\n"
-                            "    return _plan;\n"
-                            "}\n");
-    SymbolIndex idx = buildSymbolIndex({f});
-    ASSERT_GE(idx.functions.size(), 2u);
-    const FunctionExtent &fe0 = idx.functions[0];
-    EXPECT_EQ(fe0.name, "outcome");
-    ASSERT_TRUE(fe0.hasBody);
-    EXPECT_EQ(f.tokens[fe0.bodyBegin].text, "{");
-    EXPECT_EQ(f.tokens[fe0.bodyEnd].text, "}");
-    EXPECT_LT(fe0.bodyBegin, fe0.bodyEnd);
-    const FunctionExtent &fe1 = idx.functions[1];
-    EXPECT_EQ(fe1.name, "plan");
-    EXPECT_TRUE(fe1.hasBody);
-}
-
-TEST(LintSymbols, FunctionExtentsCarryThreadConfinement)
-{
+    // Atomic member operations are the whole allowed vocabulary; any
+    // other call fires, because the callee's body is out of sight. A
+    // tagged declaration without a body binds nothing.
     LexedFile f = lexSource(
         "t.cc",
-        "// astra-lint: thread-confined(joins before return)\n"
-        "void confined() {\n"
-        "    int x = 0;\n"
-        "    (void)x;\n"
-        "}\n"
-        "void open() {\n"
-        "    int y = 0;\n"
-        "    (void)y;\n"
+        "// astra-lint: signal-handler\n"
+        "void declared(int);\n"
+        "void helper() { g_log.flush(); }\n"
+        "// astra-lint: signal-handler\n"
+        "void handler(int sig)\n"
+        "{\n"
+        "    if (sizeof(sig) > 0)\n"
+        "        g_flag.store(sig, std::memory_order_relaxed);\n"
+        "    g_count.fetch_add(1);\n"
+        "    g_seen.compare_exchange_strong(g_expected, 1);\n"
+        "    g_log.flush();\n"
+        "    helper();\n"
         "}\n");
-    SymbolIndex idx = buildSymbolIndex({f});
-    EXPECT_TRUE(idx.threadConfinedAt("t.cc", 3));
-    EXPECT_FALSE(idx.threadConfinedAt("t.cc", 7));
+    std::vector<Diagnostic> diags;
+    runTokenRules(f, {}, diags);
+    std::set<Finding> want = {{11, "signal-unsafe"}, {12, "signal-unsafe"}};
+    EXPECT_EQ(findingSet(diags), want) << renderText(diags);
 }
 
 // ---- fixture corpus: one positive + one negative per rule ------------
@@ -448,24 +376,6 @@ TEST(LintFixtures, ParseError)
     expectMarkersMatch("parse_error_bad.cc");
 }
 
-TEST(LintFixtures, SharedState)
-{
-    expectMarkersMatch("shared_state_bad.cc");
-    expectClean("shared_state_ok.cc");
-}
-
-TEST(LintFixtures, UnresolvedMutex)
-{
-    expectMarkersMatch("unresolved_mutex_bad.cc");
-    expectClean("unresolved_mutex_ok.cc");
-}
-
-TEST(LintFixtures, ThreadCapture)
-{
-    expectMarkersMatch("thread_capture_bad.cc");
-    expectClean("thread_capture_ok.cc");
-}
-
 TEST(LintFixtures, SignalUnsafe)
 {
     expectMarkersMatch("signal_unsafe_bad.cc");
@@ -476,36 +386,6 @@ TEST(LintFixtures, HotPathAlloc)
 {
     expectMarkersMatch("hot_path_alloc_bad.cc");
     expectClean("hot_path_alloc_ok.cc");
-}
-
-TEST(LintFixtures, UseAfterMove)
-{
-    expectMarkersMatch("use_after_move_bad.cc");
-    expectClean("use_after_move_ok.cc");
-}
-
-TEST(LintFixtures, LockAcrossWait)
-{
-    expectMarkersMatch("lock_across_wait_bad.cc");
-    expectClean("lock_across_wait_ok.cc");
-}
-
-TEST(LintFixtures, SignalUnsafeTransitive)
-{
-    // Below depth 0 the finding sits on the handler's call that starts
-    // the chain, and the message spells the chain out.
-    std::vector<Diagnostic> diags =
-        analyzeFixtures({kFixtures + "signal_unsafe_bad.cc"});
-    std::vector<std::string> chained;
-    for (const Diagnostic &d : diags) {
-        if (d.line == 40)
-            chained.push_back(d.message);
-    }
-    ASSERT_EQ(chained.size(), 1u) << renderText(diags);
-    EXPECT_NE(chained[0].find("`printf` (performs IO) via onSignalChained "
-                              "-> noteInterrupt -> logStatus"),
-              std::string::npos)
-        << chained[0];
 }
 
 TEST(LintFixtures, StaleSuppression)

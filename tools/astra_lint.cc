@@ -14,8 +14,8 @@
  * itself a `stale-suppression` finding.
  *
  * Exit status: 0 clean, 1 diagnostics reported, 2 usage/config error.
- * ctest (`lint_tool_clean_tree`) and `tools/ci.sh --lint` run it over
- * src, tools and tests as the static-analysis gate.
+ * ctest (`lint_tool_strict_clean_tree`) and `tools/ci.sh --lint` run
+ * it over src, tools and tests as the static-analysis gate.
  */
 
 #include <cstdio>

@@ -41,8 +41,8 @@ if [ "$TSAN_ONLY" -eq 1 ]; then
     # Gated TSan stage: everything the default run only samples. A
     # thread-sanitized build of the whole tree, the complete test
     # suite under it, and the parallel sweep smoke with the digest
-    # gates — the strongest dynamic complement to astra-lint's static
-    # concurrency rules (shared-state / thread-capture).
+    # gates. This is the concurrency gate: astra-lint has no
+    # concurrency rules.
     echo "=== TSan gate: build (-DASTRA_SANITIZE=thread) ==="
     cmake -B build-tsan -S . -DASTRA_SANITIZE=thread >/dev/null
     cmake --build build-tsan -j "$JOBS"
