@@ -11,7 +11,7 @@ namespace astra
 PipelineNode::PipelineNode(Sys &sys, const WorkloadSpec &spec,
                            const PipelineOptions &opts,
                            std::function<void()> on_finish)
-    : _sys(sys), _spec(spec), _opts(opts), _onFinish(std::move(on_finish))
+    : NodeProgram(sys, std::move(on_finish)), _spec(spec), _opts(opts)
 {
     if (_spec.layers.empty())
         fatal("pipeline workload has no layers");
@@ -76,205 +76,84 @@ PipelineNode::PipelineNode(Sys &sys, const WorkloadSpec &spec,
     _stats.layers = static_cast<int>(_layerHi - _layerLo);
 }
 
-Tick
-PipelineNode::stageCompute(CommSlot slot) const
-{
-    Tick total = 0;
-    for (std::size_t l = _layerLo; l < _layerHi; ++l)
-        total += _spec.layers[l].compute(slot);
-    return static_cast<Tick>(std::ceil(
-        static_cast<double>(total) /
-        (_opts.computeScale * _opts.microbatches)));
-}
-
-Bytes
-PipelineNode::stageWgBytes() const
-{
-    Bytes total = 0;
-    for (std::size_t l = _layerLo; l < _layerHi; ++l)
-        total += _spec.layers[l].wgCommSize;
-    return total;
-}
-
-Bytes
-PipelineNode::microActivationBytes() const
-{
-    Bytes act = _opts.activationBytes;
-    if (act == 0) {
-        // Derive from the boundary layer's declared forward comm.
-        const std::size_t boundary = _layerHi - 1;
-        act = _spec.layers[boundary].fwdCommSize;
-        if (act == 0)
-            act = 1 * MiB;
-    }
-    return std::max<Bytes>(1, act / Bytes(_opts.microbatches));
-}
-
 std::uint64_t
-PipelineNode::tagFor(int m, bool backward, int boundary) const
+PipelineNode::tagFor(int pass, int m, bool backward, int boundary)
 {
     // Unique per (pass, microbatch, direction, stage boundary).
-    return ((std::uint64_t(_pass) * 4096 + std::uint64_t(m)) * 2 +
+    return ((std::uint64_t(pass) * 4096 + std::uint64_t(m)) * 2 +
             (backward ? 1 : 0)) *
                256 +
            std::uint64_t(boundary);
 }
 
-void
-PipelineNode::await(NodeId src, std::uint64_t tag,
-                    std::function<void()> cont)
+NodeProgram::Schedule
+PipelineNode::body()
 {
-    const Tick wait_start = _sys.now();
-    _sys.expectP2P(src, tag, [this, wait_start, cont = std::move(cont)] {
-        _stats.bubble += _sys.now() - wait_start;
-        cont();
-    });
-}
-
-void
-PipelineNode::compute(Tick cycles, EventCallback cont)
-{
-    _stats.compute += cycles;
-    if (cycles == 0) {
-        cont();
-        return;
+    // Per-microbatch work of this stage: the same for every step.
+    Tick fwd = 0, ig = 0, wg = 0;
+    Bytes wg_bytes = 0;
+    for (std::size_t l = _layerLo; l < _layerHi; ++l) {
+        fwd += _spec.layers[l].fwdCompute;
+        ig += _spec.layers[l].igCompute;
+        wg += _spec.layers[l].wgCompute;
+        wg_bytes += _spec.layers[l].wgCommSize;
     }
-    _sys.eventQueue().scheduleAfter(cycles, std::move(cont));
-}
-
-void
-PipelineNode::start()
-{
-    _startedAt = _sys.now();
-    beginPass();
-}
-
-void
-PipelineNode::beginPass()
-{
-    forwardMicrobatch(0);
-}
-
-void
-PipelineNode::forwardMicrobatch(int m)
-{
-    if (m == _opts.microbatches) {
-        backwardMicrobatch(_opts.microbatches - 1);
-        return;
-    }
-    const auto run = [this, m] {
-        compute(stageCompute(CommSlot::Forward), [this, m] {
-            if (_next != kNodeInvalid) {
-                _sys.sendP2P(_next, microActivationBytes(),
-                             tagFor(m, false, _stage));
-            }
-            forwardMicrobatch(m + 1);
-        });
+    const double split = _opts.computeScale * _opts.microbatches;
+    const auto micro = [split](Tick total) {
+        return static_cast<Tick>(std::ceil(double(total) / split));
     };
-    if (_prev != kNodeInvalid) {
-        await(_prev, tagFor(m, false, _stage - 1), run);
-    } else {
-        run();
-    }
-}
-
-void
-PipelineNode::backwardMicrobatch(int m)
-{
-    if (m < 0) {
-        reduceWeights();
-        return;
-    }
-    const auto run = [this, m] {
-        const Tick cycles = stageCompute(CommSlot::InputGrad) +
-                            stageCompute(CommSlot::WeightGrad);
-        compute(cycles, [this, m] {
-            if (_prev != kNodeInvalid) {
-                _sys.sendP2P(_prev, microActivationBytes(),
-                             tagFor(m, true, _stage - 1));
-            }
-            backwardMicrobatch(m - 1);
-        });
-    };
-    if (_next != kNodeInvalid) {
-        await(_next, tagFor(m, true, _stage), run);
-    } else {
-        run();
-    }
-}
-
-void
-PipelineNode::reduceWeights()
-{
-    const Bytes bytes = stageWgBytes();
-    if (bytes == 0 || _dataDims.empty()) {
-        finishPass();
-        return;
-    }
+    fwd = micro(fwd);
+    const Tick bwd = micro(ig) + micro(wg);
+    // Activations crossing the stage boundary, derived from the
+    // boundary layer's declared forward comm unless given.
+    Bytes act = _opts.activationBytes;
+    if (act == 0)
+        act = _spec.layers[_layerHi - 1].fwdCommSize;
+    if (act == 0)
+        act = 1 * MiB;
+    act = std::max<Bytes>(1, act / Bytes(_opts.microbatches));
     bool has_group = false;
-    for (int d : _dataDims) {
-        if (_sys.topology().dim(d).size > 1)
-            has_group = true;
-    }
-    if (!has_group) {
-        finishPass();
-        return;
-    }
-    CollectiveRequest req;
-    req.kind = CollectiveKind::AllReduce;
-    req.bytes = bytes;
-    req.dims = _dataDims;
-    req.layer = _stage; // per-stage breakdown
-    const Tick issued = _sys.now();
-    auto handle = _sys.issueCollective(req);
-    handle->onComplete = [this, handle, issued] {
-        _stats.commWg += _sys.now() - issued;
-        finishPass();
-    };
-}
+    for (int d : _dataDims)
+        has_group = has_group || _sys.topology().dim(d).size > 1;
 
-void
-PipelineNode::finishPass()
-{
-    ++_pass;
-    if (_pass < _opts.numPasses) {
-        beginPass();
-        return;
+    for (int pass = 0; pass < _opts.numPasses; ++pass) {
+        for (int m = 0; m < _opts.microbatches; ++m) {
+            if (_prev != kNodeInvalid) {
+                _stats.bubble += co_await receive(
+                    _prev, tagFor(pass, m, false, _stage - 1));
+            }
+            _stats.compute += fwd;
+            co_await busy(fwd);
+            if (_next != kNodeInvalid)
+                _sys.sendP2P(_next, act, tagFor(pass, m, false, _stage));
+        }
+        for (int m = _opts.microbatches - 1; m >= 0; --m) {
+            if (_next != kNodeInvalid) {
+                _stats.bubble += co_await receive(
+                    _next, tagFor(pass, m, true, _stage));
+            }
+            _stats.compute += bwd;
+            co_await busy(bwd);
+            if (_prev != kNodeInvalid)
+                _sys.sendP2P(_prev, act, tagFor(pass, m, true, _stage - 1));
+        }
+        // The flush: all-reduce the stage's weight gradients across
+        // the data-parallel dimensions before the next pass.
+        if (wg_bytes == 0 || !has_group)
+            continue;
+        CollectiveRequest req;
+        req.kind = CollectiveKind::AllReduce;
+        req.bytes = wg_bytes;
+        req.dims = _dataDims;
+        req.layer = _stage; // per-stage breakdown
+        const Tick issued = _sys.now();
+        auto handle = _sys.issueCollective(req);
+        co_await settle(handle);
+        _stats.commWg += _sys.now() - issued;
     }
-    _finished = true;
-    _finishedAt = _sys.now();
-    if (_onFinish)
-        _onFinish();
 }
 
 // --- PipelineRun ---------------------------------------------------------
-
-PipelineRun::PipelineRun(Cluster &cluster, WorkloadSpec spec,
-                         PipelineOptions opts)
-    : _cluster(cluster), _spec(std::move(spec))
-{
-    _unfinished = cluster.numNodes();
-    _nodes.reserve(std::size_t(cluster.numNodes()));
-    for (NodeId n = 0; n < cluster.numNodes(); ++n) {
-        _nodes.push_back(std::make_unique<PipelineNode>(
-            cluster.node(n), _spec, opts, [this] { --_unfinished; }));
-    }
-}
-
-Tick
-PipelineRun::run()
-{
-    for (auto &n : _nodes)
-        n->start();
-    _cluster.run();
-    if (_unfinished != 0)
-        fatal("%d pipeline nodes did not finish (deadlock?)",
-              _unfinished);
-    _makespan = 0;
-    for (auto &n : _nodes)
-        _makespan = std::max(_makespan, n->totalTime());
-    return _makespan;
-}
 
 const StageStats &
 PipelineRun::stage(int s) const
@@ -296,6 +175,22 @@ PipelineRun::bubbleRatio() const
     for (int s = 0; s < numStages(); ++s)
         total += static_cast<double>(stage(s).bubble);
     return total / (static_cast<double>(_makespan) * numStages());
+}
+
+void
+PipelineRun::exportStats(StatGroup &g) const
+{
+    g.set("makespan.ticks", double(_makespan));
+    g.set("bubble.ratio", bubbleRatio());
+    g.set("stages", double(numStages()));
+    for (int s = 0; s < numStages(); ++s) {
+        const StageStats &st = stage(s);
+        const std::string prefix = strprintf("stage%d.", s);
+        g.set(prefix + "layers", double(st.layers));
+        g.set(prefix + "compute", double(st.compute));
+        g.set(prefix + "bubble", double(st.bubble));
+        g.set(prefix + "comm_wg", double(st.commWg));
+    }
 }
 
 } // namespace astra

@@ -4,7 +4,8 @@
  *
  * The paper lists pipelined parallelism among the partitioning
  * strategies but evaluates only data/model/hybrid; this module
- * implements it as the natural extension. GPipe-style schedule:
+ * implements it as the natural extension. GPipe-style schedule
+ * (PipelineNode::body):
  *
  *  - the layers are partitioned contiguously into S stages, S being
  *    the size of one topology dimension (the *pipeline dimension*);
@@ -26,12 +27,9 @@
 #ifndef ASTRA_WORKLOAD_PIPELINE_HH
 #define ASTRA_WORKLOAD_PIPELINE_HH
 
-#include <functional>
-#include <memory>
 #include <vector>
 
-#include "core/cluster.hh"
-#include "workload/layer.hh"
+#include "workload/node_program.hh"
 
 namespace astra
 {
@@ -67,45 +65,26 @@ struct StageStats
 /**
  * One node's pipeline schedule execution.
  */
-class PipelineNode
+class PipelineNode : public NodeProgram
 {
   public:
     PipelineNode(Sys &sys, const WorkloadSpec &spec,
                  const PipelineOptions &opts,
                  std::function<void()> on_finish);
 
-    void start();
-
     int stage() const { return _stage; }
     int numStages() const { return _numStages; }
-    bool finished() const { return _finished; }
-    Tick totalTime() const { return _finishedAt - _startedAt; }
     const StageStats &stats() const { return _stats; }
 
   private:
-    void beginPass();
-    void forwardMicrobatch(int m);
-    void backwardMicrobatch(int m);
-    void reduceWeights();
-    void finishPass();
-
-    /** Stall until (src, tag) arrives, charging bubble time. */
-    void await(NodeId src, std::uint64_t tag, std::function<void()> cont);
-
-    /** Busy the node for @p cycles. */
-    void compute(Tick cycles, EventCallback cont);
+    Schedule body() override;
 
     /** Transfer tag for (pass, microbatch, direction, boundary). */
-    std::uint64_t tagFor(int m, bool backward, int boundary) const;
+    static std::uint64_t tagFor(int pass, int m, bool backward,
+                                int boundary);
 
-    Tick stageCompute(CommSlot slot) const;
-    Bytes stageWgBytes() const;
-    Bytes microActivationBytes() const;
-
-    Sys &_sys;
     const WorkloadSpec &_spec;
     PipelineOptions _opts;
-    std::function<void()> _onFinish;
 
     int _pipeDim = 0;
     int _numStages = 1;
@@ -116,27 +95,18 @@ class PipelineNode
     std::size_t _layerLo = 0;    //!< first layer of this stage
     std::size_t _layerHi = 0;    //!< one past the last layer
 
-    int _pass = 0;
-    bool _finished = false;
-    Tick _startedAt = 0;
-    Tick _finishedAt = 0;
     StageStats _stats;
 };
 
 /**
  * Cluster-wide pipeline-parallel training run.
  */
-class PipelineRun
+class PipelineRun : public NodeRun<PipelineNode, PipelineOptions>
 {
   public:
-    PipelineRun(Cluster &cluster, WorkloadSpec spec,
-                PipelineOptions opts);
-
-    /** Run to completion; @return the makespan. */
-    Tick run();
+    using NodeRun::NodeRun;
 
     int numStages() const { return _nodes.front()->numStages(); }
-    Tick makespan() const { return _makespan; }
 
     /** Stage s's stats (taken from one representative node). */
     const StageStats &stage(int s) const;
@@ -144,12 +114,12 @@ class PipelineRun
     /** Fraction of the makespan the average stage spends stalled. */
     double bubbleRatio() const;
 
-  private:
-    Cluster &_cluster;
-    WorkloadSpec _spec;
-    std::vector<std::unique_ptr<PipelineNode>> _nodes;
-    int _unfinished = 0;
-    Tick _makespan = 0;
+    /**
+     * Publish the run's metrics into @p g: makespan, bubble ratio and
+     * per-stage layers / compute / bubble / weight-gradient totals
+     * under "stage<N>.*" keys. Call after run().
+     */
+    void exportStats(StatGroup &g) const;
 };
 
 } // namespace astra

@@ -1,18 +1,17 @@
 #include "workload/trainer.hh"
 
 #include <cmath>
+#include <utility>
 
 #include "common/logging.hh"
 
 namespace astra
 {
 
-const std::vector<int> NodeTrainer::kNoDims;
-
 NodeTrainer::NodeTrainer(Sys &sys, const WorkloadSpec &spec,
                          const TrainerOptions &opts,
                          std::function<void()> on_finish)
-    : _sys(sys), _spec(spec), _opts(opts), _onFinish(std::move(on_finish))
+    : NodeProgram(sys, std::move(on_finish)), _spec(spec), _opts(opts)
 {
     if (_spec.layers.empty())
         fatal("workload has no layers");
@@ -64,20 +63,6 @@ NodeTrainer::NodeTrainer(Sys &sys, const WorkloadSpec &spec,
     }
 
     _stats.assign(_spec.layers.size(), LayerRunStats{});
-    _wgHandles.assign(_spec.layers.size(), nullptr);
-}
-
-const std::vector<int> &
-NodeTrainer::dimsFor(CommSlot slot) const
-{
-    switch (slot) {
-      case CommSlot::WeightGrad:
-        return _dataDims;
-      case CommSlot::Forward:
-      case CommSlot::InputGrad:
-        return _modelDims;
-    }
-    return kNoDims;
 }
 
 Tick
@@ -91,26 +76,14 @@ NodeTrainer::scaled(Tick base) const
         static_cast<double>(base) * slow / _opts.computeScale));
 }
 
-void
-NodeTrainer::start()
-{
-    _startedAt = _sys.now();
-    beginPass();
-}
-
-void
-NodeTrainer::beginPass()
-{
-    forwardLayer(0);
-}
-
 std::shared_ptr<CollectiveHandle>
 NodeTrainer::issue(std::size_t l, CommSlot slot)
 {
     const LayerSpec &layer = _spec.layers[l];
     if (layer.comm(slot) == CollectiveKind::None)
         return nullptr;
-    const std::vector<int> &dims = dimsFor(slot);
+    const std::vector<int> &dims =
+        slot == CommSlot::WeightGrad ? _dataDims : _modelDims;
     if (dims.empty()) {
         // Declared in the workload file but the parallelism strategy
         // gives it no group to run over (e.g. activations under pure
@@ -125,167 +98,89 @@ NodeTrainer::issue(std::size_t l, CommSlot slot)
     return _sys.issueCollective(req);
 }
 
-void
-NodeTrainer::waitHandle(const std::shared_ptr<CollectiveHandle> &handle,
-                        std::size_t l, Tick *raw_acc,
-                        std::function<void()> cont)
+Tick
+NodeTrainer::settled(std::size_t l, CommSlot slot,
+                     const std::shared_ptr<CollectiveHandle> &handle,
+                     std::optional<Tick> blocked)
 {
-    if (!handle) {
-        cont();
-        return;
-    }
-    if (handle->done()) {
-        if (raw_acc)
-            *raw_acc += handle->duration();
-        cont();
-        return;
-    }
-    const Tick wait_start = _sys.now();
-    handle->onComplete = [this, handle, l, raw_acc,
-                          cont = std::move(cont), wait_start] {
-        const Tick blocked = _sys.now() - wait_start;
-        _stats[l].exposed += blocked;
-        _sys.stats().inc("exposed.cycles",
-                         static_cast<double>(blocked));
-        _sys.stats().record("exposed.wait",
-                            static_cast<double>(blocked));
+    if (!handle)
+        return 0;
+    if (blocked) {
+        _stats[l].exposed += *blocked;
+        _sys.stats().inc("exposed.cycles", static_cast<double>(*blocked));
+        _sys.stats().record("exposed.wait", static_cast<double>(*blocked));
         if (TraceRecorder *tr = _sys.trace()) {
             tr->span(_sys.id(), 0, "wait",
-                     "exposed: " + _spec.layers[l].name, wait_start,
-                     _sys.now());
+                     "exposed: " + _spec.layers[l].name,
+                     _sys.now() - *blocked, _sys.now());
         }
-        if (raw_acc)
-            *raw_acc += handle->duration();
-        cont();
-    };
+    }
+    LayerRunStats &s = _stats[l];
+    Tick &raw = slot == CommSlot::Forward     ? s.commFwd
+                : slot == CommSlot::InputGrad ? s.commIg
+                                              : s.commWg;
+    raw += handle->duration();
+    return _spec.layers[l].updateDelay(slot);
 }
 
-void
-NodeTrainer::compute(std::size_t l, Tick cycles, EventCallback cont)
+NodeProgram::Busy
+NodeTrainer::compute(std::size_t l, Tick cycles)
 {
     _stats[l].compute += cycles;
-    if (cycles == 0) {
-        cont();
-        return;
-    }
-    if (TraceRecorder *tr = _sys.trace()) {
+    TraceRecorder *tr = _sys.trace();
+    if (tr && cycles != 0) {
         tr->span(_sys.id(), 0, "compute", _spec.layers[l].name,
                  _sys.now(), _sys.now() + cycles);
     }
-    _sys.eventQueue().scheduleAfter(cycles, std::move(cont));
+    return busy(cycles);
 }
 
-void
-NodeTrainer::forwardLayer(std::size_t l)
+NodeProgram::Schedule
+NodeTrainer::body()
 {
-    if (l == _spec.layers.size()) {
-        backwardLayer(_spec.layers.size() - 1);
-        return;
-    }
-    // Weights must be up to date before this layer's forward pass: the
-    // previous iteration's weight-gradient collective gates us here.
-    auto handle = std::move(_wgHandles[l]);
-    _wgHandles[l] = nullptr;
-    const bool had_comm = handle != nullptr;
-    waitHandle(handle, l, &_stats[l].commWg, [this, l, had_comm] {
-        const LayerSpec &layer = _spec.layers[l];
-        const Tick update =
-            had_comm ? layer.updateDelay(CommSlot::WeightGrad) : 0;
-        compute(l, update + scaled(layer.fwdCompute),
-                [this, l] { forwardCompute(l); });
-    });
-}
-
-void
-NodeTrainer::forwardCompute(std::size_t l)
-{
-    // Output activations of this layer may need to be exchanged before
-    // the next layer can start (model/hybrid parallelism) — a strict,
-    // blocking dependency (Sec. V-E).
-    auto handle = issue(l, CommSlot::Forward);
-    const bool had_comm = handle != nullptr;
-    waitHandle(handle, l, &_stats[l].commFwd, [this, l, had_comm] {
-        const Tick update =
-            had_comm ? _spec.layers[l].updateDelay(CommSlot::Forward) : 0;
-        compute(l, update, [this, l] { forwardLayer(l + 1); });
-    });
-}
-
-void
-NodeTrainer::backwardLayer(std::size_t l)
-{
-    const LayerSpec &layer = _spec.layers[l];
-    // Input (error) gradients: needed by layer l-1's backward step;
-    // computed and exchanged for every layer but the first.
-    if (l == 0) {
-        backwardWeight(l);
-        return;
-    }
-    compute(l, scaled(layer.igCompute), [this, l] {
-        auto handle = issue(l, CommSlot::InputGrad);
-        const bool had_comm = handle != nullptr;
-        waitHandle(handle, l, &_stats[l].commIg, [this, l, had_comm] {
-            const Tick update =
-                had_comm ? _spec.layers[l].updateDelay(CommSlot::InputGrad)
-                         : 0;
-            compute(l, update, [this, l] { backwardWeight(l); });
-        });
-    });
-}
-
-void
-NodeTrainer::backwardWeight(std::size_t l)
-{
-    compute(l, scaled(_spec.layers[l].wgCompute), [this, l] {
-        // Fire-and-forget: the all-reduce overlaps with the rest of
-        // back-propagation; only the next iteration's forward pass (or
-        // the end of the run) waits on it.
-        _wgHandles[l] = issue(l, CommSlot::WeightGrad);
-        if (l == 0) {
-            finishPass();
-        } else {
-            backwardLayer(l - 1);
+    const std::size_t layers = _spec.layers.size();
+    // Outstanding weight-gradient collectives, per layer.
+    std::vector<std::shared_ptr<CollectiveHandle>> wg(layers);
+    for (int pass = 0; pass < _opts.numPasses; ++pass) {
+        for (std::size_t l = 0; l < layers; ++l) {
+            // Weights must be up to date before this layer's forward
+            // pass: the previous iteration's weight-gradient
+            // collective gates us here.
+            auto h = std::exchange(wg[l], nullptr);
+            auto blocked = co_await settle(h);
+            const Tick update = settled(l, CommSlot::WeightGrad, h, blocked);
+            co_await compute(l, update + scaled(_spec.layers[l].fwdCompute));
+            // Output activations may need to be exchanged before the
+            // next layer can start (model/hybrid parallelism) — a
+            // strict, blocking dependency (Sec. V-E).
+            h = issue(l, CommSlot::Forward);
+            blocked = co_await settle(h);
+            co_await compute(l, settled(l, CommSlot::Forward, h, blocked));
         }
-    });
-}
-
-void
-NodeTrainer::finishPass()
-{
-    ++_pass;
-    if (_pass < _opts.numPasses) {
-        beginPass();
-        return;
+        for (std::size_t l = layers; l-- > 0;) {
+            // Input (error) gradients: needed by layer l-1's backward
+            // step; computed and exchanged for every layer but the
+            // first.
+            if (l > 0) {
+                co_await compute(l, scaled(_spec.layers[l].igCompute));
+                auto h = issue(l, CommSlot::InputGrad);
+                auto blocked = co_await settle(h);
+                co_await compute(l,
+                                 settled(l, CommSlot::InputGrad, h, blocked));
+            }
+            co_await compute(l, scaled(_spec.layers[l].wgCompute));
+            // Fire-and-forget: the all-reduce overlaps with the rest of
+            // back-propagation; only the next iteration's forward pass
+            // (or the end of the run) waits on it.
+            wg[l] = issue(l, CommSlot::WeightGrad);
+        }
     }
-    // Final pass: all weight gradients must land before training ends.
-    drainFinalHandles(0);
-}
-
-void
-NodeTrainer::drainFinalHandles(std::size_t l)
-{
-    if (l == _spec.layers.size()) {
-        finishRun();
-        return;
+    // All weight gradients must land before training ends.
+    for (std::size_t l = 0; l < layers; ++l) {
+        auto h = std::exchange(wg[l], nullptr);
+        auto blocked = co_await settle(h);
+        co_await compute(l, settled(l, CommSlot::WeightGrad, h, blocked));
     }
-    auto handle = std::move(_wgHandles[l]);
-    _wgHandles[l] = nullptr;
-    const bool had_comm = handle != nullptr;
-    waitHandle(handle, l, &_stats[l].commWg, [this, l, had_comm] {
-        const Tick update =
-            had_comm ? _spec.layers[l].updateDelay(CommSlot::WeightGrad)
-                     : 0;
-        compute(l, update, [this, l] { drainFinalHandles(l + 1); });
-    });
-}
-
-void
-NodeTrainer::finishRun()
-{
-    _finished = true;
-    _finishedAt = _sys.now();
-    if (_onFinish)
-        _onFinish();
 }
 
 Tick
@@ -308,38 +203,12 @@ NodeTrainer::totalCompute() const
 
 // --- WorkloadRun ----------------------------------------------------------
 
-WorkloadRun::WorkloadRun(Cluster &cluster, WorkloadSpec spec,
-                         TrainerOptions opts)
-    : _cluster(cluster), _spec(std::move(spec)), _opts(std::move(opts))
-{
-    _trainers.reserve(std::size_t(cluster.numNodes()));
-    _unfinished = cluster.numNodes();
-    for (NodeId n = 0; n < cluster.numNodes(); ++n) {
-        _trainers.push_back(std::make_unique<NodeTrainer>(
-            cluster.node(n), _spec, _opts, [this] { --_unfinished; }));
-    }
-}
-
-Tick
-WorkloadRun::run()
-{
-    for (auto &t : _trainers)
-        t->start();
-    _cluster.run();
-    if (_unfinished != 0)
-        fatal("%d trainers did not finish (deadlock?)", _unfinished);
-    _makespan = 0;
-    for (auto &t : _trainers)
-        _makespan = std::max(_makespan, t->totalTime());
-    return _makespan;
-}
-
 double
 WorkloadRun::exposedRatio() const
 {
     if (_makespan == 0)
         return 0;
-    return static_cast<double>(_trainers.front()->totalExposed()) /
+    return static_cast<double>(_nodes.front()->totalExposed()) /
            static_cast<double>(_makespan);
 }
 
@@ -348,7 +217,7 @@ WorkloadRun::computeRatio() const
 {
     if (_makespan == 0)
         return 0;
-    return static_cast<double>(_trainers.front()->totalCompute()) /
+    return static_cast<double>(_nodes.front()->totalCompute()) /
            static_cast<double>(_makespan);
 }
 

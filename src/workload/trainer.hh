@@ -3,7 +3,7 @@
  * The workload layer: the distributed training loop (Sec. IV-A).
  *
  * Every NPU runs an identical synchronous-training loop over the
- * workload's layers, for num-passes iterations:
+ * workload's layers, for num-passes iterations (NodeTrainer::body):
  *
  *   forward, layer 0..L-1:
  *     - wait for the layer's weight-gradient collective from the
@@ -36,12 +36,9 @@
 #ifndef ASTRA_WORKLOAD_TRAINER_HH
 #define ASTRA_WORKLOAD_TRAINER_HH
 
-#include <functional>
-#include <memory>
 #include <vector>
 
-#include "core/cluster.hh"
-#include "workload/layer.hh"
+#include "workload/node_program.hh"
 
 namespace astra
 {
@@ -75,22 +72,12 @@ struct LayerRunStats
 /**
  * The training loop of one NPU.
  */
-class NodeTrainer
+class NodeTrainer : public NodeProgram
 {
   public:
     NodeTrainer(Sys &sys, const WorkloadSpec &spec,
                 const TrainerOptions &opts,
                 std::function<void()> on_finish);
-
-    /** Kick off pass 0 (schedules events; run the cluster to advance). */
-    void start();
-
-    bool finished() const { return _finished; }
-    Tick startedAt() const { return _startedAt; }
-    Tick finishedAt() const { return _finishedAt; }
-
-    /** Wall-clock of the whole run at this node. */
-    Tick totalTime() const { return _finishedAt - _startedAt; }
 
     const std::vector<LayerRunStats> &layerStats() const { return _stats; }
 
@@ -101,78 +88,53 @@ class NodeTrainer
     Tick totalCompute() const;
 
   private:
-    void beginPass();
-    void forwardLayer(std::size_t l);
-    void forwardCompute(std::size_t l);
-    void backwardLayer(std::size_t l);
-    void backwardWeight(std::size_t l);
-    void finishPass();
-    void drainFinalHandles(std::size_t l);
-    void finishRun();
-
-    /** Dimension group for @p slot (may be empty: no communication). */
-    const std::vector<int> &dimsFor(CommSlot slot) const;
+    Schedule body() override;
 
     /** Issue @p slot's collective for layer @p l; null if none. */
     std::shared_ptr<CollectiveHandle> issue(std::size_t l, CommSlot slot);
 
     /**
-     * Continue with @p cont once @p handle (nullable) completes,
-     * charging blocked time to layer @p l as exposed communication and
-     * accumulating the raw latency into @p raw_acc.
+     * Account a settled @p slot collective of layer @p l: time spent
+     * @p blocked on it is exposed communication, its latency is added
+     * to the slot's total. @return the local update delay it incurs.
      */
-    void waitHandle(const std::shared_ptr<CollectiveHandle> &handle,
-                    std::size_t l, Tick *raw_acc,
-                    std::function<void()> cont);
+    Tick settled(std::size_t l, CommSlot slot,
+                 const std::shared_ptr<CollectiveHandle> &handle,
+                 std::optional<Tick> blocked);
 
     /** Busy the NPU for @p cycles of compute charged to layer @p l. */
-    void compute(std::size_t l, Tick cycles, EventCallback cont);
+    Busy compute(std::size_t l, Tick cycles);
 
     /** Compute delay under the compute-power scale. */
     Tick scaled(Tick base) const;
 
-    Sys &_sys;
     const WorkloadSpec &_spec;
     TrainerOptions _opts;
-    std::function<void()> _onFinish;
 
     std::vector<int> _dataDims;
     std::vector<int> _modelDims;
-    static const std::vector<int> kNoDims;
 
-    int _pass = 0;
-    bool _finished = false;
-    Tick _startedAt = 0;
-    Tick _finishedAt = 0;
     std::vector<LayerRunStats> _stats;
-    /** Outstanding weight-gradient handles, per layer. */
-    std::vector<std::shared_ptr<CollectiveHandle>> _wgHandles;
 };
 
 /**
  * A cluster-wide training run: one NodeTrainer per NPU.
  */
-class WorkloadRun
+class WorkloadRun : public NodeRun<NodeTrainer, TrainerOptions>
 {
   public:
-    WorkloadRun(Cluster &cluster, WorkloadSpec spec, TrainerOptions opts);
+    using NodeRun::NodeRun;
 
-    /** Run to completion; @return the makespan (max node total time). */
-    Tick run();
-
-    const WorkloadSpec &spec() const { return _spec; }
     const NodeTrainer &trainer(NodeId n) const
     {
-        return *_trainers.at(std::size_t(n));
+        return *_nodes.at(std::size_t(n));
     }
 
     /** Node 0's per-layer stats (nodes are symmetric). */
     const std::vector<LayerRunStats> &layerStats() const
     {
-        return _trainers.front()->layerStats();
+        return _nodes.front()->layerStats();
     }
-
-    Tick makespan() const { return _makespan; }
 
     /** Exposed-communication ratio: exposed / makespan (Fig. 17/18). */
     double exposedRatio() const;
@@ -186,14 +148,6 @@ class WorkloadRun
      * Call after run().
      */
     void exportStats(StatGroup &g) const;
-
-  private:
-    Cluster &_cluster;
-    WorkloadSpec _spec;
-    TrainerOptions _opts;
-    std::vector<std::unique_ptr<NodeTrainer>> _trainers;
-    int _unfinished = 0;
-    Tick _makespan = 0;
 };
 
 } // namespace astra

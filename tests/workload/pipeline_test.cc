@@ -155,5 +155,20 @@ TEST(Pipeline, Deterministic)
     EXPECT_EQ(once(), once());
 }
 
+TEST(Pipeline, BudgetTripIsAnOutcomeNotAFatal)
+{
+    // As Trainer.BudgetTripIsAnOutcomeNotAFatal: nodes left waiting on
+    // transfers or compute end the run BudgetExceeded, not fatal.
+    SimConfig cfg;
+    cfg.torus(2, 4, 1);
+    cfg.maxEvents = 1000;
+    Cluster cluster(cfg);
+    PipelineRun run(cluster, syntheticWorkload(8, 5'000, 512 * KiB),
+                    PipelineOptions{.numPasses = 2, .microbatches = 4});
+    EXPECT_NO_THROW(run.run());
+    EXPECT_EQ(cluster.outcome(), RunOutcome::BudgetExceeded);
+    EXPECT_EQ(run.makespan(), 0u);
+}
+
 } // namespace
 } // namespace astra

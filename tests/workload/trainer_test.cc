@@ -210,5 +210,39 @@ TEST(Trainer, RejectsBadOptions)
                  FatalError);
 }
 
+TEST(Trainer, BudgetTripIsAnOutcomeNotAFatal)
+{
+    // A tripped budget leaves every trainer suspended mid-schedule: the
+    // run ends BudgetExceeded instead of reporting a deadlock, and
+    // destroying it frees the suspended schedules.
+    SimConfig cfg;
+    cfg.torus(2, 2, 2);
+    cfg.maxEvents = 1000;
+    Cluster cluster(cfg);
+    WorkloadRun run(cluster, resnet50Workload(),
+                    TrainerOptions{.numPasses = 1});
+    EXPECT_NO_THROW(run.run());
+    EXPECT_EQ(cluster.outcome(), RunOutcome::BudgetExceeded);
+    EXPECT_FALSE(run.trainer(0).finished());
+    EXPECT_EQ(run.makespan(), 0u);
+}
+
+TEST(Trainer, FatalInsideAResumedScheduleReachesTheCaller)
+{
+    // The schedule rethrows: a FatalError raised while an event resumes
+    // it (here a weight-gradient collective over a dimension the
+    // topology lacks, issued after the first compute event) leaves
+    // run() as that exception.
+    SimConfig cfg;
+    cfg.torus(2, 2, 2);
+    Cluster cluster(cfg);
+    WorkloadSpec spec = syntheticWorkload(2, 1000, 64 * KiB,
+                                          ParallelismKind::Data);
+    WorkloadRun run(cluster, spec,
+                    TrainerOptions{.numPasses = 1, .dataDims = {7}});
+    EXPECT_THROW(run.run(), FatalError);
+    EXPECT_GT(cluster.eventQueue().now(), 0u);
+}
+
 } // namespace
 } // namespace astra

@@ -25,9 +25,9 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <string>
-
+#include <functional>
 #include <memory>
+#include <string>
 
 #include "common/check.hh"
 #include "common/csv.hh"
@@ -297,6 +297,57 @@ writeReportJson(const CliOptions &opts, const Cluster &cluster)
     std::printf("wrote metric report: %s\n", opts.reportJson.c_str());
 }
 
+/**
+ * Print the event digest (--digest) and, under --digest=verify, run
+ * the determinism audit: @p rerun on an identical platform must
+ * replay the exact same event stream and @p result.
+ */
+void
+reportDigest(const CliOptions &opts, const SimConfig &cfg,
+             const Cluster &cluster, Tick result,
+             const std::function<Tick(Cluster &)> &rerun)
+{
+    if (opts.digest)
+        std::printf("event digest: %s\n",
+                    formatDigest(cluster.digest()).c_str());
+    if (!opts.digestVerify)
+        return;
+    Cluster second(cfg);
+    const Tick t2 = rerun(second);
+    ASTRA_CHECK(t2 == result && second.digest() == cluster.digest(),
+                "determinism audit failed: run 1 (%llu cycles, "
+                "digest %s) != run 2 (%llu cycles, digest %s)",
+                static_cast<unsigned long long>(result),
+                formatDigest(cluster.digest()).c_str(),
+                static_cast<unsigned long long>(t2),
+                formatDigest(second.digest()).c_str());
+    std::printf("determinism audit: two runs identical (%s)\n",
+                formatDigest(cluster.digest()).c_str());
+}
+
+/**
+ * Print a workload run's result table, export it as --report-csv and,
+ * under --report-json, the cluster's metrics plus the run's own
+ * (Run::exportStats) as group @p group.
+ */
+template <typename Run>
+void
+writeRunReport(const CliOptions &opts, const Cluster &cluster,
+               const Table &t, const Run &run, const char *group)
+{
+    t.print();
+    if (!opts.reportCsv.empty())
+        t.writeCsv(opts.reportCsv);
+    if (!opts.reportJson.empty()) {
+        MetricRegistry reg = cluster.exportMetrics();
+        run.exportStats(reg.group(group));
+        reg.writeFile(opts.reportJson);
+        std::printf("wrote metric report: %s\n",
+                    opts.reportJson.c_str());
+    }
+    std::printf("\n");
+}
+
 int
 runCollectiveMode(const CliOptions &opts, SimConfig cfg)
 {
@@ -308,24 +359,9 @@ runCollectiveMode(const CliOptions &opts, SimConfig cfg)
     const Tick t = cluster.runCollective(kind, opts.bytes);
     std::printf("%s %s: %s\n\n", formatBytes(opts.bytes).c_str(),
                 toString(kind), formatTicks(t).c_str());
-    if (opts.digest)
-        std::printf("event digest: %s\n",
-                    formatDigest(cluster.digest()).c_str());
-    if (opts.digestVerify) {
-        // Determinism audit: an identical platform must replay the
-        // exact same event stream.
-        Cluster second(cfg);
-        const Tick t2 = second.runCollective(kind, opts.bytes);
-        ASTRA_CHECK(t2 == t && second.digest() == cluster.digest(),
-                    "determinism audit failed: run 1 (%llu cycles, "
-                    "digest %s) != run 2 (%llu cycles, digest %s)",
-                    static_cast<unsigned long long>(t),
-                    formatDigest(cluster.digest()).c_str(),
-                    static_cast<unsigned long long>(t2),
-                    formatDigest(second.digest()).c_str());
-        std::printf("determinism audit: two runs identical (%s)\n",
-                    formatDigest(cluster.digest()).c_str());
-    }
+    reportDigest(opts, cfg, cluster, t, [&](Cluster &c) {
+        return c.runCollective(kind, opts.bytes);
+    });
     StatGroup stats = cluster.aggregateStats();
     printBreakdown(stats);
     writeReportJson(opts, cluster);
@@ -557,11 +593,11 @@ runWorkloadMode(const CliOptions &opts, SimConfig cfg)
     Cluster cluster(cfg);
 
     if (opts.pipelineMicrobatches > 0) {
-        PipelineRun run(cluster, spec,
-                        PipelineOptions{
-                            .numPasses = opts.numPasses,
-                            .microbatches = opts.pipelineMicrobatches,
-                            .computeScale = opts.computeScale});
+        const PipelineOptions popts{
+            .numPasses = opts.numPasses,
+            .microbatches = opts.pipelineMicrobatches,
+            .computeScale = opts.computeScale};
+        PipelineRun run(cluster, spec, popts);
         const Tick makespan = run.run();
         Table t;
         t.header({"stage", "layers", "compute", "bubble", "wg_comm"});
@@ -574,61 +610,20 @@ runWorkloadMode(const CliOptions &opts, SimConfig cfg)
                 .cell(std::uint64_t(st.bubble))
                 .cell(std::uint64_t(st.commWg));
         }
-        t.print();
-        if (!opts.reportCsv.empty())
-            t.writeCsv(opts.reportCsv);
-        if (!opts.reportJson.empty()) {
-            MetricRegistry reg = cluster.exportMetrics();
-            StatGroup &pl = reg.group("pipeline");
-            pl.set("makespan.ticks", double(makespan));
-            pl.set("bubble.ratio", run.bubbleRatio());
-            pl.set("stages", double(run.numStages()));
-            for (int s = 0; s < run.numStages(); ++s) {
-                const StageStats &st = run.stage(s);
-                const std::string prefix = strprintf("stage%d.", s);
-                pl.set(prefix + "layers", double(st.layers));
-                pl.set(prefix + "compute", double(st.compute));
-                pl.set(prefix + "bubble", double(st.bubble));
-                pl.set(prefix + "comm_wg", double(st.commWg));
-            }
-            reg.writeFile(opts.reportJson);
-            std::printf("wrote metric report: %s\n",
-                        opts.reportJson.c_str());
-        }
-        std::printf("\n");
+        writeRunReport(opts, cluster, t, run, "pipeline");
         printEnergy(cluster.network().energy());
-        if (opts.digest)
-            std::printf("event digest: %s\n",
-                        formatDigest(cluster.digest()).c_str());
-        if (opts.digestVerify) {
-            Cluster second(cfg);
-            PipelineRun rerun(
-                second, spec,
-                PipelineOptions{
-                    .numPasses = opts.numPasses,
-                    .microbatches = opts.pipelineMicrobatches,
-                    .computeScale = opts.computeScale});
-            const Tick m2 = rerun.run();
-            ASTRA_CHECK(m2 == makespan &&
-                            second.digest() == cluster.digest(),
-                        "determinism audit failed: run 1 (%llu cycles, "
-                        "digest %s) != run 2 (%llu cycles, digest %s)",
-                        static_cast<unsigned long long>(makespan),
-                        formatDigest(cluster.digest()).c_str(),
-                        static_cast<unsigned long long>(m2),
-                        formatDigest(second.digest()).c_str());
-            std::printf("determinism audit: two runs identical (%s)\n",
-                        formatDigest(cluster.digest()).c_str());
-        }
+        reportDigest(opts, cfg, cluster, makespan, [&](Cluster &c) {
+            return PipelineRun(c, spec, popts).run();
+        });
         std::printf("\nmakespan: %s, pipeline bubble: %.1f%%\n",
                     formatTicks(makespan).c_str(),
                     100 * run.bubbleRatio());
         return reportOutcome(cluster);
     }
 
-    WorkloadRun run(cluster, spec,
-                    TrainerOptions{.numPasses = opts.numPasses,
-                                   .computeScale = opts.computeScale});
+    const TrainerOptions topts{.numPasses = opts.numPasses,
+                               .computeScale = opts.computeScale};
+    WorkloadRun run(cluster, spec, topts);
     const Tick makespan = run.run();
 
     Table t;
@@ -645,41 +640,12 @@ runWorkloadMode(const CliOptions &opts, SimConfig cfg)
             .cell(std::uint64_t(stats[i].commWg))
             .cell(std::uint64_t(stats[i].exposed));
     }
-    t.print();
-    if (!opts.reportCsv.empty())
-        t.writeCsv(opts.reportCsv);
-    if (!opts.reportJson.empty()) {
-        MetricRegistry reg = cluster.exportMetrics();
-        run.exportStats(reg.group("workload"));
-        reg.writeFile(opts.reportJson);
-        std::printf("wrote metric report: %s\n",
-                    opts.reportJson.c_str());
-    }
-
-    std::printf("\n");
+    writeRunReport(opts, cluster, t, run, "workload");
     printBreakdown(cluster.aggregateStats());
     printEnergy(cluster.network().energy());
-    if (opts.digest)
-        std::printf("event digest: %s\n",
-                    formatDigest(cluster.digest()).c_str());
-    if (opts.digestVerify) {
-        Cluster second(cfg);
-        WorkloadRun rerun(second, spec,
-                          TrainerOptions{
-                              .numPasses = opts.numPasses,
-                              .computeScale = opts.computeScale});
-        const Tick m2 = rerun.run();
-        ASTRA_CHECK(m2 == makespan &&
-                        second.digest() == cluster.digest(),
-                    "determinism audit failed: run 1 (%llu cycles, "
-                    "digest %s) != run 2 (%llu cycles, digest %s)",
-                    static_cast<unsigned long long>(makespan),
-                    formatDigest(cluster.digest()).c_str(),
-                    static_cast<unsigned long long>(m2),
-                    formatDigest(second.digest()).c_str());
-        std::printf("determinism audit: two runs identical (%s)\n",
-                    formatDigest(cluster.digest()).c_str());
-    }
+    reportDigest(opts, cfg, cluster, makespan, [&](Cluster &c) {
+        return WorkloadRun(c, spec, topts).run();
+    });
     std::printf("\nmakespan: %s\n", formatTicks(makespan).c_str());
     std::printf("compute: %.1f%%  exposed communication: %.1f%%\n",
                 100 * run.computeRatio(), 100 * run.exposedRatio());

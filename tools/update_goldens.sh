@@ -40,6 +40,12 @@ cases+=("--model=gpt2 --pipeline=64 --num-packages=4 --package-rows=4 --local-di
 for model in resnet50 transformer dlrm vgg16; do
     cases+=("--model=$model --num-packages=2 --package-rows=2 --local-dim=2")
 done
+# Paths no single-pass line reaches: the weight-update delays of pass
+# > 0, straggler compute scaling (node 5 at x1.5 in the faulty config)
+# and the pass-dependent point-to-point tags of the pipeline.
+cases+=("--model=transformer --num-passes=2 --num-packages=2 --package-rows=2 --local-dim=2")
+cases+=("--model=transformer --num-passes=2 --config=configs/faulty_4x4x4.cfg")
+cases+=("--model=gpt2 --pipeline=16 --num-passes=2 --num-packages=4 --package-rows=4 --local-dim=2")
 
 tmp="$(mktemp)"
 report="$(mktemp)"
