@@ -1,6 +1,6 @@
-// astra-lint: hot-path (per-flit hop scheduling lives here; packets
-// come from allocPacket()'s arena, not the heap — the three allows
-// below mark the per-message setup and the arena's own growth)
+// astra-lint: hot-path (per-flit hop scheduling lives here; messages
+// and packets come from the allocMessage() slab and the allocPacket()
+// arena, not the heap — the two allows below mark their growth)
 #include "net/garnet_lite.hh"
 
 #include <algorithm>
@@ -23,6 +23,7 @@ GarnetLiteNetwork::GarnetLiteNetwork(EventQueue &eq, const Topology &topo,
       _bufferCapacityFlits(cfg.vcsPerVnet * cfg.buffersPerVc),
       _protocolDelay(cfg.scaleoutProtocolDelay),
       _links(std::size_t(_fabric.numLinks())),
+      _maxHops(_fabric.maxRouteLength()),
       _validate(validationAtLeast(ValidateLevel::kBasic)),
       _coalesce(cfg.netCoalesce),
       _metrics(cfg.netMetrics),
@@ -38,6 +39,20 @@ GarnetLiteNetwork::GarnetLiteNetwork(EventQueue &eq, const Topology &topo,
     for (LinkId l = 0; l < _fabric.numLinks(); ++l)
         ++counts[std::size_t(_fabric.link(l).dim)];
     setupUtilLanes(std::move(names), std::move(counts));
+
+    // flitTxTime() table. Packets are sized by their first link's class
+    // and may cross links of another, so each class covers the largest
+    // packet of any.
+    int max_flits = 0;
+    for (std::size_t c = 0; c < kLinkClasses; ++c)
+        max_flits = std::max(
+            max_flits, flitsOf(_fabric.params(LinkClass(c)).packetSize));
+    _txFlits = std::min(std::size_t(max_flits) + 1, kMaxTxTableFlits);
+    _txTime.resize(kLinkClasses * _txFlits);
+    for (std::size_t c = 0; c < kLinkClasses; ++c) {
+        for (std::size_t f = 0; f < _txFlits; ++f)
+            _txTime[c * _txFlits + f] = computeTxTime(LinkClass(c), int(f));
+    }
 }
 
 int
@@ -48,7 +63,7 @@ GarnetLiteNetwork::flitsOf(Bytes bytes) const
 }
 
 Tick
-GarnetLiteNetwork::flitTxTime(LinkClass cls, int flits) const
+GarnetLiteNetwork::computeTxTime(LinkClass cls, int flits) const
 {
     const LinkParams &p = _fabric.params(cls);
     const double bytes = static_cast<double>(flits) * _flitBytes;
@@ -56,72 +71,102 @@ GarnetLiteNetwork::flitTxTime(LinkClass cls, int flits) const
         std::ceil(bytes / (p.bandwidth * p.efficiency)));
 }
 
+std::uint32_t
+GarnetLiteNetwork::allocMessage()
+{
+    if (_freeMessages.empty()) {
+        const auto base = static_cast<std::uint32_t>(
+            _messageChunks.size() * kMessageChunk);
+        // Slab growth: amortized over every later reuse of the slots.
+        _messageChunks.push_back(std::make_unique<MessageState[]>(kMessageChunk)); // astra-lint: allow(hot-path-alloc)
+        _routes.resize(_messageChunks.size() * kMessageChunk * _maxHops);
+        // Reverse order so the lowest new slot is handed out first.
+        for (std::size_t i = kMessageChunk; i-- > 0;)
+            _freeMessages.push_back(base + static_cast<std::uint32_t>(i));
+    }
+    const std::uint32_t slot = _freeMessages.back();
+    _freeMessages.pop_back();
+    return slot;
+}
+
+Message
+GarnetLiteNetwork::releaseMessage(std::uint32_t slot)
+{
+    Message msg = std::move(messageAt(slot).msg);
+    _freeMessages.push_back(slot);
+    return msg;
+}
+
 void
 GarnetLiteNetwork::send(Message msg)
 {
     msg.sentAt = _eq.now();
-    if (msg.src == msg.dst) {
-        _eq.scheduleAfter(1, [this, msg] { deliver(msg); });
+    const std::uint32_t slot = allocMessage();
+    MessageState &ms = messageAt(slot);
+    ms.msg = std::move(msg);
+    ms.hops = 0;
+    ms.lost = false;
+    ms.lostLink = -1;
+    if (ms.msg.src == ms.msg.dst) {
+        _eq.scheduleAfter(1, Deliver{this, slot});
         return;
     }
-    // Once per message, not per flit: the route is shared by every
-    // packet of the message.
-    auto path = std::make_shared< // astra-lint: allow(hot-path-alloc)
-        std::vector<LinkId>>(_fabric.resolve(msg.src, msg.dst, msg.hint));
-    const Bytes pkt_size =
-        _fabric.linkParams((*path)[0]).packetSize;
+    _resolved.clear();
+    _fabric.resolve(ms.msg.src, ms.msg.dst, ms.msg.hint, _resolved);
+    if (_resolved.size() > _maxHops)
+        panic("route of %zu links exceeds the fabric bound %zu",
+              _resolved.size(), _maxHops);
+    std::copy(_resolved.begin(), _resolved.end(), routeOf(slot));
+    ms.hops = static_cast<std::uint32_t>(_resolved.size());
+    const Bytes pkt_size = _fabric.linkParams(_resolved[0]).packetSize;
     const int npackets = static_cast<int>(
-        std::max<Bytes>(1, (msg.bytes + pkt_size - 1) / pkt_size));
+        std::max<Bytes>(1, (ms.msg.bytes + pkt_size - 1) / pkt_size));
+    ms.packetsLeft = npackets;
+    ms.packetsUninjected = npackets;
 
-    // Once per message.
-    auto ms = std::make_shared<MessageState>( // astra-lint: allow(hot-path-alloc)
-        MessageState{std::move(msg), npackets, npackets});
-
-    Tick proto = 0;
-    for (LinkId l : *path) {
-        if (_fabric.link(l).cls == LinkClass::ScaleOut) {
-            proto = _protocolDelay;
-            break;
-        }
-    }
-    if (proto > 0) {
-        _eq.scheduleAfter(proto, [this, ms, path] { inject(ms, path); });
+    if (_protocolDelay > 0 &&
+        std::any_of(_resolved.begin(), _resolved.end(), [this](LinkId l) {
+            return _fabric.link(l).cls == LinkClass::ScaleOut;
+        })) {
+        _eq.scheduleAfter(_protocolDelay, Inject{this, slot});
         return;
     }
-    inject(ms, path);
+    inject(slot);
 }
 
 void
-GarnetLiteNetwork::inject(const MessageRef &ms,
-                          const std::shared_ptr<std::vector<LinkId>> &path)
+GarnetLiteNetwork::inject(std::uint32_t slot)
 {
     if (_injection == InjectionPolicy::Aggressive) {
-        while (ms->packetsUninjected > 0)
-            injectNext(ms, path);
+        // Only this loop injects an Aggressive message, so the count is
+        // fixed up front: the last packet may complete the message (a
+        // drop on a dead link) and free the slot for reuse.
+        for (int n = messageAt(slot).packetsUninjected; n > 0; --n)
+            injectNext(slot);
     } else {
-        injectNext(ms, path);
+        injectNext(slot);
     }
 }
 
 void
-GarnetLiteNetwork::injectNext(
-    const MessageRef &ms, const std::shared_ptr<std::vector<LinkId>> &path)
+GarnetLiteNetwork::injectNext(std::uint32_t slot)
 {
-    if (ms->packetsUninjected <= 0)
+    MessageState &ms = messageAt(slot);
+    if (ms.packetsUninjected <= 0)
         return;
-    const Bytes pkt_size = _fabric.linkParams((*path)[0]).packetSize;
-    const int idx = ms->packetsLeft - ms->packetsUninjected;
-    --ms->packetsUninjected;
+    const LinkId first = routeOf(slot)[0];
+    const Bytes pkt_size = _fabric.linkParams(first).packetSize;
+    const int idx = ms.packetsLeft - ms.packetsUninjected;
+    --ms.packetsUninjected;
 
     // The final packet carries the remainder.
-    Bytes remaining = ms->msg.bytes - Bytes(idx) * pkt_size;
+    Bytes remaining = ms.msg.bytes - Bytes(idx) * pkt_size;
     Bytes bytes = std::min(pkt_size, remaining);
-    if (ms->msg.bytes == 0)
+    if (ms.msg.bytes == 0)
         bytes = 0; // zero-byte control message: one minimal packet
 
     Packet *pkt = allocPacket();
-    pkt->parent = ms;
-    pkt->path = path;
+    pkt->msg = slot;
     pkt->hop = 0;
     pkt->bytes = bytes;
     pkt->flits = flitsOf(bytes);
@@ -130,8 +175,8 @@ GarnetLiteNetwork::injectNext(
     ++_injectedPackets;
     _injectedFlits += std::uint64_t(pkt->flits);
 
-    _links[std::size_t((*path)[0])].waiting.push_back(pkt);
-    pump((*path)[0]);
+    _links[std::size_t(first)].push(pkt);
+    pump(first);
 }
 
 void
@@ -142,7 +187,7 @@ GarnetLiteNetwork::schedulePump(LinkId l, Tick when)
     if (ls.pumpAt <= when)
         return; // an earlier (or equal) pump is already on the way
     ls.pumpAt = when;
-    _eq.schedule(when, [this, l] { pump(l); });
+    _eq.schedule(when, Pump{this, l});
 }
 
 void
@@ -154,8 +199,8 @@ GarnetLiteNetwork::pump(LinkId l)
     const LinkDesc &desc = _fabric.link(l);
     const LinkParams &p = _fabric.params(desc.cls);
 
-    while (!ls.waiting.empty()) {
-        PacketRef pkt = ls.waiting.front();
+    while (ls.head) {
+        PacketRef pkt = ls.head;
 
         // Credit check: room in the downstream input buffer?
         if (ls.bufferOcc + pkt->flits > _bufferCapacityFlits) {
@@ -181,7 +226,7 @@ GarnetLiteNetwork::pump(LinkId l)
             const bool batchable =
                 _coalesce && !faults() && pkt->hop == 0 &&
                 (_injection == InjectionPolicy::Aggressive ||
-                 pkt->parent->packetsUninjected <= 0);
+                 messageAt(pkt->msg).packetsUninjected <= 0);
             if (!batchable) {
                 schedulePump(l, ls.freeAt);
                 return;
@@ -204,11 +249,8 @@ GarnetLiteNetwork::pump(LinkId l)
                 }
                 // Down for the rest of the run: the queue can never
                 // drain; every waiter is a loss.
-                while (!ls.waiting.empty()) {
-                    PacketRef dead = ls.waiting.front();
-                    ls.waiting.pop_front();
-                    dropPacket(dead, l, now);
-                }
+                while (ls.head)
+                    dropPacket(ls.pop(), l, now);
                 return;
             }
             if (factor < 1.0)
@@ -221,7 +263,7 @@ GarnetLiteNetwork::pump(LinkId l)
         }
 
         // Grant.
-        ls.waiting.pop_front();
+        ls.pop();
         ls.freeAt = start + tx;
         if (!dropped) {
             ls.bufferOcc += pkt->flits;
@@ -255,7 +297,7 @@ GarnetLiteNetwork::pump(LinkId l)
         if (pkt->hop > 0) {
             // Leaving the previous link's downstream buffer: release
             // those credits and let its waiters retry.
-            const LinkId up = (*pkt->path)[pkt->hop - 1];
+            const LinkId up = routeOf(pkt->msg)[pkt->hop - 1];
             _links[std::size_t(up)].bufferOcc -= pkt->flits;
             if (_validate)
                 validate::creditBounds(int(up),
@@ -265,11 +307,11 @@ GarnetLiteNetwork::pump(LinkId l)
         } else if (_injection == InjectionPolicy::Normal) {
             // Paced injection: next packet enters once this one has
             // been granted the first link.
-            injectNext(pkt->parent, pkt->path);
+            injectNext(pkt->msg);
         }
 
         const Tick arrival = start + tx + p.latency + _routerLatency;
-        _eq.schedule(arrival, [this, pkt, l] { arrive(pkt, l); });
+        _eq.schedule(arrival, Arrive{this, pkt, l});
     }
 }
 
@@ -279,8 +321,9 @@ GarnetLiteNetwork::arrive(PacketRef pkt, LinkId l)
     const Tick now = _eq.now();
     if (_metrics)
         _hopLatency.record(static_cast<double>(now - pkt->waitSince));
-    ++pkt->hop;
-    if (pkt->hop == pkt->path->size()) {
+    const std::uint32_t slot = pkt->msg;
+    MessageState &ms = messageAt(slot);
+    if (++pkt->hop == ms.hops) {
         // Ejected at the destination NPU: credits return immediately.
         _links[std::size_t(l)].bufferOcc -= pkt->flits;
         if (_validate)
@@ -290,22 +333,24 @@ GarnetLiteNetwork::arrive(PacketRef pkt, LinkId l)
         schedulePump(l, now);
         ++_deliveredPackets;
         _retiredFlits += std::uint64_t(pkt->flits);
-        MessageRef parent = pkt->parent;
         recyclePacket(pkt);
-        if (--parent->packetsLeft == 0) {
+        if (--ms.packetsLeft == 0) {
             // A message with any dropped packet is incomplete at the
             // destination no matter how many packets made it.
-            if (parent->lost)
-                notifyLoss(parent->msg, parent->lostLink);
+            const bool lost = ms.lost;
+            const int lost_link = ms.lostLink;
+            const Message msg = releaseMessage(slot);
+            if (lost)
+                notifyLoss(msg, lost_link);
             else
-                deliver(parent->msg);
+                deliver(msg);
         }
         return;
     }
-    const LinkId next = (*pkt->path)[pkt->hop];
+    const LinkId next = routeOf(slot)[pkt->hop];
     pkt->waitSince = now;
     pkt->creditStallSince = kTickInvalid;
-    _links[std::size_t(next)].waiting.push_back(pkt);
+    _links[std::size_t(next)].push(pkt);
     pump(next);
 }
 
@@ -317,7 +362,7 @@ GarnetLiteNetwork::dropPacket(PacketRef pkt, LinkId l, Tick now)
     if (pkt->hop > 0) {
         // The packet dies holding the previous link's downstream
         // buffer space: reclaim those credits and wake its waiters.
-        const LinkId up = (*pkt->path)[pkt->hop - 1];
+        const LinkId up = routeOf(pkt->msg)[pkt->hop - 1];
         _links[std::size_t(up)].bufferOcc -= pkt->flits;
         if (_validate)
             validate::creditBounds(int(up),
@@ -327,16 +372,21 @@ GarnetLiteNetwork::dropPacket(PacketRef pkt, LinkId l, Tick now)
     } else if (_injection == InjectionPolicy::Normal) {
         // Dropped at its source link: keep the injection pipeline
         // moving exactly as a granted packet would have.
-        injectNext(pkt->parent, pkt->path);
+        injectNext(pkt->msg);
     }
-    MessageRef parent = pkt->parent;
+    // The slot outlives the nested injection above: this packet still
+    // counts in packetsLeft.
+    const std::uint32_t slot = pkt->msg;
+    MessageState &ms = messageAt(slot);
     recyclePacket(pkt);
-    if (!parent->lost) {
-        parent->lost = true;
-        parent->lostLink = int(l);
+    if (!ms.lost) {
+        ms.lost = true;
+        ms.lostLink = int(l);
     }
-    if (--parent->packetsLeft == 0)
-        notifyLoss(parent->msg, parent->lostLink);
+    if (--ms.packetsLeft == 0) {
+        const int lost_link = ms.lostLink;
+        notifyLoss(releaseMessage(slot), lost_link);
+    }
 }
 
 auto
@@ -355,10 +405,6 @@ GarnetLiteNetwork::allocPacket() -> Packet *
 void
 GarnetLiteNetwork::recyclePacket(Packet *pkt)
 {
-    // Release the message/path references now so recycling a packet
-    // cannot pin a completed message's payload in memory.
-    pkt->parent.reset();
-    pkt->path.reset();
     _packetFree.push_back(pkt);
 }
 

@@ -26,7 +26,7 @@
 #ifndef ASTRA_NET_GARNET_LITE_HH
 #define ASTRA_NET_GARNET_LITE_HH
 
-#include <deque>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -74,6 +74,20 @@ class GarnetLiteNetwork : public NetworkApi
      */
     std::size_t allocatedPackets() const { return _packetArena.size(); }
 
+    /** Messages sent but not yet delivered or lost (for tests). */
+    std::size_t
+    liveMessages() const
+    {
+        return messageSlots() - _freeMessages.size();
+    }
+
+    /** Message slots ever allocated (slab capacity, whole chunks). */
+    std::size_t
+    messageSlots() const
+    {
+        return _messageChunks.size() * kMessageChunk;
+    }
+
     /** Total packets handed to the injection queues. */
     std::uint64_t injectedPackets() const { return _injectedPackets; }
 
@@ -110,17 +124,24 @@ class GarnetLiteNetwork : public NetworkApi
     /**
      * Drain-time invariants: all credits returned (every input buffer
      * empty), no packet waiting on any link, injected == retired for
-     * packets and flits, and every arena Packet back on the free list.
+     * packets and flits, and every arena Packet and every message slot
+     * back on its free list.
      * Raises an ASTRA_CHECK diagnostic on violation.
      */
     void validateDrain() const;
 
   private:
+    /**
+     * One in-flight message: the message itself, the length of its
+     * resolved route (stored at routeOf(slot); 0 for loopback) and its
+     * packet counters.
+     */
     struct MessageState
     {
         Message msg;
-        int packetsLeft;
-        int packetsUninjected; //!< for Normal injection pacing
+        std::uint32_t hops = 0;
+        int packetsLeft = 0;
+        int packetsUninjected = 0; //!< for Normal injection pacing
         /**
          * Fault layer: some packet of this message was dropped, so the
          * message completes as a loss (notifyLoss) instead of a
@@ -129,23 +150,21 @@ class GarnetLiteNetwork : public NetworkApi
         bool lost = false;
         int lostLink = -1; //!< link of the first drop
     };
-    using MessageRef = std::shared_ptr<MessageState>;
 
     /**
      * One packet in flight. At any instant a packet is referenced from
-     * exactly one place — either some link's waiting queue or the one
-     * arrive() event scheduled for it — so packets are plain pointers
-     * into an arena owned by the network, recycled through a free
-     * list instead of being heap-allocated per packet. Packetizing a
-     * multi-megabyte message no longer churns the allocator: steady
-     * state reuses as many Packet objects as are concurrently in
-     * flight.
+     * exactly one place — either some link's waiting queue (threaded
+     * through `next`) or the one Arrive event scheduled for it — so
+     * packets are plain pointers into an arena owned by the network,
+     * recycled through a free list instead of being heap-allocated per
+     * packet. The parent message is a slot index: packets take no
+     * reference counts.
      */
     struct Packet
     {
-        MessageRef parent;
-        std::shared_ptr<std::vector<LinkId>> path;
-        std::size_t hop = 0;
+        Packet *next = nullptr; //!< next waiter on the same link
+        std::uint32_t msg = 0;  //!< parent message slot
+        std::uint32_t hop = 0;
         int flits = 0;
         Bytes bytes = 0;
         /** When the packet joined its current link's waiting queue. */
@@ -158,7 +177,10 @@ class GarnetLiteNetwork : public NetworkApi
     struct LinkState
     {
         Tick freeAt = 0;
-        std::deque<PacketRef> waiting;
+        /** FIFO of waiting packets, linked through Packet::next. */
+        PacketRef head = nullptr;
+        PacketRef tail = nullptr;
+        std::size_t waiting = 0; //!< queue length (drain check)
         int bufferOcc = 0; //!< flits queued in the downstream buffer
         /**
          * Earliest already-scheduled pump event (kTickInvalid: none).
@@ -167,7 +189,102 @@ class GarnetLiteNetwork : public NetworkApi
          * an O(n^2) event storm.
          */
         Tick pumpAt = kTickInvalid;
+
+        void
+        push(PacketRef pkt)
+        {
+            pkt->next = nullptr;
+            if (tail)
+                tail->next = pkt;
+            else
+                head = pkt;
+            tail = pkt;
+            ++waiting;
+        }
+
+        PacketRef
+        pop()
+        {
+            PacketRef pkt = head;
+            head = pkt->next;
+            if (!head)
+                tail = nullptr;
+            --waiting;
+            return pkt;
+        }
     };
+
+    // The events this backend schedules. Each is a couple of words, so
+    // it is stored inline in the event slab (no heap per event).
+
+    /** Try to grant the head waiter(s) of a link. */
+    struct Pump
+    {
+        GarnetLiteNetwork *net;
+        LinkId link;
+
+        void operator()() const { net->pump(link); }
+    };
+    static_assert(EventCallback::fitsInline<Pump>());
+
+    /** A packet fully arrived at the downstream end of a link. */
+    struct Arrive
+    {
+        GarnetLiteNetwork *net;
+        PacketRef pkt;
+        LinkId link;
+
+        void operator()() const { net->arrive(pkt, link); }
+    };
+    static_assert(EventCallback::fitsInline<Arrive>());
+
+    /** Begin injecting a message after the scale-out protocol delay. */
+    struct Inject
+    {
+        GarnetLiteNetwork *net;
+        std::uint32_t slot;
+
+        void operator()() const { net->inject(slot); }
+    };
+    static_assert(EventCallback::fitsInline<Inject>());
+
+    /** Deliver a loopback message (no link usage). */
+    struct Deliver
+    {
+        GarnetLiteNetwork *net;
+        std::uint32_t slot;
+
+        void operator()() const { net->deliver(net->releaseMessage(slot)); }
+    };
+    static_assert(EventCallback::fitsInline<Deliver>());
+
+    /** Message slab granularity: chunk addresses are stable. */
+    static constexpr std::size_t kMessageChunkBits = 6;
+    static constexpr std::size_t kMessageChunk =
+        std::size_t(1) << kMessageChunkBits;
+
+    MessageState &
+    messageAt(std::uint32_t slot)
+    {
+        return _messageChunks[slot >> kMessageChunkBits]
+                             [slot & (kMessageChunk - 1)];
+    }
+
+    /** The route of message @p slot (its first hops entries). */
+    LinkId *
+    routeOf(std::uint32_t slot)
+    {
+        return _routes.data() + std::size_t(slot) * _maxHops;
+    }
+
+    /** Take a free message slot, growing the slab by a chunk when dry. */
+    std::uint32_t allocMessage();
+
+    /**
+     * Free @p slot and hand back its message, so a receiver or loss
+     * handler that sends again can reuse the slot.
+     */
+    Message releaseMessage(std::uint32_t slot);
 
     /** Try to grant the head waiter(s) of link @p l. */
     void pump(LinkId l);
@@ -188,19 +305,26 @@ class GarnetLiteNetwork : public NetworkApi
      */
     void dropPacket(PacketRef pkt, LinkId l, Tick now);
 
-    /** Begin injecting @p ms (after any transport-layer delay). */
-    void inject(const MessageRef &ms,
-                const std::shared_ptr<std::vector<LinkId>> &path);
+    /** Begin injecting message @p slot (after any transport delay). */
+    void inject(std::uint32_t slot);
 
-    /** Inject the next not-yet-injected packet of @p ms. */
-    void injectNext(const MessageRef &ms,
-                    const std::shared_ptr<std::vector<LinkId>> &path);
+    /** Inject the next not-yet-injected packet of message @p slot. */
+    void injectNext(std::uint32_t slot);
 
     /** Flits in a packet of @p bytes. */
     int flitsOf(Bytes bytes) const;
 
     /** Serialization time of @p flits on a link of class @p cls. */
-    Tick flitTxTime(LinkClass cls, int flits) const;
+    Tick
+    flitTxTime(LinkClass cls, int flits) const
+    {
+        if (std::size_t(flits) < _txFlits)
+            return _txTime[std::size_t(cls) * _txFlits + std::size_t(flits)];
+        return computeTxTime(cls, flits);
+    }
+
+    /** flitTxTime() from the link parameters (fills the table). */
+    Tick computeTxTime(LinkClass cls, int flits) const;
 
     /** Take a Packet from the free list (grows the arena if dry). */
     Packet *allocPacket();
@@ -216,6 +340,26 @@ class GarnetLiteNetwork : public NetworkApi
     int _bufferCapacityFlits;
     Tick _protocolDelay; //!< scale-out transport cost per message
     std::vector<LinkState> _links;
+    /**
+     * flitTxTime() by (link class, flits): _txFlits entries per class,
+     * covering every packet size the link classes can produce (up to
+     * kMaxTxTableFlits; larger packets compute theirs).
+     */
+    static constexpr std::size_t kMaxTxTableFlits = 256;
+    static constexpr std::size_t kLinkClasses = 3; //!< LinkClass values
+    std::size_t _txFlits = 0;
+    std::vector<Tick> _txTime;
+
+    // In-flight message slab with a LIFO free list.
+    std::vector<std::unique_ptr<MessageState[]>> _messageChunks;
+    std::vector<std::uint32_t> _freeMessages;
+    /**
+     * Routes by slot, _maxHops (Fabric::maxRouteLength) links each,
+     * grown with the slab; one buffer, so resolving allocates nothing.
+     */
+    std::size_t _maxHops;
+    std::vector<LinkId> _routes;
+    std::vector<LinkId> _resolved; //!< resolve() scratch, reused
     /** Every Packet ever allocated; owns the storage _packetFree and
      *  in-flight PacketRefs point into. */
     std::vector<std::unique_ptr<Packet>> _packetArena;

@@ -81,8 +81,7 @@ GarnetLiteNetwork::validateDrain() const
 {
     for (std::size_t l = 0; l < _links.size(); ++l) {
         const LinkState &ls = _links[l];
-        validate::drainQueueEmpty("garnet-lite", int(l),
-                                  ls.waiting.size());
+        validate::drainQueueEmpty("garnet-lite", int(l), ls.waiting);
         ASTRA_CHECK(ls.bufferOcc == 0,
                     "garnet-lite drained with %d flit(s) of credit "
                     "still held in link %zu's input buffer",
@@ -97,6 +96,9 @@ GarnetLiteNetwork::validateDrain() const
                 "not returned to the free list",
                 _packetArena.size() - _packetFree.size(),
                 _packetArena.size());
+    ASTRA_CHECK(liveMessages() == 0,
+                "garnet-lite drained with %zu message slot(s) still live",
+                liveMessages());
 }
 
 void

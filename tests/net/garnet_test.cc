@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 #include <vector>
 
 #include "common/event_queue.hh"
+#include "common/logging.hh"
+#include "fault/fault.hh"
 #include "net/analytical.hh"
 #include "net/garnet_lite.hh"
 
@@ -225,6 +228,95 @@ TEST(GarnetLite, PacketPoolRecyclesAcrossMessages)
     // 64 KiB / 256 B = 256 packets per message; one message's worth of
     // concurrently-live packets bounds the arena.
     EXPECT_LE(h.net.allocatedPackets(), 256u);
+}
+
+// --- message slots: lifetime and reuse --------------------------------
+
+TEST(GarnetLite, ResendFromInsideDeliverReusesTheReleasedSlot)
+{
+    SimConfig cfg;
+    cfg.torus(1, 2, 1);
+    Harness h(cfg);
+    // 64 messages fill the first slab chunk exactly. Node 1 bounces
+    // each one back from inside its receiver: the slot is freed before
+    // deliver() runs, so the bounce takes it and the slab never grows
+    // a second chunk while the other 63 are still in flight.
+    auto payload = std::make_shared<int>(7);
+    int bounced = 0;
+    h.net.setReceiver(1, [&](const Message &m) {
+        h.deliveries.emplace_back(1, h.eq.now());
+        EXPECT_EQ(m.payload.get(), payload.get());
+        ++bounced;
+        h.send(1, 0, m.bytes, RouteHint{1, 0});
+    });
+    for (int i = 0; i < 64; ++i) {
+        Message m;
+        m.src = 0;
+        m.dst = 1;
+        m.bytes = 1000;
+        m.hint = RouteHint{1, 0};
+        m.payload = payload;
+        h.net.send(std::move(m));
+    }
+    EXPECT_EQ(h.net.liveMessages(), 64u);
+    EXPECT_EQ(h.net.messageSlots(), 64u);
+    EXPECT_THROW(h.net.validateDrain(), FatalError); // slots still live
+    h.eq.run();
+    EXPECT_EQ(bounced, 64);
+    EXPECT_EQ(h.net.deliveredMessages(), 128u);
+    EXPECT_EQ(h.net.messageSlots(), 64u);
+    EXPECT_EQ(h.net.liveMessages(), 0u);
+    // The network keeps no reference to a delivered payload.
+    EXPECT_EQ(payload.use_count(), 1);
+    h.net.validateDrain();
+}
+
+TEST(GarnetLite, LinkDownToEndDropsItsQueueAndFreesEverySlot)
+{
+    // Route 0 -> 2 on channel 0 crosses links 0->1 and 1->2. Taking
+    // either one down for the rest of the run drops every packet that
+    // queues there: at the source (where Normal injection paces the
+    // next packet from the drop) or one hop in (where the dead packets
+    // hand back their upstream credits). The loss handler re-sends on
+    // the other channel from inside notifyLoss.
+    for (InjectionPolicy pol :
+         {InjectionPolicy::Normal, InjectionPolicy::Aggressive}) {
+        for (std::size_t down_hop : {std::size_t(0), std::size_t(1)}) {
+            SimConfig cfg;
+            cfg.torus(1, 4, 1);
+            cfg.injectionPolicy = pol;
+            Harness h(cfg);
+            const std::vector<LinkId> route =
+                h.net.fabric().resolve(0, 2, RouteHint{1, 0});
+            ASSERT_EQ(route.size(), 2u);
+            const LinkId down = route[down_hop];
+            FaultPlan plan;
+            plan.addRule(strprintf("down link=%d from=0 to=end", int(down)));
+            FaultManager fm(std::move(plan));
+            h.net.setFaults(&fm);
+
+            std::vector<int> lost_on;
+            h.net.setLossHandler([&](const Message &m, int link) {
+                lost_on.push_back(link);
+                Message again = m;
+                again.hint = RouteHint{1, 1};
+                h.net.send(std::move(again));
+            });
+            for (int i = 0; i < 3; ++i)
+                h.send(0, 2, 4096, RouteHint{1, 0}); // 16 packets each
+            h.eq.run();
+
+            const std::string where =
+                strprintf("policy=%d down_hop=%zu", int(pol), down_hop);
+            EXPECT_EQ(lost_on, std::vector<int>(3, int(down))) << where;
+            EXPECT_EQ(h.net.lostMessages(), 3u) << where;
+            EXPECT_EQ(h.net.droppedPackets(), 48u) << where;
+            EXPECT_EQ(h.deliveries.size(), 3u) << where;
+            EXPECT_EQ(h.net.liveMessages(), 0u) << where;
+            EXPECT_EQ(h.net.messageSlots(), 64u) << where;
+            h.net.validateDrain();
+        }
+    }
 }
 
 struct ScenarioResult

@@ -96,6 +96,14 @@ grep -q '"ph": "C"' build/ci_trace.json \
 grep -q 'astra-metrics-v1' build/ci_report.json \
     || { echo "report missing schema marker" >&2; exit 1; }
 echo "trace and report are valid JSON"
+# Garnet-lite under every checker: a multi-hop all-to-all with
+# Aggressive injection drives the credit ledger hop by hop and ends on
+# the drain check (empty link queues, every packet and message slot
+# back on its free list).
+./build/tools/astra-sim --collective=alltoall --bytes=256KB \
+    --config=configs/table4_defaults.cfg --backend=garnet-lite \
+    --injection-policy=aggressive --validate --digest=verify >/dev/null
+echo "validated garnet-lite all-to-all drained clean"
 
 echo "=== fault-injection smoke (docs/faults.md) ==="
 # The shipped fault scenario must complete on both backends with every

@@ -46,6 +46,12 @@ done
 cases+=("--model=transformer --num-passes=2 --num-packages=2 --package-rows=2 --local-dim=2")
 cases+=("--model=transformer --num-passes=2 --config=configs/faulty_4x4x4.cfg")
 cases+=("--model=gpt2 --pipeline=16 --num-passes=2 --num-packages=4 --package-rows=4 --local-dim=2")
+# Garnet-lite paths the all-reduce lines miss: multi-hop all-to-all
+# routes release upstream credits hop by hop, Aggressive injection
+# queues a whole message at its source link, and net-coalesce
+# batch-grants a busy source link's future wire slots.
+cases+=("--collective=alltoall --bytes=256KB --config=configs/table4_defaults.cfg --backend=garnet --injection-policy=aggressive")
+cases+=("--collective=alltoall --bytes=256KB --config=configs/table4_defaults.cfg --backend=garnet --net-coalesce=true")
 
 tmp="$(mktemp)"
 report="$(mktemp)"
