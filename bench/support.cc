@@ -34,7 +34,10 @@ parseArgs(int argc, char **argv)
             continue;
         }
         if (arg.rfind("--jobs=", 0) == 0) {
-            args.jobs = std::atoi(arg.c_str() + 7);
+            const std::string err =
+                parseValue(arg.substr(7), &args.jobs, atLeast(0));
+            if (!err.empty())
+                fatal("--jobs: %s", err.c_str());
             continue;
         }
         if (arg.rfind("--csv=", 0) == 0) {

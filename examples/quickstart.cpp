@@ -11,8 +11,10 @@
  */
 
 #include <cstdio>
+#include <string>
 
 #include "collective/phase_plan.hh"
+#include "common/logging.hh"
 #include "common/units.hh"
 #include "core/cluster.hh"
 
@@ -27,7 +29,13 @@ main(int argc, char **argv)
     SimConfig cfg;
     cfg.torus(4, 4, 4); // local x horizontal x vertical
     cfg.local.bandwidth = 8 * cfg.package.bandwidth; // MCM packaging
-    cfg.applyArgs(argc, argv);
+    for (int i = 1; i < argc; ++i) {
+        const std::string arg = argv[i];
+        const std::size_t eq = arg.find('=');
+        if (arg.rfind("--", 0) != 0 || eq == std::string::npos)
+            fatal("expected --key=value, got '%s'", arg.c_str());
+        cfg.set(arg.substr(2, eq - 2), arg.substr(eq + 1));
+    }
     cfg.validate();
 
     std::printf("platform:\n%s\n", cfg.toString().c_str());

@@ -13,8 +13,10 @@
  */
 
 #include <cstdio>
+#include <string>
 
 #include "common/csv.hh"
+#include "common/logging.hh"
 #include "common/units.hh"
 #include "workload/models.hh"
 #include "workload/trainer.hh"
@@ -64,7 +66,13 @@ main(int argc, char **argv)
     SimConfig cfg;
     cfg.torus(2, 4, 4);
     cfg.local.bandwidth = 8 * cfg.package.bandwidth;
-    cfg.applyArgs(argc, argv);
+    for (int i = 1; i < argc; ++i) {
+        const std::string arg = argv[i];
+        const std::size_t eq = arg.find('=');
+        if (arg.rfind("--", 0) != 0 || eq == std::string::npos)
+            fatal("expected --key=value, got '%s'", arg.c_str());
+        cfg.set(arg.substr(2, eq - 2), arg.substr(eq + 1));
+    }
     cfg.validate();
 
     std::printf("ResNet-50, data-parallel, minibatch 32/NPU, "

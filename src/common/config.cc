@@ -4,10 +4,14 @@
 #include <cctype>
 #include <cerrno>
 #include <climits>
+#include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <set>
 #include <sstream>
+#include <type_traits>
+#include <variant>
 
 #include "common/check.hh"
 #include "common/logging.hh"
@@ -19,398 +23,190 @@ namespace astra
 namespace
 {
 
-std::string
-lower(const std::string &s)
-{
-    std::string out = s;
-    std::transform(out.begin(), out.end(), out.begin(), [](unsigned char c) {
-        return static_cast<char>(std::tolower(c));
-    });
-    return out;
-}
-
-/**
- * First parse error hit by the current trySet() call. Exception-free
- * error plumbing: the leaf helpers record here and leave their target
- * untouched, trySet() reports it.
- */
-thread_local std::string t_parseError;
-
-void
-parseFail(const std::string &msg)
-{
-    if (t_parseError.empty())
-        t_parseError = msg;
-}
-
-void
-setBool(bool &dst, const std::string &key, const std::string &value)
-{
-    const std::string v = lower(value);
-    if (v == "1" || v == "true" || v == "on" || v == "yes") {
-        dst = true;
-    } else if (v == "0" || v == "false" || v == "off" || v == "no") {
-        dst = false;
-    } else {
-        parseFail("parameter '" + key + "': '" + value +
-                  "' is not a boolean");
-    }
-}
-
-void
-setInt(int &dst, const std::string &key, const std::string &value,
-       int min = INT_MIN)
-{
-    char *end = nullptr;
-    errno = 0;
-    const long v = std::strtol(value.c_str(), &end, 10);
-    if (value.empty() || end == value.c_str() || errno != 0 ||
-        v < INT_MIN || v > INT_MAX) {
-        parseFail("parameter '" + key + "': '" + value +
-                  "' is not an integer");
-        return;
-    }
-    if (*end != '\0') {
-        parseFail("parameter '" + key + "': trailing junk in '" + value +
-                  "'");
-        return;
-    }
-    if (v < min) {
-        parseFail("parameter '" + key + "': must be >= " +
-                  std::to_string(min) + ", got " + value);
-        return;
-    }
-    dst = static_cast<int>(v);
-}
-
-void
-setTick(Tick &dst, const std::string &key, const std::string &value,
-        Tick min = 0)
-{
-    char *end = nullptr;
-    errno = 0;
-    if (value.empty() || value[0] == '-') {
-        parseFail("parameter '" + key + "': '" + value +
-                  "' is not a non-negative integer");
-        return;
-    }
-    const unsigned long long v = std::strtoull(value.c_str(), &end, 10);
-    if (end == value.c_str() || errno != 0) {
-        parseFail("parameter '" + key + "': '" + value +
-                  "' is not a non-negative integer");
-        return;
-    }
-    if (*end != '\0') {
-        parseFail("parameter '" + key + "': trailing junk in '" + value +
-                  "'");
-        return;
-    }
-    if (v < min) {
-        parseFail("parameter '" + key + "': must be >= " +
-                  std::to_string(min) + ", got " + value);
-        return;
-    }
-    dst = v;
-}
-
-enum class Range
-{
-    Any,          //!< any finite value
-    Positive,     //!< > 0
-    UnitInterval, //!< (0, 1]
-};
-
-void
-setDouble(double &dst, const std::string &key, const std::string &value,
-          Range range = Range::Any)
-{
-    char *end = nullptr;
-    errno = 0;
-    const double v = std::strtod(value.c_str(), &end);
-    if (value.empty() || end == value.c_str() || errno != 0) {
-        parseFail("parameter '" + key + "': '" + value +
-                  "' is not a number");
-        return;
-    }
-    if (*end != '\0') {
-        parseFail("parameter '" + key + "': trailing junk in '" + value +
-                  "'");
-        return;
-    }
-    if (range == Range::Positive && !(v > 0)) {
-        parseFail("parameter '" + key + "': must be > 0, got " + value);
-        return;
-    }
-    if (range == Range::UnitInterval && !(v > 0 && v <= 1)) {
-        parseFail("parameter '" + key + "': must be in (0, 1], got " +
-                  value);
-        return;
-    }
-    dst = v;
-}
-
-void
-setBytes(Bytes &dst, const std::string &key, const std::string &value)
-{
-    Bytes out = 0;
-    std::string err;
-    if (!tryParseBytes(value, &out, &err)) {
-        parseFail("parameter '" + key + "': " + err);
-        return;
-    }
-    if (out == 0) {
-        parseFail("parameter '" + key + "': must be positive");
-        return;
-    }
-    dst = out;
-}
-
-/**
- * Enum lookups: parse into @p out on success, parseFail() and leave
- * @p out untouched otherwise. The public fatal-on-bad-input parse*
- * functions wrap these.
- */
 bool
-lookupTopologyKind(const std::string &s, TopologyKind *out)
+sameName(const std::string &text, const char *name)
 {
-    const std::string v = lower(s);
-    if (v == "torus3d" || v == "torus" || v == "torus2d") {
-        *out = TopologyKind::Torus3D;
-        return true;
-    }
-    if (v == "alltoall" || v == "all_to_all" || v == "a2a") {
-        *out = TopologyKind::AllToAll;
-        return true;
-    }
-    parseFail("unknown topology '" + s + "'");
-    return false;
-}
-
-bool
-lookupAlgorithmFlavor(const std::string &s, AlgorithmFlavor *out)
-{
-    const std::string v = lower(s);
-    if (v == "baseline") {
-        *out = AlgorithmFlavor::Baseline;
-        return true;
-    }
-    if (v == "enhanced") {
-        *out = AlgorithmFlavor::Enhanced;
-        return true;
-    }
-    parseFail("unknown algorithm '" + s + "' (baseline/enhanced)");
-    return false;
-}
-
-bool
-lookupSchedulingPolicy(const std::string &s, SchedulingPolicy *out)
-{
-    const std::string v = lower(s);
-    if (v == "lifo") {
-        *out = SchedulingPolicy::LIFO;
-        return true;
-    }
-    if (v == "fifo") {
-        *out = SchedulingPolicy::FIFO;
-        return true;
-    }
-    if (v == "layer-priority" || v == "layerpriority" ||
-        v == "priority") {
-        *out = SchedulingPolicy::LayerPriority;
-        return true;
-    }
-    parseFail("unknown scheduling policy '" + s +
-              "' (LIFO/FIFO/layer-priority)");
-    return false;
-}
-
-bool
-lookupNetworkBackend(const std::string &s, NetworkBackend *out)
-{
-    const std::string v = lower(s);
-    if (v == "analytical") {
-        *out = NetworkBackend::Analytical;
-        return true;
-    }
-    if (v == "garnet" || v == "garnet-lite" || v == "garnetlite") {
-        *out = NetworkBackend::GarnetLite;
-        return true;
-    }
-    parseFail("unknown network backend '" + s + "' (analytical/garnet)");
-    return false;
-}
-
-bool
-lookupPacketRouting(const std::string &s, PacketRouting *out)
-{
-    const std::string v = lower(s);
-    if (v == "software") {
-        *out = PacketRouting::Software;
-        return true;
-    }
-    if (v == "hardware") {
-        *out = PacketRouting::Hardware;
-        return true;
-    }
-    parseFail("unknown packet routing '" + s + "' (software/hardware)");
-    return false;
-}
-
-bool
-lookupInjectionPolicy(const std::string &s, InjectionPolicy *out)
-{
-    const std::string v = lower(s);
-    if (v == "normal") {
-        *out = InjectionPolicy::Normal;
-        return true;
-    }
-    if (v == "aggressive") {
-        *out = InjectionPolicy::Aggressive;
-        return true;
-    }
-    parseFail("unknown injection policy '" + s + "' (normal/aggressive)");
-    return false;
+    return std::equal(text.begin(), text.end(), name,
+                      name + std::strlen(name),
+                      [](unsigned char a, unsigned char b) {
+                          return std::tolower(a) == std::tolower(b);
+                      });
 }
 
 std::string
 normalizeKey(const std::string &key)
 {
-    std::string k = lower(key);
-    std::replace(k.begin(), k.end(), '_', '-');
+    std::string k = key;
+    std::transform(k.begin(), k.end(), k.begin(), [](unsigned char c) {
+        return c == '_' ? '-' : static_cast<char>(std::tolower(c));
+    });
     return k;
 }
 
-} // namespace
-
-namespace
+bool
+inRange(double v, const Range &r)
 {
+    return std::isfinite(v) && (r.loOpen ? v > r.lo : v >= r.lo) &&
+           v <= r.hi;
+}
 
-/** Shared tail of the fatal parse* wrappers around the lookups. */
-void
-consumeParseError()
+/** Why @p v, spelled @p text, fails inRange(v, @p r). */
+std::string
+rangeError(double v, const Range &r, const std::string &text)
 {
-    if (t_parseError.empty())
-        return;
-    const std::string msg = t_parseError;
-    t_parseError.clear();
-    fatal("%s", msg.c_str());
+    if (!std::isfinite(v))
+        return "'" + text + "' is not a finite number";
+    const std::string bound =
+        std::isfinite(r.hi)
+            ? strprintf("in %c%g, %g]", r.loOpen ? '(' : '[', r.lo, r.hi)
+            : strprintf("%s %g", r.loOpen ? ">" : ">=", r.lo);
+    return "must be " + bound + ", got " + text;
 }
 
 } // namespace
 
-TopologyKind
-parseTopologyKind(const std::string &s)
+std::string
+parseValue(const std::string &text, int *out, Range range)
 {
-    TopologyKind out = TopologyKind::Torus3D;
-    if (!lookupTopologyKind(s, &out))
-        consumeParseError();
-    return out;
+    char *end = nullptr;
+    errno = 0;
+    const long v = std::strtol(text.c_str(), &end, 10);
+    if (end == text.c_str() || errno != 0 || v < INT_MIN || v > INT_MAX)
+        return "'" + text + "' is not an integer";
+    if (*end != '\0')
+        return "trailing junk in '" + text + "'";
+    if (!inRange(double(v), range))
+        return rangeError(double(v), range, text);
+    *out = static_cast<int>(v);
+    return {};
 }
 
-AlgorithmFlavor
-parseAlgorithmFlavor(const std::string &s)
+std::string
+parseValue(const std::string &text, std::uint64_t *out, Range range)
 {
-    AlgorithmFlavor out = AlgorithmFlavor::Baseline;
-    if (!lookupAlgorithmFlavor(s, &out))
-        consumeParseError();
-    return out;
+    // strtoull would wrap a negative value around.
+    char *end = nullptr;
+    errno = 0;
+    const unsigned long long v = std::strtoull(text.c_str(), &end, 10);
+    if (end == text.c_str() || errno != 0 ||
+        text.find('-') != std::string::npos)
+        return "'" + text + "' is not a non-negative integer";
+    if (*end != '\0')
+        return "trailing junk in '" + text + "'";
+    if (!inRange(double(v), range))
+        return rangeError(double(v), range, text);
+    *out = v;
+    return {};
 }
 
-SchedulingPolicy
-parseSchedulingPolicy(const std::string &s)
+std::string
+parseValue(const std::string &text, double *out, Range range)
 {
-    SchedulingPolicy out = SchedulingPolicy::LIFO;
-    if (!lookupSchedulingPolicy(s, &out))
-        consumeParseError();
-    return out;
+    char *end = nullptr;
+    errno = 0;
+    const double v = std::strtod(text.c_str(), &end);
+    if (end == text.c_str() || errno != 0)
+        return "'" + text + "' is not a number";
+    if (*end != '\0')
+        return "trailing junk in '" + text + "'";
+    if (!inRange(v, range))
+        return rangeError(v, range, text);
+    *out = v;
+    return {};
 }
 
-NetworkBackend
-parseNetworkBackend(const std::string &s)
+std::string
+parseValue(const std::string &text, bool *out)
 {
-    NetworkBackend out = NetworkBackend::Analytical;
-    if (!lookupNetworkBackend(s, &out))
-        consumeParseError();
-    return out;
-}
-
-PacketRouting
-parsePacketRouting(const std::string &s)
-{
-    PacketRouting out = PacketRouting::Software;
-    if (!lookupPacketRouting(s, &out))
-        consumeParseError();
-    return out;
-}
-
-InjectionPolicy
-parseInjectionPolicy(const std::string &s)
-{
-    InjectionPolicy out = InjectionPolicy::Normal;
-    if (!lookupInjectionPolicy(s, &out))
-        consumeParseError();
-    return out;
-}
-
-const char *
-toString(TopologyKind k)
-{
-    switch (k) {
-      case TopologyKind::Torus3D: return "Torus3D";
-      case TopologyKind::AllToAll: return "AllToAll";
+    for (const char *yes : {"1", "true", "on", "yes"}) {
+        if (sameName(text, yes)) {
+            *out = true;
+            return {};
+        }
     }
-    return "?";
+    for (const char *no : {"0", "false", "off", "no"}) {
+        if (sameName(text, no)) {
+            *out = false;
+            return {};
+        }
+    }
+    return "'" + text + "' is not a boolean";
 }
 
-const char *
-toString(AlgorithmFlavor f)
+std::string
+parseSize(const std::string &text, Bytes *out, Range range)
 {
-    switch (f) {
-      case AlgorithmFlavor::Baseline: return "baseline";
-      case AlgorithmFlavor::Enhanced: return "enhanced";
-    }
-    return "?";
+    Bytes v = 0;
+    std::string err;
+    if (!tryParseBytes(text, &v, &err))
+        return err;
+    if (!inRange(double(v), range))
+        return rangeError(double(v), range, text);
+    *out = v;
+    return {};
 }
 
-const char *
-toString(SchedulingPolicy p)
+std::string
+parseName(const std::string &text, const EnumNames &names,
+          std::size_t *index)
 {
-    switch (p) {
-      case SchedulingPolicy::LIFO: return "LIFO";
-      case SchedulingPolicy::FIFO: return "FIFO";
-      case SchedulingPolicy::LayerPriority: return "layer-priority";
+    for (std::size_t i = 0; i < names.size(); ++i) {
+        for (const char *name : names[i]) {
+            if (sameName(text, name)) {
+                *index = i;
+                return {};
+            }
+        }
     }
-    return "?";
+    std::string err = "'" + text + "' is not one of ";
+    for (std::size_t i = 0; i < names.size(); ++i)
+        err += (i ? "/" : "") + std::string(names[i][0]);
+    return err;
 }
 
-const char *
-toString(NetworkBackend b)
+const EnumNames &
+enumNames(TopologyKind)
 {
-    switch (b) {
-      case NetworkBackend::Analytical: return "analytical";
-      case NetworkBackend::GarnetLite: return "garnet-lite";
-    }
-    return "?";
+    static const EnumNames names = {{"Torus3D", "torus", "torus2d"},
+                                    {"AllToAll", "all_to_all", "a2a"}};
+    return names;
 }
 
-const char *
-toString(PacketRouting r)
+const EnumNames &
+enumNames(AlgorithmFlavor)
 {
-    switch (r) {
-      case PacketRouting::Software: return "software";
-      case PacketRouting::Hardware: return "hardware";
-    }
-    return "?";
+    static const EnumNames names = {{"baseline"}, {"enhanced"}};
+    return names;
 }
 
-const char *
-toString(InjectionPolicy p)
+const EnumNames &
+enumNames(SchedulingPolicy)
 {
-    switch (p) {
-      case InjectionPolicy::Normal: return "normal";
-      case InjectionPolicy::Aggressive: return "aggressive";
-    }
-    return "?";
+    static const EnumNames names = {
+        {"LIFO"}, {"FIFO"}, {"layer-priority", "layerpriority", "priority"}};
+    return names;
+}
+
+const EnumNames &
+enumNames(NetworkBackend)
+{
+    static const EnumNames names = {{"analytical"},
+                                    {"garnet-lite", "garnet", "garnetlite"}};
+    return names;
+}
+
+const EnumNames &
+enumNames(PacketRouting)
+{
+    static const EnumNames names = {{"software"}, {"hardware"}};
+    return names;
+}
+
+const EnumNames &
+enumNames(InjectionPolicy)
+{
+    static const EnumNames names = {{"normal"}, {"aggressive"}};
+    return names;
 }
 
 SimConfig &
@@ -437,17 +233,45 @@ SimConfig::allToAll(int m, int packages, int switches)
 namespace
 {
 
+template <typename T>
+using Field = T &(*)(SimConfig &);
+
+/**
+ * A Bytes field: parsed with size suffixes, unlike a Tick or a count.
+ * The constructor is explicit so that no uint64 field converts to one.
+ */
+struct SizeField
+{
+    explicit SizeField(Field<Bytes> f) : get(f) {}
+    Field<Bytes> get;
+};
+
+/** A key that is not one plain field; @return the problem, if any. */
+using Setter = std::string (*)(SimConfig &c, const std::string &value);
+
 /**
  * One parameter: its names (canonical first, then aliases, all in
- * normalized spelling) and the setter that parses a value into the
- * config. Setters report through parseFail() with the normalized key
- * @p k, and leave the config untouched on a bad value.
+ * normalized spelling), the field it sets, and the range that both
+ * trySet() and validate() hold a numeric field to.
  */
 struct ConfigKey
 {
     std::vector<const char *> names;
-    void (*set)(SimConfig &c, const std::string &k, const std::string &v);
+    std::variant<Field<int>, Field<std::uint64_t>, Field<double>,
+                 SizeField, Field<bool>, Field<std::string>,
+                 Field<TopologyKind>, Field<AlgorithmFlavor>,
+                 Field<SchedulingPolicy>, Field<NetworkBackend>,
+                 Field<PacketRouting>, Field<InjectionPolicy>, Setter>
+        field;
+    Range range = {};
 };
+
+template <typename F>
+constexpr bool kNumeric = std::is_same_v<F, Field<int>> ||
+                          std::is_same_v<F, Field<std::uint64_t>> ||
+                          std::is_same_v<F, Field<double>>;
+
+#define FIELD(member) [](SimConfig &c) -> auto & { return c.member; }
 
 /**
  * Every key trySet() accepts. docs/PARAMETERS.md documents exactly
@@ -456,183 +280,151 @@ struct ConfigKey
 const std::vector<ConfigKey> &
 configKeys()
 {
+    constexpr Range kOne = atLeast(1);
+    constexpr Range kNonNegative = atLeast(0);
     static const std::vector<ConfigKey> kKeys = {
-        {{"dnn-name"}, [](auto &c, auto &, auto &v) { c.dnnName = v; }},
-        {{"trace-file"}, [](auto &c, auto &, auto &v) { c.traceFile = v; }},
-        {{"net-metrics"},
-         [](auto &c, auto &k, auto &v) { setBool(c.netMetrics, k, v); }},
-        {{"net-coalesce"},
-         [](auto &c, auto &k, auto &v) { setBool(c.netCoalesce, k, v); }},
-        {{"digest"},
-         [](auto &c, auto &k, auto &v) { setBool(c.digest, k, v); }},
-        {{"num-passes"},
-         [](auto &c, auto &k, auto &v) { setInt(c.numPasses, k, v, 1); }},
-        {{"algorithm"},
-         [](auto &c, auto &, auto &v) {
-             lookupAlgorithmFlavor(v, &c.algorithm);
-         }},
-        {{"topology"},
-         [](auto &c, auto &, auto &v) { lookupTopologyKind(v, &c.topology); }},
-        {{"local-dim"},
-         [](auto &c, auto &k, auto &v) { setInt(c.localDim, k, v, 1); }},
-        {{"horizontal-dim", "num-packages"},
-         [](auto &c, auto &k, auto &v) { setInt(c.horizontalDim, k, v, 1); }},
-        {{"vertical-dim", "package-rows"},
-         [](auto &c, auto &k, auto &v) { setInt(c.verticalDim, k, v, 1); }},
-        {{"scheduling-policy"},
-         [](auto &c, auto &, auto &v) {
-             lookupSchedulingPolicy(v, &c.schedulingPolicy);
-         }},
-        {{"global-switches"},
-         [](auto &c, auto &k, auto &v) { setInt(c.globalSwitches, k, v, 1); }},
-        {{"endpoint-delay"},
-         [](auto &c, auto &k, auto &v) { setTick(c.endpointDelay, k, v); }},
-        {{"packet-routing"},
-         [](auto &c, auto &, auto &v) {
-             lookupPacketRouting(v, &c.packetRouting);
-         }},
-        {{"injection-policy"},
-         [](auto &c, auto &, auto &v) {
-             lookupInjectionPolicy(v, &c.injectionPolicy);
-         }},
-        {{"preferred-set-splits"},
-         [](auto &c, auto &k, auto &v) {
-             setInt(c.preferredSetSplits, k, v, 1);
-         }},
-        {{"dispatch-threshold"},
-         [](auto &c, auto &k, auto &v) {
-             setInt(c.dispatchThreshold, k, v, 1);
-         }},
-        {{"dispatch-width"},
-         [](auto &c, auto &k, auto &v) { setInt(c.dispatchWidth, k, v, 1); }},
-        {{"lsq-concurrency"},
-         [](auto &c, auto &k, auto &v) { setInt(c.lsqConcurrency, k, v, 1); }},
-        {{"local-update-time"},
-         [](auto &c, auto &k, auto &v) {
-             setDouble(c.localUpdateTimePerKiB, k, v);
-         }},
-        {{"backend"},
-         [](auto &c, auto &, auto &v) { lookupNetworkBackend(v, &c.backend); }},
-        {{"local-rings"},
-         [](auto &c, auto &k, auto &v) { setInt(c.local.rings, k, v, 1); }},
+        {{"dnn-name", "workload"}, FIELD(dnnName)},
+        {{"trace-file"}, FIELD(traceFile)},
+        {{"net-metrics"}, FIELD(netMetrics)},
+        {{"net-coalesce"}, FIELD(netCoalesce)},
+        {{"digest"}, FIELD(digest)},
+        {{"num-passes"}, FIELD(numPasses), kOne},
+        {{"algorithm"}, FIELD(algorithm)},
+        {{"topology"}, FIELD(topology)},
+        {{"local-dim"}, FIELD(localDim), kOne},
+        {{"horizontal-dim", "num-packages"}, FIELD(horizontalDim), kOne},
+        {{"vertical-dim", "package-rows"}, FIELD(verticalDim), kOne},
+        {{"scheduling-policy"}, FIELD(schedulingPolicy)},
+        {{"global-switches"}, FIELD(globalSwitches), kOne},
+        {{"endpoint-delay"}, FIELD(endpointDelay)},
+        {{"packet-routing"}, FIELD(packetRouting)},
+        {{"injection-policy"}, FIELD(injectionPolicy)},
+        {{"preferred-set-splits"}, FIELD(preferredSetSplits), kOne},
+        {{"dispatch-threshold"}, FIELD(dispatchThreshold), kOne},
+        {{"dispatch-width"}, FIELD(dispatchWidth), kOne},
+        {{"lsq-concurrency"}, FIELD(lsqConcurrency), kOne},
+        {{"backend"}, FIELD(backend)},
+        {{"local-rings"}, FIELD(local.rings), kOne},
         // The paper exposes separate ring counts for the two package
         // dimensions; this implementation uses one inter-package link
         // class, so the counts are tied together.
         {{"vertical-rings", "horizontal-rings", "package-rings"},
-         [](auto &c, auto &k, auto &v) { setInt(c.package.rings, k, v, 1); }},
-        {{"local-link-bw"},
-         [](auto &c, auto &k, auto &v) {
-             setDouble(c.local.bandwidth, k, v, Range::Positive);
-         }},
-        {{"package-link-bw"},
-         [](auto &c, auto &k, auto &v) {
-             setDouble(c.package.bandwidth, k, v, Range::Positive);
-         }},
-        {{"local-link-latency"},
-         [](auto &c, auto &k, auto &v) { setTick(c.local.latency, k, v); }},
-        {{"package-link-latency"},
-         [](auto &c, auto &k, auto &v) { setTick(c.package.latency, k, v); }},
-        {{"local-link-efficiency"},
-         [](auto &c, auto &k, auto &v) {
-             setDouble(c.local.efficiency, k, v, Range::UnitInterval);
-         }},
-        {{"package-link-efficiency"},
-         [](auto &c, auto &k, auto &v) {
-             setDouble(c.package.efficiency, k, v, Range::UnitInterval);
-         }},
-        {{"local-packet-size"},
-         [](auto &c, auto &k, auto &v) { setBytes(c.local.packetSize, k, v); }},
-        {{"package-packet-size"},
-         [](auto &c, auto &k, auto &v) {
-             setBytes(c.package.packetSize, k, v);
-         }},
-        {{"flit-width"},
-         [](auto &c, auto &k, auto &v) { setInt(c.flitWidthBits, k, v, 8); }},
-        {{"router-latency"},
-         [](auto &c, auto &k, auto &v) { setTick(c.routerLatency, k, v); }},
-        {{"vcs-per-vnet"},
-         [](auto &c, auto &k, auto &v) { setInt(c.vcsPerVnet, k, v, 1); }},
-        {{"buffers-per-vc"},
-         [](auto &c, auto &k, auto &v) { setInt(c.buffersPerVc, k, v, 1); }},
+         FIELD(package.rings), kOne},
+        {{"local-link-bw"}, FIELD(local.bandwidth), kPositive},
+        {{"package-link-bw"}, FIELD(package.bandwidth), kPositive},
+        {{"local-link-latency"}, FIELD(local.latency)},
+        {{"package-link-latency"}, FIELD(package.latency)},
+        {{"local-link-efficiency"}, FIELD(local.efficiency), kUnitInterval},
+        {{"package-link-efficiency"}, FIELD(package.efficiency),
+         kUnitInterval},
+        {{"local-packet-size"}, SizeField(FIELD(local.packetSize)),
+         kPositive},
+        {{"package-packet-size"}, SizeField(FIELD(package.packetSize)),
+         kPositive},
+        {{"flit-width"}, FIELD(flitWidthBits), atLeast(8)},
+        {{"router-latency"}, FIELD(routerLatency)},
+        {{"vcs-per-vnet"}, FIELD(vcsPerVnet), kOne},
+        {{"buffers-per-vc"}, FIELD(buffersPerVc), kOne},
         {{"physical-topology"},
-         [](auto &c, auto &, auto &v) {
-             if (lower(v) == "logical")
+         [](SimConfig &c, const std::string &v) -> std::string {
+             if (sameName(v, "logical")) {
                  c.physicalDistinct = false;
-             else if (lookupTopologyKind(v, &c.physTopology))
+                 return {};
+             }
+             std::string err = parseValue(v, &c.physTopology);
+             if (err.empty())
                  c.physicalDistinct = true;
+             return err;
          }},
-        {{"physical-local-dim"},
-         [](auto &c, auto &k, auto &v) { setInt(c.physLocalDim, k, v, 1); }},
+        {{"physical-local-dim"}, FIELD(physLocalDim), kOne},
         {{"physical-horizontal-dim", "physical-num-packages"},
-         [](auto &c, auto &k, auto &v) {
-             setInt(c.physHorizontalDim, k, v, 1);
-         }},
+         FIELD(physHorizontalDim), kOne},
         {{"physical-vertical-dim", "physical-package-rows"},
-         [](auto &c, auto &k, auto &v) { setInt(c.physVerticalDim, k, v, 1); }},
-        {{"physical-global-switches"},
-         [](auto &c, auto &k, auto &v) {
-             setInt(c.physGlobalSwitches, k, v, 1);
-         }},
-        {{"scaleout-dim", "pods"},
-         [](auto &c, auto &k, auto &v) { setInt(c.scaleoutDimSize, k, v, 1); }},
-        {{"scaleout-switches"},
-         [](auto &c, auto &k, auto &v) {
-             setInt(c.scaleoutSwitches, k, v, 1);
-         }},
-        {{"scaleout-link-bw"},
-         [](auto &c, auto &k, auto &v) {
-             setDouble(c.scaleout.bandwidth, k, v, Range::Positive);
-         }},
-        {{"scaleout-link-latency"},
-         [](auto &c, auto &k, auto &v) { setTick(c.scaleout.latency, k, v); }},
-        {{"scaleout-link-efficiency"},
-         [](auto &c, auto &k, auto &v) {
-             setDouble(c.scaleout.efficiency, k, v, Range::UnitInterval);
-         }},
-        {{"scaleout-packet-size"},
-         [](auto &c, auto &k, auto &v) {
-             setBytes(c.scaleout.packetSize, k, v);
-         }},
-        {{"scaleout-protocol-delay"},
-         [](auto &c, auto &k, auto &v) {
-             setTick(c.scaleoutProtocolDelay, k, v);
-         }},
-        {{"scaleout-pj-per-bit"},
-         [](auto &c, auto &k, auto &v) {
-             setDouble(c.energy.scaleoutPjPerBit, k, v);
-         }},
-        {{"local-pj-per-bit"},
-         [](auto &c, auto &k, auto &v) {
-             setDouble(c.energy.localPjPerBit, k, v);
-         }},
-        {{"package-pj-per-bit"},
-         [](auto &c, auto &k, auto &v) {
-             setDouble(c.energy.packagePjPerBit, k, v);
-         }},
-        {{"router-pj-per-flit"},
-         [](auto &c, auto &k, auto &v) {
-             setDouble(c.energy.routerPjPerFlit, k, v);
-         }},
+         FIELD(physVerticalDim), kOne},
+        {{"physical-global-switches"}, FIELD(physGlobalSwitches), kOne},
+        {{"scaleout-dim", "pods"}, FIELD(scaleoutDimSize), kOne},
+        {{"scaleout-switches"}, FIELD(scaleoutSwitches), kOne},
+        {{"scaleout-link-bw"}, FIELD(scaleout.bandwidth), kPositive},
+        {{"scaleout-link-latency"}, FIELD(scaleout.latency)},
+        {{"scaleout-link-efficiency"}, FIELD(scaleout.efficiency),
+         kUnitInterval},
+        {{"scaleout-packet-size"}, SizeField(FIELD(scaleout.packetSize)),
+         kPositive},
+        {{"scaleout-protocol-delay"}, FIELD(scaleoutProtocolDelay)},
+        {{"scaleout-pj-per-bit"}, FIELD(energy.scaleoutPjPerBit),
+         kNonNegative},
+        {{"local-pj-per-bit"}, FIELD(energy.localPjPerBit), kNonNegative},
+        {{"package-pj-per-bit"}, FIELD(energy.packagePjPerBit),
+         kNonNegative},
+        {{"router-pj-per-flit"}, FIELD(energy.routerPjPerFlit),
+         kNonNegative},
         // The one intentionally repeatable key: rules accumulate. The
         // rule text is validated when the FaultPlan is built, so a bad
         // rule surfaces with every other config problem.
         {{"fault"},
-         [](auto &c, auto &, auto &v) { c.faultRules.push_back(v); }},
-        {{"fault-plan"}, [](auto &c, auto &, auto &v) { c.faultPlanFile = v; }},
-        {{"fault-timeout"},
-         [](auto &c, auto &k, auto &v) { setTick(c.faultTimeout, k, v, 1); }},
-        {{"fault-max-retries"},
-         [](auto &c, auto &k, auto &v) { setInt(c.faultMaxRetries, k, v, 0); }},
-        {{"max-events"},
-         [](auto &c, auto &k, auto &v) { setTick(c.maxEvents, k, v, 1); }},
-        {{"max-sim-time"},
-         [](auto &c, auto &k, auto &v) { setTick(c.maxSimTime, k, v, 1); }},
-        {{"max-slab-bytes"},
-         [](auto &c, auto &k, auto &v) { setBytes(c.maxSlabBytes, k, v); }},
-        {{"watchdog-window"},
-         [](auto &c, auto &k, auto &v) { setTick(c.watchdogWindow, k, v, 1); }},
+         [](SimConfig &c, const std::string &v) {
+             c.faultRules.push_back(v);
+             return std::string();
+         }},
+        {{"fault-plan"}, FIELD(faultPlanFile)},
+        {{"fault-timeout"}, FIELD(faultTimeout), kOne},
+        {{"fault-max-retries"}, FIELD(faultMaxRetries), kNonNegative},
+        // Run budgets: 0 (the default) turns each one off.
+        {{"max-events"}, FIELD(maxEvents)},
+        {{"max-sim-time"}, FIELD(maxSimTime)},
+        {{"max-slab-bytes"}, SizeField(FIELD(maxSlabBytes))},
+        {{"watchdog-window"}, FIELD(watchdogWindow)},
     };
     return kKeys;
+}
+
+#undef FIELD
+
+/** Parse @p text into @p key's field of @p c; @return the problem. */
+std::string
+setField(const ConfigKey &key, SimConfig &c, const std::string &text)
+{
+    return std::visit(
+        [&](auto field) -> std::string {
+            using F = decltype(field);
+            if constexpr (std::is_same_v<F, Setter>) {
+                return field(c, text);
+            } else if constexpr (std::is_same_v<F, SizeField>) {
+                return parseSize(text, &field.get(c), key.range);
+            } else if constexpr (std::is_same_v<F, Field<std::string>>) {
+                field(c) = text;
+                return {};
+            } else if constexpr (kNumeric<F>) {
+                return parseValue(text, &field(c), key.range);
+            } else {
+                return parseValue(text, &field(c)); // bool and enums
+            }
+        },
+        key.field);
+}
+
+/** Why @p key's field of @p c lies outside its range; empty if inside. */
+std::string
+checkField(const ConfigKey &key, const SimConfig &c)
+{
+    // The accessors hand out mutable references; here they only read.
+    SimConfig &cfg = const_cast<SimConfig &>(c);
+    auto check = [&](double v) -> std::string {
+        if (inRange(v, key.range))
+            return {};
+        return rangeError(v, key.range, strprintf("%g", v));
+    };
+    return std::visit(
+        [&](auto field) -> std::string {
+            using F = decltype(field);
+            if constexpr (std::is_same_v<F, SizeField>)
+                return check(double(field.get(cfg)));
+            else if constexpr (kNumeric<F>)
+                return check(double(field(cfg)));
+            else
+                return {};
+        },
+        key.field);
 }
 
 } // namespace
@@ -659,8 +451,6 @@ SimConfig::trySet(const std::string &key, const std::string &value,
                   std::string *err)
 {
     const std::string k = normalizeKey(key);
-    t_parseError.clear();
-
     const std::vector<ConfigKey> &keys = configKeys();
     auto match = std::find_if(keys.begin(), keys.end(),
                               [&](const ConfigKey &entry) {
@@ -668,18 +458,15 @@ SimConfig::trySet(const std::string &key, const std::string &value,
                                                    entry.names.end(),
                                                    k) != entry.names.end();
                               });
-    if (match != keys.end())
-        match->set(*this, k, value);
-    else
-        parseFail("unknown parameter '" + key + "'");
-
-    if (!t_parseError.empty()) {
-        if (err)
-            *err = t_parseError;
-        t_parseError.clear();
-        return false;
-    }
-    return true;
+    std::string problem = match == keys.end()
+                              ? "unknown parameter '" + key + "'"
+                              : setField(*match, *this, value);
+    if (problem.empty())
+        return true;
+    if (err)
+        *err = match == keys.end() ? problem
+                                   : "parameter '" + k + "': " + problem;
+    return false;
 }
 
 void
@@ -750,107 +537,20 @@ SimConfig::loadFile(const std::string &path)
     }
 }
 
-std::map<std::string, std::string>
-SimConfig::applyArgs(int argc, char **argv)
-{
-    std::map<std::string, std::string> leftover;
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        if (arg.rfind("--", 0) != 0) {
-            leftover[arg] = "";
-            continue;
-        }
-        auto eq = arg.find('=');
-        if (eq == std::string::npos) {
-            leftover[arg.substr(2)] = "";
-            continue;
-        }
-        std::string key = arg.substr(2, eq - 2);
-        std::string value = arg.substr(eq + 1);
-        // Arguments this config does not accept are left for the
-        // caller (the CLI has flags of its own); it decides whether a
-        // leftover is an error.
-        if (!trySet(key, value, nullptr))
-            leftover[key] = value;
-    }
-    return leftover;
-}
-
 void
 SimConfig::validate() const
 {
-    // ASTRA_CHECK rather than bare fatal(): a rejected configuration
-    // should always print the offending values, not just the rule.
-    ASTRA_CHECK(localDim >= 1 && horizontalDim >= 1 && verticalDim >= 1,
-                "topology dimensions must be >= 1 (got %dx%dx%d)",
-                localDim, horizontalDim, verticalDim);
+    for (const ConfigKey &key : configKeys()) {
+        const std::string problem = checkField(key, *this);
+        if (!problem.empty())
+            fatal("parameter '%s': %s", key.names[0], problem.c_str());
+    }
+    // The rules that span fields.
     ASTRA_CHECK(numNpus() >= 2, "need at least 2 NPUs, got %d",
                 numNpus());
     if (topology == TopologyKind::AllToAll && verticalDim != 1)
         fatal("AllToAll topology is local x packages (vertical-dim==1)");
-    ASTRA_CHECK(topology != TopologyKind::AllToAll ||
-                    globalSwitches >= 1,
-                "AllToAll topology needs >= 1 global switch (got %d)",
-                globalSwitches);
-    ASTRA_CHECK(local.rings >= 1 && package.rings >= 1,
-                "ring counts must be >= 1 (local=%d package=%d)",
-                local.rings, package.rings);
-    ASTRA_CHECK(local.bandwidth > 0 && package.bandwidth > 0,
-                "link bandwidth must be positive (local=%g package=%g)",
-                local.bandwidth, package.bandwidth);
-    ASTRA_CHECK(local.efficiency > 0 && local.efficiency <= 1 &&
-                    package.efficiency > 0 && package.efficiency <= 1,
-                "link efficiency must be in (0, 1] (local=%g package=%g)",
-                local.efficiency, package.efficiency);
-    ASTRA_CHECK(local.packetSize != 0 && package.packetSize != 0,
-                "packet sizes must be positive (local=%llu package=%llu)",
-                static_cast<unsigned long long>(local.packetSize),
-                static_cast<unsigned long long>(package.packetSize));
-    ASTRA_CHECK(preferredSetSplits >= 1,
-                "preferred-set-splits must be >= 1 (got %d)",
-                preferredSetSplits);
-    ASTRA_CHECK(dispatchThreshold >= 1 && dispatchWidth >= 1,
-                "dispatcher threshold/width must be >= 1 "
-                "(threshold=%d width=%d)",
-                dispatchThreshold, dispatchWidth);
-    ASTRA_CHECK(lsqConcurrency >= 1,
-                "lsq-concurrency must be >= 1 (got %d)", lsqConcurrency);
-    ASTRA_CHECK(numPasses >= 1, "num-passes must be >= 1 (got %d)",
-                numPasses);
-    ASTRA_CHECK(flitWidthBits >= 8,
-                "flit-width must be at least one byte (got %d bits)",
-                flitWidthBits);
-    ASTRA_CHECK(vcsPerVnet >= 1 && buffersPerVc >= 1,
-                "VC configuration must be >= 1 (vcs-per-vnet=%d "
-                "buffers-per-vc=%d)",
-                vcsPerVnet, buffersPerVc);
-    ASTRA_CHECK(scaleoutDimSize >= 1,
-                "scaleout-dim must be >= 1 (got %d)", scaleoutDimSize);
-    ASTRA_CHECK(faultTimeout >= 1,
-                "fault-timeout must be >= 1 cycle (got %llu)",
-                static_cast<unsigned long long>(faultTimeout));
-    ASTRA_CHECK(faultMaxRetries >= 0,
-                "fault-max-retries must be >= 0 (got %d)",
-                faultMaxRetries);
-    if (scaleoutDimSize > 1) {
-        ASTRA_CHECK(scaleoutSwitches >= 1,
-                    "scale-out needs >= 1 switch (got %d)",
-                    scaleoutSwitches);
-        ASTRA_CHECK(scaleout.bandwidth > 0 && scaleout.packetSize != 0 &&
-                        scaleout.efficiency > 0 &&
-                        scaleout.efficiency <= 1,
-                    "bad scale-out link parameters (bw=%g packet=%llu "
-                    "efficiency=%g)",
-                    scaleout.bandwidth,
-                    static_cast<unsigned long long>(scaleout.packetSize),
-                    scaleout.efficiency);
-    }
     if (physicalDistinct) {
-        ASTRA_CHECK(physLocalDim >= 1 && physHorizontalDim >= 1 &&
-                        physVerticalDim >= 1,
-                    "physical topology dimensions must be >= 1 "
-                    "(got %dx%dx%d)",
-                    physLocalDim, physHorizontalDim, physVerticalDim);
         if (physLocalDim * physHorizontalDim * physVerticalDim !=
             numNpus()) {
             fatal("physical topology has %d NPUs but the logical one "
@@ -861,9 +561,6 @@ SimConfig::validate() const
         if (physTopology == TopologyKind::AllToAll &&
             physVerticalDim != 1)
             fatal("physical AllToAll is local x packages");
-        if (physTopology == TopologyKind::AllToAll &&
-            physGlobalSwitches < 1)
-            fatal("physical AllToAll needs >= 1 global switch");
     }
 }
 

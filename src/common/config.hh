@@ -14,7 +14,7 @@
 #ifndef ASTRA_COMMON_CONFIG_HH
 #define ASTRA_COMMON_CONFIG_HH
 
-#include <map>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -174,12 +174,6 @@ struct SimConfig
      */
     int lsqConcurrency = 2;
 
-    /**
-     * Local update time: cycles to reduce 1 KiB of received data at the
-     * endpoint (the per-layer value of Fig. 8 defaults to this).
-     */
-    double localUpdateTimePerKiB = 2.0;
-
     // --- Network level (Table IV defaults) ---------------------------
     NetworkBackend backend = NetworkBackend::Analytical;
 
@@ -325,33 +319,92 @@ struct SimConfig
     void loadFile(const std::string &path);
 
     /**
-     * Apply --key=value arguments; non-matching arguments are left for
-     * the caller. @return arguments that were not consumed.
+     * Sanity-check the configuration: every keyed field against its
+     * key's range, then the rules that span fields. fatal() with a
+     * message if bad.
      */
-    std::map<std::string, std::string>
-    applyArgs(int argc, char **argv);
-
-    /** Sanity-check the configuration; fatal() with a message if bad. */
     void validate() const;
 
     /** Multi-line human-readable dump. */
     std::string toString() const;
 };
 
-/** Parse helpers for the enum-valued parameters; fatal on bad input. */
-TopologyKind parseTopologyKind(const std::string &s);
-AlgorithmFlavor parseAlgorithmFlavor(const std::string &s);
-SchedulingPolicy parseSchedulingPolicy(const std::string &s);
-NetworkBackend parseNetworkBackend(const std::string &s);
-PacketRouting parsePacketRouting(const std::string &s);
-InjectionPolicy parseInjectionPolicy(const std::string &s);
+/**
+ * Accepted values of a numeric parameter: from lo (exclusive when
+ * loOpen) up to hi inclusive. The default accepts any value.
+ */
+struct Range
+{
+    double lo = -std::numeric_limits<double>::infinity();
+    bool loOpen = false;
+    double hi = std::numeric_limits<double>::infinity();
+};
 
-const char *toString(TopologyKind k);
-const char *toString(AlgorithmFlavor f);
-const char *toString(SchedulingPolicy p);
-const char *toString(NetworkBackend b);
-const char *toString(PacketRouting r);
-const char *toString(InjectionPolicy p);
+constexpr Range
+atLeast(double lo)
+{
+    return Range{lo};
+}
+
+inline constexpr Range kPositive{0, true};
+inline constexpr Range kUnitInterval{0, true, 1};
+
+/**
+ * Checked scalar parsers, shared by the SimConfig keys and the
+ * command-line flags of the tools and benches. Each parses the whole
+ * of @p text and writes @p out only if the value is well formed and
+ * inside @p range. @return what is wrong ("'abc' is not an integer",
+ * "must be >= 1, got 0"), empty on success. Doubles must be finite.
+ */
+std::string parseValue(const std::string &text, int *out, Range range = {});
+std::string parseValue(const std::string &text, std::uint64_t *out,
+                       Range range = {});
+std::string parseValue(const std::string &text, double *out,
+                       Range range = {});
+std::string parseValue(const std::string &text, bool *out);
+/** A byte count with an optional KB/MB/GB suffix (see parseBytes). */
+std::string parseSize(const std::string &text, Bytes *out, Range range = {});
+
+/**
+ * The spellings of one config enum, indexed by value: the display name
+ * first (what toString() and SimConfig::toString() print), then the
+ * aliases. Lookups ignore case.
+ */
+using EnumNames = std::vector<std::vector<const char *>>;
+
+const EnumNames &enumNames(TopologyKind);
+const EnumNames &enumNames(AlgorithmFlavor);
+const EnumNames &enumNames(SchedulingPolicy);
+const EnumNames &enumNames(NetworkBackend);
+const EnumNames &enumNames(PacketRouting);
+const EnumNames &enumNames(InjectionPolicy);
+
+template <typename E>
+concept ConfigEnum = requires(E e) { enumNames(e); };
+
+/** Display name of a config enum value. */
+template <ConfigEnum E>
+const char *
+toString(E value)
+{
+    return enumNames(value)[static_cast<std::size_t>(value)][0];
+}
+
+/** Index of the value @p text spells in @p names; see parseValue(). */
+std::string parseName(const std::string &text, const EnumNames &names,
+                      std::size_t *index);
+
+/** Look @p text up among the spellings of @p out's enum. */
+template <ConfigEnum E>
+std::string
+parseValue(const std::string &text, E *out)
+{
+    std::size_t index = 0;
+    std::string err = parseName(text, enumNames(*out), &index);
+    if (err.empty())
+        *out = static_cast<E>(index);
+    return err;
+}
 
 } // namespace astra
 

@@ -19,7 +19,7 @@ tryParseBytes(const std::string &text, Bytes *out, std::string *err)
     const char *s = text.c_str();
     char *end = nullptr;
     double value = std::strtod(s, &end);
-    if (end == s || value < 0) {
+    if (end == s || !std::isfinite(value) || value < 0) {
         *err = "malformed size string '" + text + "'";
         return false;
     }

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <cstdio>
 #include <fstream>
 #include <regex>
@@ -268,19 +269,6 @@ TEST(Config, RepeatedFaultKeyIsNotADuplicateInFiles)
     std::remove(path);
 }
 
-TEST(Config, ApplyArgsConsumesMatchingFlags)
-{
-    SimConfig cfg;
-    const char *argv[] = {"prog", "--num-passes=2", "--topology=torus",
-                          "positional", "--unknown-flag=3"};
-    auto leftover = cfg.applyArgs(5, const_cast<char **>(argv));
-    EXPECT_EQ(cfg.numPasses, 2);
-    EXPECT_EQ(cfg.topology, TopologyKind::Torus3D);
-    EXPECT_EQ(leftover.size(), 2u);
-    EXPECT_TRUE(leftover.count("positional"));
-    EXPECT_TRUE(leftover.count("unknown-flag"));
-}
-
 TEST(Config, ValidateCatchesBadConfigurations)
 {
     {
@@ -323,6 +311,85 @@ TEST(Config, ValidateCatchesBadConfigurations)
         cfg.torus(2, 2, 2);
         EXPECT_NO_THROW(cfg.validate());
     }
+}
+
+TEST(Config, RejectsNonFiniteAndNegativeDoubles)
+{
+    const SimConfig before;
+    SimConfig cfg;
+    std::string err;
+    EXPECT_FALSE(cfg.trySet("local-link-bw", "inf", &err));
+    EXPECT_NE(err.find("local-link-bw"), std::string::npos) << err;
+    EXPECT_FALSE(cfg.trySet("local-pj-per-bit", "nan", &err));
+    EXPECT_NE(err.find("local-pj-per-bit"), std::string::npos) << err;
+    EXPECT_FALSE(cfg.trySet("package-pj-per-bit", "-4", &err));
+    EXPECT_NE(err.find(">= 0"), std::string::npos) << err;
+    EXPECT_DOUBLE_EQ(cfg.local.bandwidth, before.local.bandwidth);
+    EXPECT_DOUBLE_EQ(cfg.energy.localPjPerBit, before.energy.localPjPerBit);
+    EXPECT_DOUBLE_EQ(cfg.energy.packagePjPerBit,
+                     before.energy.packagePjPerBit);
+    EXPECT_EQ(cfg.toString(), before.toString());
+}
+
+TEST(Config, DefaultsValidateAndBudgetZeroMeansOff)
+{
+    // Every key's default lies inside its range; only the topology
+    // needs the two NPUs of the cross-field rule.
+    SimConfig cfg;
+    cfg.torus(2, 1, 1);
+    EXPECT_NO_THROW(cfg.validate());
+    for (const char *key : {"max-events", "max-sim-time", "max-slab-bytes",
+                            "watchdog-window"}) {
+        std::string err;
+        EXPECT_TRUE(cfg.trySet(key, "5", &err)) << key << ": " << err;
+        EXPECT_TRUE(cfg.trySet(key, "0", &err)) << key << ": " << err;
+    }
+    EXPECT_EQ(cfg.maxEvents, 0u);
+    EXPECT_EQ(cfg.maxSimTime, 0u);
+    EXPECT_EQ(cfg.maxSlabBytes, 0u);
+    EXPECT_EQ(cfg.watchdogWindow, 0u);
+    EXPECT_NO_THROW(cfg.validate());
+}
+
+template <typename E>
+void
+expectNamesRoundTrip(const std::vector<const char *> &displayNames)
+{
+    const EnumNames &names = enumNames(E{});
+    ASSERT_EQ(names.size(), displayNames.size());
+    for (std::size_t i = 0; i < names.size(); ++i) {
+        const E value = static_cast<E>(i);
+        EXPECT_STREQ(toString(value), displayNames[i]);
+        std::vector<std::string> spellings = {toString(value)};
+        for (const char *alias : names[i]) {
+            std::string upper = alias;
+            for (char &ch : upper)
+                ch = static_cast<char>(std::toupper(ch));
+            spellings.push_back(alias);
+            spellings.push_back(upper);
+        }
+        for (const std::string &s : spellings) {
+            E out = static_cast<E>((i + 1) % names.size());
+            EXPECT_EQ(parseValue(s, &out), "") << s;
+            EXPECT_EQ(out, value) << s;
+        }
+    }
+    E untouched = E{};
+    EXPECT_NE(parseValue("no-such-value", &untouched), "");
+    EXPECT_EQ(untouched, E{});
+}
+
+TEST(Config, EnumNameTablesRoundTrip)
+{
+    // The display names feed SimConfig::toString() and with it the
+    // explore journal key, so they must not change.
+    expectNamesRoundTrip<TopologyKind>({"Torus3D", "AllToAll"});
+    expectNamesRoundTrip<AlgorithmFlavor>({"baseline", "enhanced"});
+    expectNamesRoundTrip<SchedulingPolicy>({"LIFO", "FIFO",
+                                            "layer-priority"});
+    expectNamesRoundTrip<NetworkBackend>({"analytical", "garnet-lite"});
+    expectNamesRoundTrip<PacketRouting>({"software", "hardware"});
+    expectNamesRoundTrip<InjectionPolicy>({"normal", "aggressive"});
 }
 
 TEST(Config, ToStringMentionsKeyFacts)

@@ -24,7 +24,6 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <functional>
 #include <memory>
 #include <string>
@@ -55,7 +54,8 @@ usage(const char *prog)
         "usage: %s [mode] [--key=value ...]\n"
         "\n"
         "workload mode:\n"
-        "  --workload=FILE        Fig. 8 workload description\n"
+        "  --workload=FILE        Fig. 8 workload description (the\n"
+        "                         dnn-name key)\n"
         "  --model=NAME           resnet50 | transformer | dlrm | gpt2 | vgg16\n"
         "  --num-passes=N         training iterations (default 1)\n"
         "  --compute-scale=X      compute-power multiplier (Fig. 18)\n"
@@ -123,7 +123,8 @@ usage(const char *prog)
         "  boundary, flushing the journal and partial results.\n"
         "\n"
         "  exit codes: 0 completed, 1 runtime error, 2 configuration\n"
-        "  error, 3 degraded/deadlocked run (see the failure report),\n"
+        "  error (such as a bad flag value), 3 degraded/deadlocked\n"
+        "  run (see the failure report),\n"
         "  4 run budget exceeded, 5 interrupted, 6 sweep finished with\n"
         "  failed candidates\n",
         prog);
@@ -131,7 +132,6 @@ usage(const char *prog)
 
 struct CliOptions
 {
-    std::string workloadFile;
     std::string model;
     std::string writeWorkload;
     std::string configFile;
@@ -139,7 +139,6 @@ struct CliOptions
     std::string reportJson;
     std::string collective;
     Bytes bytes = 4 * MiB;
-    int numPasses = 1;
     double computeScale = 1.0;
     int pipelineMicrobatches = 0; //!< > 0 selects pipeline parallelism
 
@@ -162,32 +161,29 @@ formatDigest(std::uint64_t d)
     return strprintf("0x%016llx", static_cast<unsigned long long>(d));
 }
 
+/** fatal() naming flag --@p key if parsing its value found @p problem. */
+void
+checkFlag(const std::string &key, const std::string &problem)
+{
+    if (!problem.empty())
+        fatal("--%s: %s", key.c_str(), problem.c_str());
+}
+
+/** A comma-separated list of positive integers. */
 std::vector<int>
-parseIntList(const std::string &value, const char *what)
+parseIntList(const std::string &key, const std::string &value)
 {
     std::vector<int> out;
-    std::size_t pos = 0;
-    while (pos <= value.size()) {
+    for (std::size_t pos = 0;;) {
         const std::size_t comma = value.find(',', pos);
-        const std::string item =
-            value.substr(pos, comma == std::string::npos
-                                  ? std::string::npos
-                                  : comma - pos);
-        if (item.empty())
-            fatal("empty element in %s list '%s'", what, value.c_str());
-        if (item.find_first_not_of("0123456789") != std::string::npos ||
-            std::atoi(item.c_str()) <= 0) {
-            fatal("%s expects positive integers, got '%s'", what,
-                  item.c_str());
-        }
-        out.push_back(std::atoi(item.c_str()));
+        int item = 0;
+        checkFlag(key, parseValue(value.substr(pos, comma - pos), &item,
+                                  atLeast(1)));
+        out.push_back(item);
         if (comma == std::string::npos)
-            break;
+            return out;
         pos = comma + 1;
     }
-    if (out.empty())
-        fatal("%s needs at least one value", what);
-    return out;
 }
 
 void
@@ -550,8 +546,8 @@ int
 runWorkloadMode(const CliOptions &opts, SimConfig cfg)
 {
     WorkloadSpec spec;
-    if (!opts.workloadFile.empty()) {
-        spec = WorkloadSpec::parseFile(opts.workloadFile);
+    if (!cfg.dnnName.empty()) {
+        spec = WorkloadSpec::parseFile(cfg.dnnName);
     } else if (opts.model == "resnet50") {
         spec = resnet50Workload();
     } else if (opts.model == "transformer") {
@@ -587,14 +583,14 @@ runWorkloadMode(const CliOptions &opts, SimConfig cfg)
     std::printf("workload: %s, %s parallelism, %zu layers, "
                 "%d pass(es), compute scale %.2gx\n\n",
                 spec.name.c_str(), toString(spec.parallelism),
-                spec.layers.size(), opts.numPasses, opts.computeScale);
+                spec.layers.size(), cfg.numPasses, opts.computeScale);
 
     cfg.digest = cfg.digest || opts.digest;
     Cluster cluster(cfg);
 
     if (opts.pipelineMicrobatches > 0) {
         const PipelineOptions popts{
-            .numPasses = opts.numPasses,
+            .numPasses = cfg.numPasses,
             .microbatches = opts.pipelineMicrobatches,
             .computeScale = opts.computeScale};
         PipelineRun run(cluster, spec, popts);
@@ -621,7 +617,7 @@ runWorkloadMode(const CliOptions &opts, SimConfig cfg)
         return reportOutcome(cluster);
     }
 
-    const TrainerOptions topts{.numPasses = opts.numPasses,
+    const TrainerOptions topts{.numPasses = cfg.numPasses,
                                .computeScale = opts.computeScale};
     WorkloadRun run(cluster, spec, topts);
     const Tick makespan = run.run();
@@ -661,95 +657,94 @@ main(int argc, char **argv)
     SimConfig cfg;
     cfg.torus(2, 2, 2); // a small default platform
 
-    // First pass: CLI-level options; everything else goes to SimConfig.
-    std::vector<std::pair<std::string, std::string>> cfg_args;
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        if (arg == "--help" || arg == "-h") {
-            usage(argv[0]);
-            return 0;
-        }
-        auto eq = arg.find('=');
-        // --validate, --digest and --resume are meaningful bare: a
-        // bare --validate selects the full level, a bare --digest just
-        // prints the digest, --resume takes no value at all.
-        if (arg == "--validate" || arg == "--digest" ||
-            arg == "--resume")
-            eq = arg.size();
-        if (arg.rfind("--", 0) != 0 || eq == std::string::npos) {
-            std::fprintf(stderr, "unexpected argument '%s'\n",
-                         arg.c_str());
-            usage(argv[0]);
-            return 1;
-        }
-        const std::string key = arg.substr(2, eq - 2);
-        const std::string value =
-            eq + 1 < arg.size() ? arg.substr(eq + 1) : std::string();
-        if (key == "validate") {
-            setValidationLevel(parseValidateLevel(value));
-        } else if (key == "digest") {
-            if (value == "verify") {
-                opts.digest = true;
-                opts.digestVerify = true;
-            } else if (value.empty()) {
-                opts.digest = true;
-            } else {
-                fatal("--digest takes no value or 'verify', got '%s'",
-                      value.c_str());
-            }
-        } else if (key == "workload") {
-            opts.workloadFile = value;
-        } else if (key == "model") {
-            opts.model = value;
-        } else if (key == "write-workload") {
-            opts.writeWorkload = value;
-        } else if (key == "config") {
-            opts.configFile = value;
-        } else if (key == "report-csv") {
-            opts.reportCsv = value;
-        } else if (key == "report-json") {
-            opts.reportJson = value;
-        } else if (key == "collective") {
-            opts.collective = value;
-        } else if (key == "bytes") {
-            opts.bytes = parseBytes(value);
-        } else if (key == "num-passes") {
-            opts.numPasses = std::atoi(value.c_str());
-        } else if (key == "compute-scale") {
-            opts.computeScale = std::atof(value.c_str());
-        } else if (key == "pipeline") {
-            opts.pipelineMicrobatches = std::atoi(value.c_str());
-        } else if (key == "explore") {
-            opts.exploreModules = std::atoi(value.c_str());
-        } else if (key == "local-dims") {
-            opts.exploreLocalDims = parseIntList(value, "--local-dims");
-        } else if (key == "set-splits") {
-            opts.exploreSetSplits = parseIntList(value, "--set-splits");
-        } else if (key == "top") {
-            opts.exploreTop = std::atoi(value.c_str());
-        } else if (key == "jobs") {
-            opts.jobs = std::atoi(value.c_str());
-        } else if (key == "journal") {
-            opts.journalFile = value;
-        } else if (key == "resume") {
-            opts.resume = true;
-        } else {
-            cfg_args.emplace_back(key, value);
-        }
-    }
-
-    // The whole configuration phase reports through exit code 2 —
-    // distinct from runtime errors (1) and degraded runs (3) so CI can
-    // tell a bad config from a bad simulation. Errors are collected by
-    // the parser (all problems at once, file:line prefixed) and land
-    // here as one FatalError.
+    // The whole configuration phase, flags included, reports through
+    // exit code 2 — distinct from runtime errors (1) and degraded runs
+    // (3) so CI can tell a bad config from a bad simulation. Config
+    // file errors are collected by the parser (all problems at once,
+    // file:line prefixed) and land here as one FatalError.
     setLoggingThrowOnFatal(true);
     try {
+        // CLI-level options first; everything else goes to SimConfig,
+        // after the config file so that flags override it.
+        std::vector<std::pair<std::string, std::string>> cfg_args;
+        for (int i = 1; i < argc; ++i) {
+            std::string arg = argv[i];
+            if (arg == "--help" || arg == "-h") {
+                usage(argv[0]);
+                return 0;
+            }
+            auto eq = arg.find('=');
+            // --validate, --digest and --resume are meaningful bare: a
+            // bare --validate selects the full level, a bare --digest
+            // just prints the digest, --resume takes no value at all.
+            if (arg == "--validate" || arg == "--digest" ||
+                arg == "--resume")
+                eq = arg.size();
+            if (arg.rfind("--", 0) != 0 || eq == std::string::npos) {
+                std::fprintf(stderr, "unexpected argument '%s'\n",
+                             arg.c_str());
+                usage(argv[0]);
+                return 1;
+            }
+            const std::string key = arg.substr(2, eq - 2);
+            const std::string value =
+                eq + 1 < arg.size() ? arg.substr(eq + 1) : std::string();
+            if (key == "validate") {
+                setValidationLevel(parseValidateLevel(value));
+            } else if (key == "digest") {
+                if (value == "verify") {
+                    opts.digest = true;
+                    opts.digestVerify = true;
+                } else if (value.empty()) {
+                    opts.digest = true;
+                } else {
+                    fatal("--digest takes no value or 'verify', got '%s'",
+                          value.c_str());
+                }
+            } else if (key == "model") {
+                opts.model = value;
+            } else if (key == "write-workload") {
+                opts.writeWorkload = value;
+            } else if (key == "config") {
+                opts.configFile = value;
+            } else if (key == "report-csv") {
+                opts.reportCsv = value;
+            } else if (key == "report-json") {
+                opts.reportJson = value;
+            } else if (key == "collective") {
+                opts.collective = value;
+            } else if (key == "bytes") {
+                checkFlag(key, parseSize(value, &opts.bytes));
+            } else if (key == "compute-scale") {
+                checkFlag(key,
+                          parseValue(value, &opts.computeScale, kPositive));
+            } else if (key == "pipeline") {
+                checkFlag(key, parseValue(value, &opts.pipelineMicrobatches,
+                                          atLeast(0)));
+            } else if (key == "explore") {
+                checkFlag(key,
+                          parseValue(value, &opts.exploreModules, atLeast(1)));
+            } else if (key == "local-dims") {
+                opts.exploreLocalDims = parseIntList(key, value);
+            } else if (key == "set-splits") {
+                opts.exploreSetSplits = parseIntList(key, value);
+            } else if (key == "top") {
+                checkFlag(key, parseValue(value, &opts.exploreTop, atLeast(0)));
+            } else if (key == "jobs") {
+                checkFlag(key, parseValue(value, &opts.jobs, atLeast(0)));
+            } else if (key == "journal") {
+                opts.journalFile = value;
+            } else if (key == "resume") {
+                opts.resume = true;
+            } else {
+                cfg_args.emplace_back(key, value);
+            }
+        }
+
         if (!opts.configFile.empty())
             cfg.loadFile(opts.configFile);
         for (const auto &[k, v] : cfg_args)
             cfg.set(k, v);
-        cfg.numPasses = opts.numPasses;
         cfg.validate();
         // Vet the fault rules now: a malformed rule is a config error,
         // not a runtime one.
@@ -774,7 +769,7 @@ main(int argc, char **argv)
         return runExploreMode(opts, cfg);
     if (!opts.collective.empty())
         return runCollectiveMode(opts, cfg);
-    if (opts.workloadFile.empty() && opts.model.empty()) {
+    if (cfg.dnnName.empty() && opts.model.empty()) {
         std::fprintf(stderr, "need --workload, --model, --collective "
                              "or --explore\n");
         usage(argv[0]);
