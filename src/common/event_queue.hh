@@ -24,28 +24,27 @@
  * Hot-path design (docs/performance.md has the full rationale):
  *  - **Ladder buckets, not a heap.** Discrete-event traffic here
  *    schedules overwhelmingly at `now + small latency`, so events land
- *    in a kWindow-tick array of per-tick buckets indexed by `when &
- *    kWindowMask`. schedule() is an append; popping walks the current
- *    tick's bucket with a cursor. No O(log n) sift, no Entry moves.
- *    A two-level bitmap finds the next non-empty tick in O(1).
+ *    in a kWindow-tick array of per-tick lists indexed by `when &
+ *    kWindowMask`. Each list is an intrusive singly-linked FIFO
+ *    threaded through the slab entries, kept in (priority, seq) order:
+ *    schedule() links at the tail, popping unlinks the head. No
+ *    O(log n) sift, no Entry moves, no per-bucket buffer. A two-level
+ *    bitmap finds the next non-empty tick in O(1).
  *  - **A coarse rung for the middle distance.** Events further out
  *    are common, not rare: an analytical link-busy retry re-parks a
  *    large transfer at the link's free time, 16k-32k ticks ahead. They
- *    append, unsorted, to one of kRungBlocks per-block ref lists
- *    (blocks of half a window); when now() enters a block, the next
- *    block's list is distributed into the buckets, O(1) per ref.
+ *    link, unsorted, into one of kRungBlocks per-block lists (blocks
+ *    of half a window) that remember their earliest tick; when now()
+ *    enters a block, the next block's list is distributed into the
+ *    buckets, O(1) per entry.
  *  - **Far-future overflow heap.** Only events past the rung horizon
- *    (64 blocks, 32 windows) wait in a binary heap of 32-byte POD refs
+ *    (64 blocks, 32 windows) wait in a binary heap of 24-byte POD refs
  *    — the callback never moves — and refill the rung as it advances.
  *  - **Slab-allocated entries.** Entry objects (callback included)
- *    live in chunked slab storage with a free list; scheduling never
- *    touches the general heap and a fired entry's storage is reused by
- *    the next schedule(). Chunk addresses are stable, so callbacks run
- *    in place — no move out of the container to invoke.
- *  - **Generation-tagged handles, no hash set.** An EventId packs
- *    {generation, slot}; cancel() and liveness checks are one slab
- *    probe comparing generations. The old per-event unordered_set
- *    insert/erase/find pair is gone entirely.
+ *    live in chunked slab storage whose free list runs through the
+ *    same link field; schedule() constructs the callable in place and
+ *    never touches the general heap. Chunk addresses are stable, so
+ *    callbacks run in place — no move out of the container to invoke.
  *  - EventCallback stores small callables inline (48 bytes of
  *    in-object storage) instead of heap-allocating through
  *    std::function — nearly every callback in the simulator captures
@@ -99,14 +98,7 @@ class EventCallback
                   std::is_invocable_r_v<void, Fn &>>>
     EventCallback(F &&f) // NOLINT: implicit by design, like std::function
     {
-        if constexpr (fitsInline<Fn>()) {
-            ::new (static_cast<void *>(_buf)) Fn(std::forward<F>(f));
-            _ops = &kInlineOps<Fn>;
-        } else {
-            *reinterpret_cast<Fn **>(_buf) =
-                new Fn(std::forward<F>(f)); // NOLINT: SBO heap fallback
-            _ops = &kHeapOps<Fn>;
-        }
+        emplace(std::forward<F>(f));
     }
 
     EventCallback(EventCallback &&o) noexcept { moveFrom(o); }
@@ -140,6 +132,27 @@ class EventCallback
         if (_ops) {
             _ops->destroy(_buf);
             _ops = nullptr;
+        }
+    }
+
+    /**
+     * Store @p f, constructed in place; this callback must be empty.
+     * An EventCallback argument is moved in (it must be an rvalue).
+     */
+    template <typename F>
+    void
+    emplace(F &&f)
+    {
+        using Fn = std::decay_t<F>;
+        if constexpr (std::is_same_v<Fn, EventCallback>) {
+            *this = std::forward<F>(f);
+        } else if constexpr (fitsInline<Fn>()) {
+            ::new (static_cast<void *>(_buf)) Fn(std::forward<F>(f));
+            _ops = &kInlineOps<Fn>;
+        } else {
+            *reinterpret_cast<Fn **>(_buf) =
+                new Fn(std::forward<F>(f)); // NOLINT: SBO heap fallback
+            _ops = &kHeapOps<Fn>;
         }
     }
 
@@ -205,18 +218,6 @@ class EventCallback
 };
 
 /**
- * Generation-tagged handle to a scheduled event: the high 32 bits are
- * the slab slot's generation at schedule time, the low 32 bits the
- * slot index. cancel()/live() compare the tag against the slot's
- * current generation — one array probe, no hashing. Never zero for a
- * real event (generations start at 1), so 0 can mean "no event".
- */
-using EventId = std::uint64_t;
-
-/** No-event sentinel (never returned by schedule()). */
-inline constexpr EventId kEventIdInvalid = 0;
-
-/**
  * A deterministic discrete-event queue (ladder buckets, rung and far
  * heap over a slab of recycled entries; see the file comment).
  */
@@ -240,19 +241,13 @@ class EventQueue
      * at most the *distributed* block, block(now()) + 1; later blocks
      * up to kRungBlocks past it park in the rung, the rest in the far
      * heap. Block-aligned admission keeps the bucketed span under
-     * kWindow and never lets a bucketed ref jump ahead of refs still
-     * parked in the rung for the same tick.
+     * kWindow and never lets a bucketed entry jump ahead of entries
+     * still parked in the rung for the same tick.
      */
     static constexpr std::size_t kBlockBits = kWindowBits - 1;
     static constexpr std::size_t kRungBlocks = 64;
 
-    /**
-     * The ordering audit (validate::eventOrder per fired event) is
-     * armed here when the process-global validation level is `full` at
-     * construction time; set the level before building the queue (the
-     * CLI does, before any Cluster exists).
-     */
-    EventQueue();
+    EventQueue() = default;
     EventQueue(const EventQueue &) = delete;
     EventQueue &operator=(const EventQueue &) = delete;
 
@@ -260,62 +255,43 @@ class EventQueue
     Tick now() const { return _now; }
 
     /**
-     * Schedule @p cb to run at absolute time @p when.
+     * Schedule @p cb to run at absolute time @p when. The callable is
+     * constructed in its slab entry.
      *
      * @param when  Absolute tick; must be >= now(). Scheduling into
      *              the past is a fatal() error — it would silently
      *              violate the non-decreasing-time guarantee.
-     * @param cb    Callback to invoke.
+     * @param cb    Callback to invoke (any void() callable, or an
+     *              EventCallback rvalue).
      * @param priority  Lower fires first within a tick.
-     * @return a generation-tagged handle usable with cancel()/live().
      */
-    EventId schedule(Tick when, EventCallback cb,
-                     int priority = kDefaultPriority);
+    template <typename F>
+    void
+    schedule(Tick when, F &&cb, int priority = kDefaultPriority)
+    {
+        if (when < _now) [[unlikely]]
+            rejectPast(when, priority);
+        if (_freeHead == kNoSlot) [[unlikely]]
+            growSlab();
+        const std::uint32_t slot = _freeHead;
+        Entry &e = entryAt(slot);
+        e.cb.emplace(std::forward<F>(cb));
+        _freeHead = e.next;
+        e.when = when;
+        e.seq = _seq++;
+        e.priority = priority;
+        enqueue(slot, e);
+    }
 
     /** Schedule @p cb to run @p delay ticks from now. */
-    EventId
-    scheduleAfter(Tick delay, EventCallback cb,
-                  int priority = kDefaultPriority)
+    template <typename F>
+    void
+    scheduleAfter(Tick delay, F &&cb, int priority = kDefaultPriority)
     {
-        return schedule(_now + delay, std::move(cb), priority);
+        schedule(_now + delay, std::forward<F>(cb), priority);
     }
 
-    /**
-     * Cancel a previously scheduled event. One slab probe: the slot's
-     * entry is destroyed and recycled immediately (only an 8-byte
-     * stale ref stays behind, skipped by its generation mismatch).
-     *
-     * @return true if the event was pending and is now cancelled,
-     *         false if it already fired or was already cancelled.
-     */
-    bool cancel(EventId id);
-
-    /**
-     * True while @p id is scheduled and not yet fired or cancelled.
-     * One generation compare against the slab — no hashing.
-     */
-    bool
-    live(EventId id) const
-    {
-        const std::uint32_t slot = slotOf(id);
-        return slot < _slotCount && entryAt(slot).gen == genOf(id);
-    }
-
-    /** Slot index of a handle (for diagnostics/tests). */
-    static std::uint32_t
-    slotOf(EventId id)
-    {
-        return static_cast<std::uint32_t>(id & 0xffffffffU);
-    }
-
-    /** Generation tag of a handle (for diagnostics/tests). */
-    static std::uint32_t
-    genOf(EventId id)
-    {
-        return static_cast<std::uint32_t>(id >> 32);
-    }
-
-    /** Number of pending (live, non-cancelled) events. */
+    /** Number of pending events. */
     std::size_t pendingEvents() const { return _size; }
 
     /** True when no runnable events remain. */
@@ -326,7 +302,11 @@ class EventQueue
      *
      * @return the number of events executed.
      */
-    std::uint64_t run(std::uint64_t max_events = UINT64_MAX);
+    std::uint64_t
+    run(std::uint64_t max_events = UINT64_MAX)
+    {
+        return runBounded(kTickInvalid, max_events);
+    }
 
     /**
      * Run events with tick <= @p until (inclusive). Time advances to
@@ -351,24 +331,18 @@ class EventQueue
     std::uint64_t runBounded(Tick until, std::uint64_t max_events);
 
     /** Execute exactly one event if available; @return true if one ran. */
-    bool step();
+    bool step() { return runBounded(kTickInvalid, 1) == 1; }
 
     /** Total number of events executed over the queue's lifetime. */
     std::uint64_t executedEvents() const { return _executed; }
 
     // --- introspection for tests -------------------------------------
 
-    /** Far-heap refs whose event was cancelled but not yet purged. */
-    std::size_t staleFarRefs() const { return _staleFar; }
-
-    /** Entries currently parked in the far-future heap (incl. stale). */
+    /** Entries currently parked in the far-future heap. */
     std::size_t farHeapSize() const { return _far.size(); }
 
-    /** Refs currently parked in the rung (incl. stale). */
+    /** Entries currently parked in the rung. */
     std::size_t rungSize() const;
-
-    /** Slab slots ever allocated (high-water mark of pending events). */
-    std::size_t allocatedSlots() const { return _slotCount; }
 
     /**
      * Bytes of entry-slab storage currently allocated (chunk payloads;
@@ -381,14 +355,6 @@ class EventQueue
         return _chunks.size() * kChunkSize * sizeof(Entry);
     }
 
-    /**
-     * Test hook for generation wraparound: retag a *free* slot so the
-     * next event allocated into it starts at @p gen. Fatal if the slot
-     * is live or out of range.
-     */
-    void debugSetFreeSlotGeneration(std::uint32_t slot,
-                                    std::uint32_t gen);
-
     // --- integrity layer (docs/validation.md) -------------------------
 
     /**
@@ -398,9 +364,6 @@ class EventQueue
      */
     void enableDigest() { _digestOn = true; }
 
-    /** True when the determinism digest is being accumulated. */
-    bool digestEnabled() const { return _digestOn; }
-
     /** The retired-event-stream digest accumulated so far. */
     std::uint64_t digest() const { return _digest.value(); }
 
@@ -408,67 +371,49 @@ class EventQueue
     void setOrderAudit(bool on) { _auditOrder = on; }
 
     /**
-     * Drain-time checker: after run() returns, no live events may
-     * remain (in the buckets, the rung or the far heap) and every
-     * entry slot must be back on the free list. Raises an ASTRA_CHECK
-     * diagnostic otherwise.
+     * Drain-time checker: after run() returns, no events may remain
+     * (in the buckets, the rung or the far heap) and every entry slot
+     * must be back on the free list. Raises an ASTRA_CHECK diagnostic
+     * otherwise.
      */
     void validateDrained() const;
 
   private:
-    /** Where an entry's pending ref currently lives. */
-    enum class Region : std::uint8_t { kNear, kRung, kFar };
+    /** Null slot index: the end of a list (and "no event" for
+     *  findNext()). */
+    static constexpr std::uint32_t kNoSlot = 0xffffffffU;
 
     /**
-     * One slab slot. `gen` is the slot's *current* generation: equal
-     * to a ref's tag iff that ref's event is live. Bumped (skipping 0)
-     * every time the slot is freed, which is what invalidates every
-     * outstanding handle and bucket/heap ref in O(1).
+     * One slab slot. `next` links the entry into its bucket list, its
+     * rung list or, while free, the free list; a far-heap entry is
+     * reached through its FarRef instead.
      */
     struct Entry
     {
         Tick when = 0;
         std::uint64_t seq = 0;
         int priority = 0;
-        std::uint32_t gen = 1;
-        Region region = Region::kNear;
+        std::uint32_t next = kNoSlot;
         EventCallback cb;
     };
 
-    /** Slab granularity: chunk addresses are stable forever. */
-    static constexpr std::size_t kChunkBits = 8;
+    /**
+     * Slab granularity: chunk addresses are stable forever. A 96 KiB
+     * chunk also keeps a teardown freeing at least one block past
+     * glibc's 64 KiB fastbin-consolidation threshold, which is where
+     * the previous simulation's small blocks get consolidated (see
+     * docs/performance.md).
+     */
+    static constexpr std::size_t kChunkBits = 10;
     static constexpr std::size_t kChunkSize = std::size_t(1) << kChunkBits;
     static constexpr std::size_t kChunkMask = kChunkSize - 1;
 
-    /** Far-heap purge threshold (entries; below this, skipping wins). */
-    static constexpr std::size_t kPurgeMinFar = 64;
-
-    /** An 8-byte bucket ref: {generation, slot} packed like EventId. */
-    using Ref = std::uint64_t;
-
-    /**
-     * One tick's pending events, in append order. `lastPrio` is the
-     * priority of the last ref appended; `dirty` is set when an append
-     * undercut it, breaking the (priority, seq) sort order, and
-     * triggers one cleanup pass when the tick fires. Priority alone
-     * decides: a tick's refs arrive as the far heap's pops (sorted),
-     * then rung appends and schedule() calls (ascending seq).
-     */
-    struct Bucket
+    /** An intrusive singly-linked list of slots, head to tail. */
+    struct List
     {
-        std::vector<Ref> refs;
-        int lastPrio = 0;
-        bool dirty = false;
+        std::uint32_t head = kNoSlot;
+        std::uint32_t tail = kNoSlot;
     };
-
-    /**
-     * Largest ref buffer (8 KiB) an exhausted bucket keeps for reuse.
-     * A burst past it (thousands of link-busy retries at one free
-     * tick) would otherwise pin its high-water buffer in one of the
-     * kWindow buckets for the rest of the run; garnet-lite's buckets
-     * stay under it.
-     */
-    static constexpr std::size_t kBucketKeepRefs = 1024;
 
     /** Far-heap element: POD ref, ordered by (when, priority, seq). */
     struct FarRef
@@ -476,7 +421,6 @@ class EventQueue
         Tick when;
         std::uint64_t seq;
         std::uint32_t slot;
-        std::uint32_t gen;
         int priority;
 
         /** True when @p a fires after @p o: the min-heap order for
@@ -504,53 +448,52 @@ class EventQueue
         return _chunks[slot >> kChunkBits][slot & kChunkMask];
     }
 
-    Bucket &
-    bucketAt(Tick when)
-    {
-        return _buckets[static_cast<std::size_t>(when & kWindowMask)];
-    }
+    /** schedule()'s past-event diagnostic (always fatal). */
+    void rejectPast(Tick when, int priority) const;
+
+    /** Grow the slab by one chunk, threading it onto the free list. */
+    void growSlab();
+
+    /** Link the filled entry @p e at @p slot into its tier. */
+    void enqueue(std::uint32_t slot, Entry &e);
 
     /**
-     * Append @p r (an event at @p when) to its tick's bucket. The
-     * caller has checked the block is distributed and, where the ref
-     * could land behind the scan cursor, pulls the cursor back.
+     * Link @p e (at @p slot) into its tick's bucket, in (priority, seq)
+     * order. Every caller links entries in that order except for
+     * priority: either @p e carries the largest seq of the list (a
+     * schedule(), or a rung entry behind its block's far-heap refs), or
+     * it is the next of a far-heap run already in order. So an entry
+     * that does not undercut the tail's priority goes to the tail, and
+     * one that does goes after the last entry of equal or lower
+     * priority (insertByPriority). The caller has checked the block is
+     * distributed and, where the entry could land behind the scan
+     * cursor, pulls the cursor back.
      */
     void
-    appendNear(Tick when, int priority, Ref r)
+    insertNear(std::uint32_t slot, Entry &e)
     {
-        Bucket &b = bucketAt(when);
-        if (b.refs.empty())
-            markBucket(static_cast<std::size_t>(when & kWindowMask));
-        else if (priority < b.lastPrio)
-            b.dirty = true;
-        b.refs.push_back(r);
-        b.lastPrio = priority;
+        const std::size_t idx = static_cast<std::size_t>(e.when & kWindowMask);
+        List &b = _buckets[idx];
+        e.next = kNoSlot;
+        if (b.head == kNoSlot) {
+            b.head = slot;
+            b.tail = slot;
+            markBucket(idx);
+        } else if (entryAt(b.tail).priority <= e.priority) {
+            entryAt(b.tail).next = slot;
+            b.tail = slot;
+        } else {
+            insertByPriority(b, slot, e);
+        }
         ++_nearLive;
     }
 
-    /** Next generation for a freed slot (never 0, so ids stay valid). */
-    static std::uint32_t
-    nextGen(std::uint32_t gen)
-    {
-        ++gen;
-        return gen == 0 ? 1 : gen;
-    }
-
-    /** Take a free slot, growing the slab by one chunk when dry. */
-    std::uint32_t allocSlot();
-
-    /** Recycle @p slot: destroy its callback and retag the handle. */
-    void
-    freeSlot(std::uint32_t slot)
-    {
-        Entry &e = entryAt(slot);
-        e.cb.reset();
-        e.gen = nextGen(e.gen);
-        _freeList.push_back(slot);
-    }
+    /** insertNear()'s priority-undercut path: walk from the head. */
+    void insertByPriority(List &b, std::uint32_t slot, Entry &e);
 
     // Bitmap over the kWindow buckets (two levels: one summary word,
-    // kWindow/64 leaf words), tracking which buckets hold refs.
+    // kWindow/64 leaf words). A set bit may mark an emptied bucket;
+    // findNext() clears it when the scan reaches it.
     void
     markBucket(std::size_t idx)
     {
@@ -581,23 +524,8 @@ class EventQueue
         return static_cast<std::size_t>(blk & (kRungBlocks - 1));
     }
 
-    /** Park @p r (an event in block @p blk) in its rung list. */
-    void
-    appendRung(Tick blk, Ref r)
-    {
-        const std::size_t i = rungIndex(blk);
-        std::vector<Ref> &list = _rung[i];
-        if (list.capacity() == 0 && !_spareRung.empty()) {
-            list = std::move(_spareRung.back());
-            _spareRung.pop_back();
-        }
-        list.push_back(r);
-        if (_rungLive[i]++ == 0)
-            _rungMask |= std::uint64_t(1) << i;
-    }
-
-    /** schedule()'s slow path: the rung, or the far heap past it. */
-    void park(Entry &e, EventId id);
+    /** Park @p e (at @p slot) at the tail of its block's rung list. */
+    void appendRung(std::uint32_t slot, Entry &e);
 
     /** Remove and return the far heap's earliest ref. */
     FarRef
@@ -611,20 +539,15 @@ class EventQueue
 
     /**
      * Make @p dist the distributed block: the rung lists of the blocks
-     * in between move into the buckets (stale refs are dropped), then
-     * the far heap refills the blocks that entered the rung horizon.
-     * Every block below @p dist - 1 must hold nothing live.
+     * in between move into the buckets, then the far heap refills the
+     * blocks that entered the rung horizon. Every block below
+     * @p dist - 1 must hold nothing.
      */
     void advanceTo(Tick dist);
 
-    /** Earliest live tick parked in rung block @p blk. */
-    Tick minRungTick(Tick blk) const;
-
-    /** Compact the far heap when stale refs dominate it. */
-    void maybePurgeFar();
-
     /**
-     * Position the cursor on the next live ref in firing order.
+     * The slot of the next event in firing order (the head of the
+     * cursor's bucket).
      * @param bound  Highest tick the caller may fire. When nothing is
      *        bucketed, the queue must NOT leap to the next parked
      *        event unless that event is fireable (<= bound):
@@ -632,17 +555,12 @@ class EventQueue
      *        stays behind, and a later schedule() admitted against
      *        that block could land kWindow+ ticks ahead of now() and
      *        alias a bucket index (ticks are bucketed modulo kWindow).
-     * @return the live ref's slot, or kNoSlot when nothing <= bound
-     *         remains (rung or far events may still be parked).
+     * @return the slot, or kNoSlot when nothing <= bound remains (rung
+     *         or far events may still be parked).
      */
-    static constexpr std::uint32_t kNoSlot = 0xffffffffU;
     std::uint32_t findNext(Tick bound);
 
-    /** Drop stale refs and restore (priority, seq) order from the
-     *  cursor onward in @p b. */
-    void cleanBucket(Bucket &b);
-
-    /** Fire the entry the cursor points at (advances the cursor). */
+    /** Unlink and fire the head of the cursor's bucket, @p slot. */
     void fireAt(std::uint32_t slot);
 
     /**
@@ -671,22 +589,20 @@ class EventQueue
         }
     }
 
-    // Entry slab.
+    // Entry slab; free slots are linked through Entry::next.
     std::vector<std::unique_ptr<Entry[]>> _chunks;
-    std::vector<std::uint32_t> _freeList;
+    std::uint32_t _freeHead = kNoSlot;
     std::uint32_t _slotCount = 0;
 
-    // Ladder: per-tick buckets + occupancy bitmap.
-    std::vector<Bucket> _buckets;
-    std::uint64_t _bmSummary = 0;
-    std::uint64_t _bmWords[kWindow / 64] = {};
-    std::size_t _nearLive = 0; //!< live (non-cancelled) bucket refs
+    std::size_t _size = 0; //!< pending events across all three tiers
+    Tick _now = 0;
+    std::uint64_t _seq = 0;
+    std::uint64_t _executed = 0;
 
-    // Scan cursor: next tick to examine and position within its
-    // bucket. Invariant outside pops: _now <= _cursorTick <= every
-    // live bucketed tick (stale refs may linger anywhere).
+    // Scan cursor: the next tick to examine. Invariant outside pops:
+    // _now <= _cursorTick <= every bucketed tick.
     Tick _cursorTick = 0;
-    std::size_t _cursorIdx = 0;
+    std::size_t _nearLive = 0; //!< entries in the buckets
 
     // Distributed block: block(_now) + 1, except between an epoch leap
     // and the fire it was taken for. _nextBlockStart is its first
@@ -694,17 +610,12 @@ class EventQueue
     Tick _distBlock = 1;
     Tick _nextBlockStart = Tick(1) << kBlockBits;
 
-    // Far-future overflow heap: only blocks past the rung horizon.
-    std::vector<FarRef> _far; //!< binary min-heap (std::*_heap helpers)
-    std::size_t _staleFar = 0; //!< cancelled refs still in _far
-
-    std::size_t _size = 0; //!< live events across all three tiers
-    Tick _now = 0;
-    std::uint64_t _seq = 0;
-    std::uint64_t _executed = 0;
-
-    // Integrity layer (see noteFired).
-    bool _auditOrder;
+    // Integrity layer (see noteFired). The ordering audit
+    // (validate::eventOrder per fired event) is armed when the
+    // process-global validation level is `full` at construction time;
+    // set the level before building the queue (the CLI does, before
+    // any Cluster exists).
+    bool _auditOrder = validationAtLeast(ValidateLevel::kFull);
     bool _digestOn = false;
     bool _firedAny = false;
     Tick _lastWhen = 0;
@@ -712,17 +623,21 @@ class EventQueue
     std::uint64_t _lastSeq = 0;
     Fnv1aDigest _digest;
 
-    // Rung: unsorted ref lists for blocks (_distBlock, _distBlock +
-    // kRungBlocks], list rungIndex(block), each in append order. Last,
-    // so it stays off the cache lines every event touches.
-    std::vector<Ref> _rung[kRungBlocks];
-    std::uint32_t _rungLive[kRungBlocks] = {}; //!< live refs per list
-    std::uint64_t _rungMask = 0; //!< bit i set while list i has live refs
-    // Buffers of distributed lists, handed to the next list to fill:
-    // only a handful of blocks fill at once, so pooling keeps the
-    // rung's memory near that handful's, not kRungBlocks high-water
-    // marks.
-    std::vector<std::vector<Ref>> _spareRung;
+    // Far-future overflow heap: only blocks past the rung horizon.
+    std::vector<FarRef> _far; //!< binary min-heap (std::*_heap helpers)
+
+    // Ladder: per-tick bucket lists + occupancy bitmap.
+    std::uint64_t _bmSummary = 0;
+    std::uint64_t _bmWords[kWindow / 64] = {};
+    List _buckets[kWindow];
+
+    // Rung: unsorted lists for blocks (_distBlock, _distBlock +
+    // kRungBlocks], list rungIndex(block), each in append order with
+    // its earliest tick. Last, so it stays off the cache lines every
+    // event touches.
+    List _rung[kRungBlocks];
+    Tick _rungEarliest[kRungBlocks] = {};
+    std::uint64_t _rungMask = 0; //!< bit i set while list i is non-empty
 };
 
 } // namespace astra

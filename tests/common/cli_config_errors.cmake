@@ -1,8 +1,9 @@
 # The astra-sim flags and config keys parse through one checked table
-# (docs/PARAMETERS.md): a bad flag value is a configuration error that
-# exits 2 and names the flag, a config-file value takes effect unless a
-# flag overrides it, and a workload file loads the same through
-# --workload and the dnn-name key. Run via ctest.
+# (docs/PARAMETERS.md): a bad flag value, model or collective name is a
+# configuration error that exits 2 and names the flag, a config-file
+# value takes effect unless a flag overrides it, and a workload file
+# loads the same through --workload and the dnn-name key. Run via
+# ctest.
 #
 # Invoked with -DASTRA_SIM=... -DWORK_DIR=...
 
@@ -41,6 +42,10 @@ expect_config_error(--compute-scale "--model=resnet50 --compute-scale=0")
 expect_config_error(local-link-bw "--model=resnet50 --local-link-bw=inf")
 expect_config_error(--top "--explore=16 --top=-1")
 expect_config_error(--local-dims "--explore=16 --local-dims=99999999999")
+# Model and collective names are checked with the other flags.
+expect_config_error(--model "--model=bogus")
+expect_config_error(collective "--collective=bogus")
+expect_config_error(--collective "--collective=none")
 
 # num-passes from a config file is what the run uses.
 file(WRITE "${WORK_DIR}/three_passes.cfg" "num-passes = 3\n")

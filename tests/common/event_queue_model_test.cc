@@ -3,7 +3,7 @@
  * Model-based tests for the ladder-queue event core: a reference
  * binary-heap queue with the contractual (tick, priority, seq) FIFO
  * ordering runs side by side with the real EventQueue through
- * deterministic, counter-derived schedule/cancel/runUntil sequences,
+ * deterministic, counter-derived schedule/runUntil sequences,
  * and both must fire the exact same event stream.
  *
  * No RNG anywhere (astra-lint bans it): every "varied" quantity is
@@ -46,25 +46,11 @@ mix(std::uint64_t x)
 class ReferenceQueue
 {
   public:
-    std::uint64_t
+    void
     schedule(Tick when, int priority, int tag)
     {
         EXPECT_GE(when, _now);
-        _pending.push_back(Ev{when, _seq, priority, tag});
-        return _seq++;
-    }
-
-    bool
-    cancel(std::uint64_t id)
-    {
-        for (std::size_t i = 0; i < _pending.size(); ++i) {
-            if (_pending[i].seq == id) {
-                _pending.erase(_pending.begin() +
-                               static_cast<std::ptrdiff_t>(i));
-                return true;
-            }
-        }
-        return false;
+        _pending.push_back(Ev{when, _seq++, priority, tag});
     }
 
     /** Fire everything with when <= until into @p fired (tags). */
@@ -184,7 +170,6 @@ runSideBySide(int ops, std::uint64_t spread)
     eq.setOrderAudit(false);
     ReferenceQueue ref;
     std::vector<int> eq_fired, ref_fired;
-    std::vector<std::pair<EventId, std::uint64_t>> live;
 
     for (int i = 0; i < ops; ++i) {
         const std::uint64_t r = mix(std::uint64_t(i));
@@ -192,20 +177,11 @@ runSideBySide(int ops, std::uint64_t spread)
         const int priority = int(mix(r + 1) % 5) - 2;
         const int tag = i;
 
-        const EventId id = eq.schedule(
+        eq.schedule(
             when, [&eq_fired, tag] { eq_fired.push_back(tag); },
             priority);
-        const std::uint64_t rid = ref.schedule(when, priority, tag);
-        live.emplace_back(id, rid);
+        ref.schedule(when, priority, tag);
 
-        // Every third op cancels a mixer-chosen earlier event; the
-        // two queues must agree on whether it was still pending.
-        if (i % 3 == 2 && !live.empty()) {
-            const std::size_t victim = std::size_t(r % live.size());
-            EXPECT_EQ(eq.cancel(live[victim].first),
-                      ref.cancel(live[victim].second))
-                << "op " << i;
-        }
         // Every seventh op runs a window forward.
         if (i % 7 == 6) {
             const Tick until = eq.now() + Tick(mix(r + 2) % (2 * spread));
@@ -224,7 +200,7 @@ runSideBySide(int ops, std::uint64_t spread)
 }
 
 /**
- * Lockstep harness: every schedule/cancel goes to both queues and the
+ * Lockstep harness: every schedule goes to both queues and the
  * fired streams are compared after every step()/runUntil()/
  * runBounded(). Scheduling between two steps sees the same now() and
  * seq order as scheduling from inside the fired callback would.
@@ -241,20 +217,11 @@ class Mirror
     int
     schedule(Tick when, int priority)
     {
-        const int tag = int(_ids.size());
-        const EventId id = eq.schedule(
+        const int tag = _scheduled++;
+        eq.schedule(
             when, [this, tag] { _eqFired.push_back(tag); }, priority);
-        _ids.emplace_back(id, ref.schedule(when, priority, tag));
+        ref.schedule(when, priority, tag);
         return tag;
-    }
-
-    bool
-    cancel(int tag)
-    {
-        const auto &[id, rid] = _ids[std::size_t(tag)];
-        const bool hit = eq.cancel(id);
-        EXPECT_EQ(hit, ref.cancel(rid)) << "tag " << tag;
-        return hit;
     }
 
     /** Fire one event in each queue; @return its tag, -1 when drained. */
@@ -298,7 +265,7 @@ class Mirror
         eq.validateDrained();
     }
 
-    std::size_t scheduled() const { return _ids.size(); }
+    std::size_t scheduled() const { return std::size_t(_scheduled); }
     std::size_t fired() const { return _eqFired.size(); }
 
     EventQueue eq;
@@ -318,23 +285,22 @@ class Mirror
         EXPECT_EQ(eq.pendingEvents(), ref.pending());
     }
 
-    std::vector<std::pair<EventId, std::uint64_t>> _ids;
+    int _scheduled = 0;
     std::vector<int> _eqFired, _refFired;
     std::size_t _checked = 0;
 };
 
 TEST(EventQueueModel, DenseNearTraffic)
 {
-    // Deltas inside a few buckets: same-tick FIFO ties, priority
-    // inversions, dirty-bucket sorts.
+    // Deltas inside a few buckets: same-tick FIFO ties and priority
+    // inversions that insert ahead of a bucket's tail.
     runSideBySide(3000, 16);
 }
 
 TEST(EventQueueModel, WindowStraddlingTraffic)
 {
     // Deltas up to 1.5 windows: bucket appends, rung parks one or two
-    // blocks out, distribution into the buckets, cancellations of both
-    // bucketed and parked refs.
+    // blocks out and distribution into the buckets.
     runSideBySide(2000, EventQueue::kWindow + EventQueue::kWindow / 2);
 }
 
@@ -436,65 +402,6 @@ TEST(EventQueueModel, ReentrantCascadesMatch)
     eq.validateDrained();
 }
 
-TEST(EventQueueModel, CancelAfterFireFails)
-{
-    EventQueue eq;
-    int fired = 0;
-    const EventId id = eq.schedule(5, [&fired] { ++fired; });
-    EXPECT_TRUE(eq.live(id));
-    eq.run();
-    EXPECT_EQ(fired, 1);
-    EXPECT_FALSE(eq.live(id));
-    EXPECT_FALSE(eq.cancel(id)) << "cancel after fire must fail";
-    EXPECT_FALSE(eq.cancel(id)) << "and stay failed";
-
-    // Cancelling yourself from inside your own callback is also a
-    // miss: the handle dies the moment the event is taken to fire.
-    EventId self = kEventIdInvalid;
-    bool self_cancelled = true;
-    self = eq.schedule(10, [&eq, &self, &self_cancelled] {
-        self_cancelled = eq.cancel(self);
-    });
-    eq.run();
-    EXPECT_FALSE(self_cancelled);
-    eq.validateDrained();
-}
-
-TEST(EventQueueModel, GenerationWraparoundOfRecycledSlots)
-{
-    EventQueue eq;
-    int fired = 0;
-    const EventId first = eq.schedule(1, [&fired] { ++fired; });
-    const std::uint32_t slot = EventQueue::slotOf(first);
-    eq.run();
-    EXPECT_EQ(fired, 1);
-
-    // Park the freed slot at the maximum generation; the slab hands
-    // the same slot back LIFO, so the next event allocates it.
-    eq.debugSetFreeSlotGeneration(slot, 0xffffffffU);
-    const EventId wrapped = eq.schedule(2, [&fired] { ++fired; });
-    ASSERT_EQ(EventQueue::slotOf(wrapped), slot);
-    EXPECT_EQ(EventQueue::genOf(wrapped), 0xffffffffU);
-    EXPECT_TRUE(eq.live(wrapped));
-    EXPECT_FALSE(eq.live(first));
-    eq.run();
-    EXPECT_EQ(fired, 2);
-
-    // Firing at generation 2^32-1 wraps — but never through 0, which
-    // is reserved so kEventIdInvalid can never match a live slot.
-    const EventId after = eq.schedule(3, [&fired] { ++fired; });
-    ASSERT_EQ(EventQueue::slotOf(after), slot);
-    EXPECT_EQ(EventQueue::genOf(after), 1u);
-    EXPECT_NE(EventQueue::genOf(after), 0u);
-    EXPECT_FALSE(eq.live(wrapped));
-    EXPECT_FALSE(eq.cancel(wrapped));
-    EXPECT_FALSE(eq.live(kEventIdInvalid));
-    EXPECT_FALSE(eq.cancel(kEventIdInvalid));
-    eq.run();
-    EXPECT_EQ(fired, 3);
-    eq.validateDrained();
-}
-
 TEST(EventQueueModel, FarSpillMigratesInOrder)
 {
     // Events in all three tiers that collide on a bucket index (ticks
@@ -529,13 +436,12 @@ TEST(EventQueueModel, PipelineReparkStorm)
     // and a busy link re-parks the transfer at its free tick, 4-8
     // windows ahead — so many events share one tick parked in the rung
     // and re-park again when an earlier waiter takes the link. Mixed
-    // priorities; parked events are cancelled along the way.
+    // priorities.
     constexpr std::size_t kLinks = 3;
     constexpr std::size_t kBudget = 12000;
     const Tick w = Tick(EventQueue::kWindow);
     Mirror m;
     Tick free_at[kLinks] = {};
-    std::vector<int> parked;
     for (int i = 0; i < 64; ++i)
         m.schedule(Tick(mix(std::uint64_t(i)) % 32), i % 3 - 1);
     for (std::uint64_t n = 0;; ++n) {
@@ -549,15 +455,13 @@ TEST(EventQueueModel, PipelineReparkStorm)
         Tick &link = free_at[r % kLinks];
         const int priority = int(mix(r + 1) % 3) - 1;
         if (link > now) {
-            parked.push_back(m.schedule(link, priority));
+            m.schedule(link, priority);
         } else {
             link = now + 4 * w + Tick(mix(r + 2) % (4 * w));
             m.schedule(now + 1 + Tick(mix(r + 3) % 64), priority);
             if (r % 4 == 0)
                 m.schedule(link, priority);
         }
-        if (n % 5 == 4 && !parked.empty())
-            m.cancel(parked[mix(r + 4) % parked.size()]);
     }
     EXPECT_GE(m.fired(), kBudget / 2);
     m.drain();
@@ -569,7 +473,7 @@ TEST(EventQueueModel, DirectScheduleIntoParkedBlock)
     // yet already holds refs parked in the rung. A direct schedule
     // there must park behind them, not jump ahead into a bucket: at
     // tick t all priorities are equal, so only seq orders them (and
-    // no priority undercut triggers a sort that would hide a
+    // no priority undercut takes the insertion walk that would hide a
     // misordering); tick t + 1 mixes priorities.
     Mirror m;
     const Tick t = 20 * Mirror::kBlock + 10;
@@ -577,7 +481,6 @@ TEST(EventQueueModel, DirectScheduleIntoParkedBlock)
         m.schedule(t, 0);
         m.schedule(t + 1, int(mix(std::uint64_t(i)) % 3) - 1);
     }
-    m.cancel(6);
     m.runUntil(t - (EventQueue::kWindow - 100));
     ASSERT_LT(t - m.eq.now(), Tick(EventQueue::kWindow));
     ASSERT_GT(t >> EventQueue::kBlockBits,
@@ -586,7 +489,6 @@ TEST(EventQueueModel, DirectScheduleIntoParkedBlock)
         m.schedule(t, 0);
         m.schedule(t + 1, int(mix(std::uint64_t(i) + 50) % 3) - 1);
     }
-    m.cancel(7);
     // Step into the block before t's, then schedule again: now t's
     // block is the distributed one.
     m.schedule(t - Mirror::kBlock, 0);
@@ -623,8 +525,6 @@ TEST(EventQueueModel, RunUntilStopsMidBlockThenSchedules)
             const Tick past = Tick(EventQueue::kRungBlocks + 3) * blk;
             m.schedule(now + past + Tick(mix(r + 4) % blk), priority);
         }
-        if (k % 3 == 1)
-            m.cancel(int(mix(r + 5) % m.scheduled()));
     }
     m.drain();
 }
@@ -632,42 +532,101 @@ TEST(EventQueueModel, RunUntilStopsMidBlockThenSchedules)
 TEST(EventQueueModel, FarHeapRefillsRung)
 {
     // Deltas a few blocks either side of the rung horizon: parks in
-    // the far heap that refill the rung as it advances, cancellations
-    // of heap and rung refs, and leaps across empty stretches.
+    // the far heap that refill the rung as it advances, and leaps
+    // across empty stretches.
     runSideBySide(2500, Tick(EventQueue::kRungBlocks + 6)
                             << EventQueue::kBlockBits);
 }
 
-TEST(EventQueueModel, CancelledRungRefsDieWithTheirBlock)
+TEST(EventQueueModel, LatePriorityTenReschedulesIntoItsTick)
 {
-    // A cancelled rung ref is dropped when its block leaves the rung —
-    // both when time walks into the block and when a leap skips it.
-    EventQueue eq;
-    const Tick blk = Tick(1) << EventQueue::kBlockBits;
-    const Tick t = 10 * blk + 7;
-    std::vector<EventId> ids;
-    for (int i = 0; i < 1000; ++i)
-        ids.push_back(eq.schedule(t + Tick(i % 50), [] {}));
-    EXPECT_EQ(eq.rungSize(), 1000u);
-    EXPECT_EQ(eq.farHeapSize(), 0u);
-    for (const EventId id : ids)
-        EXPECT_TRUE(eq.cancel(id));
-    EXPECT_EQ(eq.pendingEvents(), 0u);
-    eq.runUntil(t - blk);
-    EXPECT_EQ(eq.rungSize(), 0u);
+    // Sys::streamPhaseDone's pattern: a priority-10 event at tick t
+    // schedules priority-0 and priority-10 events into t while entries
+    // of both priorities are still pending there. A priority-0 arrival
+    // undercuts the tail and is inserted after the pending priority-0
+    // entries, ahead of every pending priority-10 one.
+    Mirror m;
+    const Tick t = 300;
+    std::vector<int> priority_of;
+    auto schedule = [&m, &priority_of, t](int priority) {
+        m.schedule(t, priority);
+        priority_of.push_back(priority);
+    };
+    for (int i = 0; i < 4; ++i) {
+        schedule(10);
+        schedule(0);
+    }
+    for (int round = 0; round < 6; ++round) {
+        // Fire through the next priority-10 event, as its callback.
+        int tag = m.step();
+        while (tag >= 0 && priority_of[std::size_t(tag)] != 10)
+            tag = m.step();
+        ASSERT_GE(tag, 0);
+        ASSERT_EQ(m.eq.now(), t);
+        for (int i = 0; i < 3; ++i) {
+            schedule(0);
+            schedule(10);
+            schedule(0);
+        }
+    }
+    m.drain();
+}
 
-    ids.clear();
-    for (int i = 0; i < 100; ++i)
-        ids.push_back(eq.schedule(t + 5 * blk, [] {}));
-    int fired = 0;
-    eq.schedule(t + 30 * blk, [&fired] { ++fired; });
-    for (const EventId id : ids)
-        EXPECT_TRUE(eq.cancel(id));
-    EXPECT_EQ(eq.rungSize(), 101u);
-    EXPECT_EQ(eq.run(), 1u);
-    EXPECT_EQ(fired, 1);
-    EXPECT_EQ(eq.rungSize(), 0u);
-    eq.validateDrained();
+TEST(EventQueueModel, LeapTakesRungEarliestNotFirstAppended)
+{
+    // Nothing bucketed, one rung block holding entries appended out of
+    // tick order: the leap must go to the block's earliest tick, not
+    // to its first entry. The same rung list is then reused for a
+    // block kRungBlocks later, whose earliest tick starts afresh.
+    Mirror m;
+    const Tick base = 10 * Mirror::kBlock;
+    for (const Tick d : {Tick(700), Tick(90), Tick(1500), Tick(5), Tick(90)})
+        m.schedule(base + d, int(d % 3) - 1);
+    ASSERT_EQ(m.eq.rungSize(), 5u);
+    EXPECT_EQ(m.step(), 3);
+    EXPECT_EQ(m.eq.now(), base + 5);
+    m.drain();
+
+    const Tick later =
+        base + Tick(EventQueue::kRungBlocks) * Mirror::kBlock;
+    m.runUntil(later - Tick(EventQueue::kRungBlocks - 2) * Mirror::kBlock);
+    for (const Tick d : {Tick(2000), Tick(40), Tick(600)})
+        m.schedule(later + d, 0);
+    ASSERT_EQ(m.eq.rungSize(), 3u);
+    m.step();
+    EXPECT_EQ(m.eq.now(), later + 40);
+    m.drain();
+}
+
+TEST(EventQueueModel, EqualTickRefillsFarRungNearMixedPriorities)
+{
+    // One tick t collects mixed-priority events in every tier: first
+    // past the rung horizon (far heap), then, once t's block has
+    // entered the horizon, in the rung behind the refilled heap refs,
+    // and finally in t's bucket once the block is distributed. Each
+    // refill must keep the whole tick in (priority, seq) order.
+    Mirror m;
+    const Tick blk = Mirror::kBlock;
+    const Tick t = Tick(EventQueue::kRungBlocks + 20) * blk + 33;
+    int k = 0;
+    auto burst = [&m, &k, t](int n) {
+        for (int i = 0; i < n; ++i, ++k)
+            m.schedule(t, int(mix(std::uint64_t(k) + 300) % 4) * 5 - 5);
+    };
+    burst(12);
+    ASSERT_EQ(m.eq.farHeapSize(), 12u);
+    m.runUntil(t - Tick(EventQueue::kRungBlocks - 2) * blk);
+    ASSERT_EQ(m.eq.farHeapSize(), 0u);
+    ASSERT_EQ(m.eq.rungSize(), 12u);
+    burst(12);
+    ASSERT_EQ(m.eq.rungSize(), 24u);
+    m.runUntil(t - blk / 2);
+    ASSERT_EQ(m.eq.rungSize(), 0u);
+    burst(12);
+    m.schedule(t - 1, 0);
+    m.step();
+    burst(12);
+    m.drain();
 }
 
 } // namespace

@@ -26,6 +26,7 @@
 #include <cstdio>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "common/check.hh"
@@ -130,14 +131,59 @@ usage(const char *prog)
         prog);
 }
 
+/** A --model name and how it builds its workload for a platform. */
+struct ModelEntry
+{
+    const char *name;
+    WorkloadSpec (*build)(const SimConfig &cfg);
+};
+
+/** Model-parallel shards of the transformer-style models: the
+ *  vertical dimension of a 3D torus, else the local one. */
+int
+modelShards(const SimConfig &cfg)
+{
+    return cfg.topology == TopologyKind::Torus3D ? cfg.verticalDim
+                                                 : cfg.localDim;
+}
+
+constexpr ModelEntry kModels[] = {
+    {"resnet50", [](const SimConfig &) { return resnet50Workload(); }},
+    {"transformer",
+     [](const SimConfig &cfg) {
+         TransformerConfig tc;
+         tc.modelShards = modelShards(cfg);
+         return transformerWorkload(tc);
+     }},
+    {"dlrm", [](const SimConfig &) { return dlrmWorkload(); }},
+    {"gpt2",
+     [](const SimConfig &cfg) {
+         GptConfig gc;
+         gc.modelShards = modelShards(cfg);
+         return gptWorkload(gc);
+     }},
+    {"vgg16", [](const SimConfig &) { return vgg16Workload(); }},
+};
+
+const ModelEntry &
+findModel(const std::string &name)
+{
+    for (const ModelEntry &m : kModels) {
+        if (name == m.name)
+            return m;
+    }
+    fatal("unknown --model '%s' (resnet50/transformer/dlrm/gpt2/vgg16)",
+          name.c_str());
+}
+
 struct CliOptions
 {
-    std::string model;
+    const ModelEntry *model = nullptr;
     std::string writeWorkload;
     std::string configFile;
     std::string reportCsv;
     std::string reportJson;
-    std::string collective;
+    std::optional<CollectiveKind> collective;
     Bytes bytes = 4 * MiB;
     double computeScale = 1.0;
     int pipelineMicrobatches = 0; //!< > 0 selects pipeline parallelism
@@ -347,8 +393,7 @@ writeRunReport(const CliOptions &opts, const Cluster &cluster,
 int
 runCollectiveMode(const CliOptions &opts, SimConfig cfg)
 {
-    const CollectiveKind kind =
-        parseCollectiveKind(opts.collective.c_str());
+    const CollectiveKind kind = *opts.collective;
     cfg.digest = cfg.digest || opts.digest;
     Cluster cluster(cfg);
     std::printf("platform:\n%s\n", cfg.toString().c_str());
@@ -381,8 +426,8 @@ runExploreMode(const CliOptions &opts, const SimConfig &cfg)
         spec.localDims = opts.exploreLocalDims;
     spec.setSplits = opts.exploreSetSplits;
     spec.bytes = opts.bytes;
-    if (!opts.collective.empty())
-        spec.kind = parseCollectiveKind(opts.collective.c_str());
+    if (opts.collective)
+        spec.kind = *opts.collective;
     // Per-candidate run budgets come from the shared config keys
     // (--max-events etc.) and are stamped onto every candidate.
     spec.maxEvents = cfg.maxEvents;
@@ -545,32 +590,9 @@ runExploreMode(const CliOptions &opts, const SimConfig &cfg)
 int
 runWorkloadMode(const CliOptions &opts, SimConfig cfg)
 {
-    WorkloadSpec spec;
-    if (!cfg.dnnName.empty()) {
-        spec = WorkloadSpec::parseFile(cfg.dnnName);
-    } else if (opts.model == "resnet50") {
-        spec = resnet50Workload();
-    } else if (opts.model == "transformer") {
-        TransformerConfig tc;
-        tc.modelShards = cfg.topology == TopologyKind::Torus3D
-                             ? cfg.verticalDim
-                             : cfg.localDim;
-        spec = transformerWorkload(tc);
-    } else if (opts.model == "dlrm") {
-        spec = dlrmWorkload();
-    } else if (opts.model == "gpt2") {
-        GptConfig gc;
-        gc.modelShards = cfg.topology == TopologyKind::Torus3D
-                             ? cfg.verticalDim
-                             : cfg.localDim;
-        spec = gptWorkload(gc);
-    } else if (opts.model == "vgg16") {
-        spec = vgg16Workload();
-    } else {
-        fatal("unknown --model '%s' "
-              "(resnet50/transformer/dlrm/gpt2/vgg16)",
-              opts.model.c_str());
-    }
+    WorkloadSpec spec = cfg.dnnName.empty()
+                            ? opts.model->build(cfg)
+                            : WorkloadSpec::parseFile(cfg.dnnName);
 
     if (!opts.writeWorkload.empty()) {
         spec.writeFile(opts.writeWorkload);
@@ -702,7 +724,7 @@ main(int argc, char **argv)
                           value.c_str());
                 }
             } else if (key == "model") {
-                opts.model = value;
+                opts.model = &findModel(value);
             } else if (key == "write-workload") {
                 opts.writeWorkload = value;
             } else if (key == "config") {
@@ -712,7 +734,10 @@ main(int argc, char **argv)
             } else if (key == "report-json") {
                 opts.reportJson = value;
             } else if (key == "collective") {
-                opts.collective = value;
+                opts.collective = parseCollectiveKind(value.c_str());
+                if (*opts.collective == CollectiveKind::None)
+                    fatal("--collective: '%s' names no collective",
+                          value.c_str());
             } else if (key == "bytes") {
                 checkFlag(key, parseSize(value, &opts.bytes));
             } else if (key == "compute-scale") {
@@ -767,9 +792,9 @@ main(int argc, char **argv)
 
     if (opts.exploreModules > 0)
         return runExploreMode(opts, cfg);
-    if (!opts.collective.empty())
+    if (opts.collective)
         return runCollectiveMode(opts, cfg);
-    if (cfg.dnnName.empty() && opts.model.empty()) {
+    if (cfg.dnnName.empty() && !opts.model) {
         std::fprintf(stderr, "need --workload, --model, --collective "
                              "or --explore\n");
         usage(argv[0]);

@@ -174,6 +174,18 @@ r = json.loads(sys.argv[1])
 sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)' "$result" \
         || { echo "perfbench $w: a repetition was not correct" >&2; exit 1; }
 done
+# One repetition of every golden variant (seeds 0-7) of each workload:
+# a changed event stream on any variant fails here, not only on seed 0.
+for w in $workloads; do
+    for seed in 0 1 2 3 4 5 6 7; do
+        result="$(python3 perfbench/run.py --workload "$w" --seed "$seed" \
+                  --seconds 0 | tail -n 1)"
+        python3 -c 'import json, sys
+sys.exit(0 if json.loads(sys.argv[1])["correct"] is True else 1)' "$result" \
+            || { echo "perfbench $w seed $seed: not correct" >&2; exit 1; }
+    done
+    echo "perfbench $w: seeds 0-7 correct"
+done
 
 echo "=== interrupt/resume smoke (docs/robustness.md) ==="
 # Journaled resume gates hard: a sweep SIGINTed mid-flight and resumed

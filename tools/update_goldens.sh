@@ -10,6 +10,11 @@
 # of a 16-NPU explore sweep with each candidate's event digest. The
 # golden_explore ctest byte-compares a fresh run against it.
 #
+# And regenerate tests/golden/figures/*.csv: the --csv output of every
+# paper-figure harness (Fig. 17 at --quick size), taken from the bench/
+# directory of the same build tree. The golden_<harness> ctests
+# byte-compare fresh runs against them.
+#
 #   tools/update_goldens.sh [ASTRA_SIM]   # default: build/tools/astra-sim
 #
 # Run it from any directory; config paths in the file are relative to
@@ -87,3 +92,20 @@ trap 'rm -f "$explore"' EXIT
 mv "$explore" "$EXPLORE_OUT"
 trap - EXIT
 echo "wrote $EXPLORE_OUT ($(($(wc -l < "$EXPLORE_OUT") - 1)) candidates)"
+
+# The paper-figure harnesses sit next to tools/ in the build tree.
+BENCH="$(dirname "$(dirname "$SIM")")/bench"
+FIG_OUT=tests/golden/figures
+figs="$(mktemp -d)"
+trap 'rm -rf "$figs"' EXIT
+for harness in fig09_1d_topology fig10_torus_dims fig11_asymmetric \
+               fig12_scaling fig13_transformer fig14_resnet_comm \
+               fig15_resnet_detail fig16_resnet_breakdown \
+               fig18_compute_power ext_extensions; do
+    "$BENCH/$harness" --csv="$figs" >/dev/null
+done
+"$BENCH/fig17_size_scaling" --quick --csv="$figs" >/dev/null
+rm -rf "$FIG_OUT"
+mkdir -p "$FIG_OUT"
+cp "$figs"/*.csv "$FIG_OUT"/
+echo "wrote $FIG_OUT ($(find "$FIG_OUT" -name '*.csv' | wc -l) CSVs)"
