@@ -22,7 +22,7 @@ using namespace astra::bench;
 int
 main(int argc, char **argv)
 {
-    BenchArgs args = parseArgs(argc, argv);
+    BenchArgs args = parseArgs(argc, argv, QuickMode::FullSize);
     banner("Fig. 13", "Transformer layer-wise comm time, 2x2x2 torus, "
                       "hybrid-parallel, 2 iterations");
 

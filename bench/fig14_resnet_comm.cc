@@ -18,7 +18,7 @@ using namespace astra::bench;
 int
 main(int argc, char **argv)
 {
-    BenchArgs args = parseArgs(argc, argv);
+    BenchArgs args = parseArgs(argc, argv, QuickMode::FullSize);
     banner("Fig. 14", "ResNet-50 layer-wise comm time, 2x4x4 torus, "
                       "data-parallel, 2 iterations");
 

@@ -21,7 +21,7 @@ using namespace astra::bench;
 int
 main(int argc, char **argv)
 {
-    BenchArgs args = parseArgs(argc, argv);
+    BenchArgs args = parseArgs(argc, argv, QuickMode::FullSize);
     banner("Fig. 15", "ResNet-50 layer-wise compute / comm / exposed "
                       "comm, 2x4x4 torus");
 

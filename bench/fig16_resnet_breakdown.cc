@@ -76,7 +76,7 @@ runPolicy(BenchArgs &args, SchedulingPolicy policy)
 int
 main(int argc, char **argv)
 {
-    BenchArgs args = parseArgs(argc, argv);
+    BenchArgs args = parseArgs(argc, argv, QuickMode::FullSize);
     banner("Fig. 16", "ResNet-50 layer-wise delay breakdown, "
                       "FIFO vs LIFO");
     runPolicy(args, SchedulingPolicy::LIFO);

@@ -22,7 +22,7 @@ using namespace astra::bench;
 int
 main(int argc, char **argv)
 {
-    BenchArgs args = parseArgs(argc, argv);
+    BenchArgs args = parseArgs(argc, argv, QuickMode::FullSize);
     banner("Fig. 18", "ResNet-50 exposed-comm ratio vs compute power");
 
     WorkloadSpec spec = resnet50Workload();

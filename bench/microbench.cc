@@ -39,6 +39,49 @@ BM_EventQueueScheduleRun(benchmark::State &state)
 }
 BENCHMARK(BM_EventQueueScheduleRun)->Arg(1024)->Arg(65536);
 
+/**
+ * A link-wait re-park storm, the GPT-2 pipeline's pattern: k waiters
+ * share one link's free tick. When it arrives, the first waiter takes
+ * the link for 16k-32k ticks and every waiter, that one included,
+ * re-parks at the new free tick, so the whole group sits on one tick
+ * in the rung.
+ */
+struct ReparkStorm
+{
+    EventQueue eq;
+    Tick freeAt = 0;
+    std::uint64_t limit = 1 << 16; //!< events per storm
+
+    void
+    wake()
+    {
+        if (eq.executedEvents() >= limit)
+            return;
+        if (eq.now() >= freeAt)
+            freeAt = eq.now() + 16384 + (eq.executedEvents() * 7919) % 16384;
+        eq.schedule(freeAt, [this] { wake(); });
+    }
+};
+
+/** Arg: waiters per link. Reports ns per retired event. */
+void
+BM_EventQueueReparkStorm(benchmark::State &state)
+{
+    const int waiters = static_cast<int>(state.range(0));
+    std::uint64_t events = 0;
+    for (auto _ : state) {
+        ReparkStorm storm;
+        for (int i = 0; i < waiters; ++i)
+            storm.eq.schedule(0, [&storm] { storm.wake(); });
+        storm.eq.run();
+        events += storm.eq.executedEvents();
+    }
+    state.counters["ns_per_event"] = benchmark::Counter(
+        double(events),
+        benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_EventQueueReparkStorm)->Arg(16)->Arg(256);
+
 /** The FNV-1a byte loop Fnv1aDigest::mix must equal (the ablation). */
 struct ByteLoopDigest
 {

@@ -10,7 +10,7 @@ namespace astra::bench
 {
 
 BenchArgs
-parseArgs(int argc, char **argv)
+parseArgs(int argc, char **argv, QuickMode quick)
 {
     BenchArgs args;
     for (int i = 1; i < argc; ++i) {
@@ -19,14 +19,19 @@ parseArgs(int argc, char **argv)
             std::printf(
                 "usage: %s [--quick] [--jobs=N] [--csv=DIR] "
                 "[--report-json=FILE] [--key=value ...]\n"
-                "  --quick      reduced sweep (CI)\n"
+                "%s"
                 "  --jobs=N     parallel simulations (default: all\n"
                 "               hardware threads; results identical)\n"
                 "  --csv=DIR    also write series as CSV into DIR\n"
                 "  --report-json=FILE  write the merged metric registry\n"
                 "               of every simulated run as JSON\n"
                 "  --key=value  override any simulator parameter\n",
-                argv[0]);
+                argv[0],
+                quick == QuickMode::Reduced
+                    ? "  --quick      reduced sweep (CI)\n"
+                    : "  --quick      no effect: this harness always runs "
+                      "its full\n"
+                      "               sweep (under 2 s)\n");
             std::exit(0);
         }
         if (arg == "--quick") {

@@ -6,7 +6,8 @@
  * evaluation (Sec. V): it sets up the experiment's platform
  * configuration, sweeps the paper's parameter, and prints the same
  * rows/series the paper plots. Pass --csv=<dir> to also write the
- * series as CSV, --quick for a reduced sweep (CI-friendly), and
+ * series as CSV, --quick for a reduced sweep (CI-friendly; the
+ * harnesses that always run at full size say so in --help), and
  * --key=value to override any Table III parameter.
  */
 
@@ -45,8 +46,16 @@ struct BenchArgs
     MetricRegistry report;
 };
 
+/** What --quick does for a harness (only its --help text differs). */
+enum class QuickMode
+{
+    Reduced,  //!< --quick runs a reduced sweep
+    FullSize, //!< --quick is accepted and changes nothing
+};
+
 /** Parse argv; exits on --help. */
-BenchArgs parseArgs(int argc, char **argv);
+BenchArgs parseArgs(int argc, char **argv,
+                    QuickMode quick = QuickMode::Reduced);
 
 /** Apply the user's --key=value overrides onto @p cfg. */
 void applyOverrides(const BenchArgs &args, SimConfig &cfg);

@@ -56,6 +56,7 @@ EventQueue::enqueue(std::uint32_t slot, Entry &e)
         // behind it must pull it back (the skipped buckets are empty,
         // so rescanning is exact).
         insertNear(slot, e);
+        ++_nearLive;
         if (e.when < _cursorTick)
             _cursorTick = e.when;
     } else if (blk <= _distBlock + kRungBlocks) {
@@ -83,16 +84,50 @@ EventQueue::appendRung(std::uint32_t slot, Entry &e)
 {
     const std::size_t i = rungIndex(e.when >> kBlockBits);
     List &list = _rung[i];
+    ++_rungCount[i];
     e.next = kNoSlot;
     if (list.head == kNoSlot) {
         list.head = slot;
         _rungEarliest[i] = e.when;
         _rungMask |= std::uint64_t(1) << i;
     } else {
-        entryAt(list.tail).next = slot;
+        Entry &run = entryAt(list.tail);
+        Entry &last = entryAt(run.runTail);
+        if (run.when == e.when && last.priority <= e.priority) {
+            last.next = slot;
+            run.runTail = slot;
+            return;
+        }
+        run.runNext = slot;
         _rungEarliest[i] = std::min(_rungEarliest[i], e.when);
     }
+    e.runNext = kNoSlot;
+    e.runTail = slot;
     list.tail = slot;
+}
+
+void
+EventQueue::spliceRun(std::uint32_t head, Entry &h)
+{
+    const std::size_t idx = static_cast<std::size_t>(h.when & kWindowMask);
+    List &b = _buckets[idx];
+    if (b.head == kNoSlot) {
+        b.head = head;
+        markBucket(idx);
+    } else if (entryAt(b.tail).priority <= h.priority) {
+        entryAt(b.tail).next = head;
+    } else {
+        // The head undercuts the tail (an earlier run of this tick in
+        // the same block outranks it): place each entry on its own.
+        for (std::uint32_t s = head; s != kNoSlot;) {
+            Entry &e = entryAt(s);
+            const std::uint32_t next = e.next;
+            insertNear(s, e);
+            s = next;
+        }
+        return;
+    }
+    b.tail = h.runTail;
 }
 
 std::size_t
@@ -122,25 +157,27 @@ EventQueue::findMarked(std::size_t from) const
 void
 EventQueue::advanceTo(Tick dist)
 {
-    // Leaving the rung: each list is in append order, which insertNear()
-    // turns into (priority, seq) order per tick. Only blocks dist - 1
-    // and dist can hold entries (the caller's contract), and those two
-    // never share a bucket index.
+    // Leaving the rung: each list is in append order, which spliceRun()
+    // turns into (priority, seq) order per tick, a run at a time. Only
+    // blocks dist - 1 and dist can hold entries (the caller's
+    // contract), and those two never share a bucket index.
     const Tick last = std::min(dist, _distBlock + kRungBlocks);
     for (Tick blk = _distBlock + 1; blk <= last; ++blk) {
         const std::size_t i = rungIndex(blk);
-        for (std::uint32_t s = _rung[i].head; s != kNoSlot;) {
-            Entry &e = entryAt(s);
-            const std::uint32_t next = e.next;
-            ASTRA_DCHECK(e.when >= _now && (e.when >> kBlockBits) + 1 >= dist,
+        for (std::uint32_t r = _rung[i].head; r != kNoSlot;) {
+            Entry &h = entryAt(r);
+            const std::uint32_t next = h.runNext;
+            ASTRA_DCHECK(h.when >= _now && (h.when >> kBlockBits) + 1 >= dist,
                          "rung event distributed out of order (when=%llu "
                          "now=%llu block=%llu)",
-                         static_cast<unsigned long long>(e.when),
+                         static_cast<unsigned long long>(h.when),
                          static_cast<unsigned long long>(_now),
                          static_cast<unsigned long long>(dist));
-            insertNear(s, e);
-            s = next;
+            spliceRun(r, h);
+            r = next;
         }
+        _nearLive += _rungCount[i];
+        _rungCount[i] = 0;
         _rung[i] = List{};
         _rungMask &= ~(std::uint64_t(1) << i);
     }
@@ -159,10 +196,12 @@ EventQueue::advanceTo(Tick dist)
                      static_cast<unsigned long long>(fr.when),
                      static_cast<unsigned long long>(_now));
         Entry &e = entryAt(fr.slot);
-        if ((fr.when >> kBlockBits) <= dist)
+        if ((fr.when >> kBlockBits) <= dist) {
             insertNear(fr.slot, e); // an epoch leap past the rung
-        else
+            ++_nearLive;
+        } else {
             appendRung(fr.slot, e);
+        }
     }
 }
 
@@ -304,8 +343,11 @@ EventQueue::rungSize() const
 {
     std::size_t n = 0;
     for (const List &list : _rung) {
-        for (std::uint32_t s = list.head; s != kNoSlot; s = entryAt(s).next)
-            ++n;
+        for (std::uint32_t r = list.head; r != kNoSlot;
+             r = entryAt(r).runNext) {
+            for (std::uint32_t s = r; s != kNoSlot; s = entryAt(s).next)
+                ++n;
+        }
     }
     return n;
 }

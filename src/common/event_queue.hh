@@ -34,9 +34,12 @@
  *    are common, not rare: an analytical link-busy retry re-parks a
  *    large transfer at the link's free time, 16k-32k ticks ahead. They
  *    link, unsorted, into one of kRungBlocks per-block lists (blocks
- *    of half a window) that remember their earliest tick; when now()
- *    enters a block, the next block's list is distributed into the
- *    buckets, O(1) per entry.
+ *    of half a window) that remember their earliest tick. Each list is
+ *    a list of *runs*: consecutive appends on one tick with
+ *    non-decreasing priority, such as every waiter of one link parking
+ *    at its free tick. When now() enters a block, the next block's
+ *    runs are distributed into the buckets, each spliced whole in O(1)
+ *    unless its head undercuts the bucket tail's priority.
  *  - **Far-future overflow heap.** Only events past the rung horizon
  *    (64 blocks, 32 windows) wait in a binary heap of 24-byte POD refs
  *    — the callback never moves — and refill the rung as it advances.
@@ -385,8 +388,10 @@ class EventQueue
 
     /**
      * One slab slot. `next` links the entry into its bucket list, its
-     * rung list or, while free, the free list; a far-heap entry is
-     * reached through its FarRef instead.
+     * rung run or, while free, the free list; a far-heap entry is
+     * reached through its FarRef instead. `runNext` and `runTail` are
+     * meaningful on a rung run's head only (see appendRung()); they
+     * fill the padding in front of the callback.
      */
     struct Entry
     {
@@ -394,8 +399,12 @@ class EventQueue
         std::uint64_t seq = 0;
         int priority = 0;
         std::uint32_t next = kNoSlot;
+        std::uint32_t runNext = kNoSlot; //!< head of the next run
+        std::uint32_t runTail = kNoSlot; //!< this run's last entry
         EventCallback cb;
     };
+    static_assert(sizeof(Entry) == 96, "rung run links must fit the "
+                                       "padding: slab bytes are a metric");
 
     /**
      * Slab granularity: chunk addresses are stable forever. A 96 KiB
@@ -467,7 +476,8 @@ class EventQueue
      * one that does goes after the last entry of equal or lower
      * priority (insertByPriority). The caller has checked the block is
      * distributed and, where the entry could land behind the scan
-     * cursor, pulls the cursor back.
+     * cursor, pulls the cursor back. The caller also counts the entry
+     * in _nearLive (a whole rung block at once).
      */
     void
     insertNear(std::uint32_t slot, Entry &e)
@@ -485,7 +495,6 @@ class EventQueue
         } else {
             insertByPriority(b, slot, e);
         }
-        ++_nearLive;
     }
 
     /** insertNear()'s priority-undercut path: walk from the head. */
@@ -524,8 +533,20 @@ class EventQueue
         return static_cast<std::size_t>(blk & (kRungBlocks - 1));
     }
 
-    /** Park @p e (at @p slot) at the tail of its block's rung list. */
+    /**
+     * Park @p e (at @p slot) at the tail of its block's rung list:
+     * extend the last run when @p e has its tick and does not undercut
+     * its tail's priority, else start a new run.
+     */
     void appendRung(std::uint32_t slot, Entry &e);
+
+    /**
+     * Move the rung run headed by @p h (at @p head) into its tick's
+     * bucket: one splice when the bucket is empty or its tail does not
+     * outrank the head, else insertNear() entry by entry. Either way
+     * the bucket ends as if each entry had been inserted in turn.
+     */
+    void spliceRun(std::uint32_t head, Entry &h);
 
     /** Remove and return the far heap's earliest ref. */
     FarRef
@@ -633,10 +654,12 @@ class EventQueue
 
     // Rung: unsorted lists for blocks (_distBlock, _distBlock +
     // kRungBlocks], list rungIndex(block), each in append order with
-    // its earliest tick. Last, so it stays off the cache lines every
-    // event touches.
+    // its earliest tick and entry count. A list's head and tail are
+    // the heads of its first and last runs. Last, so it stays off the
+    // cache lines every event touches.
     List _rung[kRungBlocks];
     Tick _rungEarliest[kRungBlocks] = {};
+    std::uint32_t _rungCount[kRungBlocks] = {};
     std::uint64_t _rungMask = 0; //!< bit i set while list i is non-empty
 };
 

@@ -232,17 +232,22 @@ void
 Sys::onP2PMessage(const Message &msg)
 {
     // Endpoint processing cost, then match the expectation.
-    eventQueue().scheduleAfter(scaledEndpointDelay(), [this, msg] {
-        const auto key = std::make_pair(msg.src, msg.tag.stream);
-        auto it = _p2pExpected.find(key);
-        if (it == _p2pExpected.end()) {
-            ++_p2pArrived[key];
-            return;
-        }
-        auto cb = std::move(it->second);
-        _p2pExpected.erase(it);
-        cb();
-    });
+    eventQueue().scheduleAfter(scaledEndpointDelay(),
+                               P2PArrival{this, msg.src, msg.tag.stream});
+}
+
+void
+Sys::matchP2P(NodeId src, std::uint64_t tag)
+{
+    const auto key = std::make_pair(src, tag);
+    auto it = _p2pExpected.find(key);
+    if (it == _p2pExpected.end()) {
+        ++_p2pArrived[key];
+        return;
+    }
+    auto cb = std::move(it->second);
+    _p2pExpected.erase(it);
+    cb();
 }
 
 Stream *

@@ -248,6 +248,24 @@ class Sys
     /** Dispatch a point-to-point arrival. */
     void onP2PMessage(const Message &msg);
 
+    /** Match the arrival of (@p src, @p tag) against its expectation. */
+    void matchP2P(NodeId src, std::uint64_t tag);
+
+    /**
+     * The event a point-to-point arrival schedules: only the match
+     * key, not the message, so it is stored inline (no heap per
+     * delivery).
+     */
+    struct P2PArrival
+    {
+        Sys *sys;
+        NodeId src;
+        std::uint64_t tag;
+
+        void operator()() const { sys->matchP2P(src, tag); }
+    };
+    static_assert(EventCallback::fitsInline<P2PArrival>());
+
     StreamId _nextStreamId = 1;
     /**
      * Live streams by id - _streamBase; null marks a finished id or

@@ -96,12 +96,35 @@ AnalyticalNetwork::send(Message msg)
         _eq.scheduleAfter(_protocolDelay, Step{this, slot});
         return;
     }
-    step(slot);
+    step(slot, kNoLink);
 }
 
 void
-AnalyticalNetwork::step(std::uint32_t slot)
+AnalyticalNetwork::waitForLink(std::uint32_t slot, LinkId l, Tick now)
 {
+    const Tick free_at = _freeAt[std::size_t(l)];
+    if (_metrics) {
+        // The wait accrues in segments: a transfer pre-empted by an
+        // earlier FIFO waiter re-enters here and adds the next leg.
+        LinkUsage &u = _usage[std::size_t(l)];
+        u.queueWait += free_at - now;
+        _waitHist.record(static_cast<double>(free_at - now));
+    }
+    // Retry when the link frees up. FIFO order is preserved by the
+    // event queue's deterministic tiebreak.
+    _eq.schedule(free_at, Step{this, slot, l});
+}
+
+void
+AnalyticalNetwork::step(std::uint32_t slot, LinkId wait)
+{
+    const Tick now = _eq.now();
+    if (wait != kNoLink && _freeAt[std::size_t(wait)] > now) {
+        // Pre-empted again by an earlier waiter: the transfer's slot
+        // and route are not needed to wait once more.
+        waitForLink(slot, wait, now);
+        return;
+    }
     Transfer &t = transferAt(slot);
     if (t.next == t.hops) {
         // Full message present at destination after serialization and
@@ -113,19 +136,8 @@ AnalyticalNetwork::step(std::uint32_t slot)
     const LinkDesc &desc = _fabric.link(l);
     const LinkParams &p = _fabric.params(desc.cls);
     Tick &free_at = _freeAt[std::size_t(l)];
-
-    const Tick now = _eq.now();
     if (free_at > now) {
-        if (_metrics) {
-            // The wait accrues in segments: a transfer pre-empted by an
-            // earlier FIFO waiter re-enters here and adds the next leg.
-            LinkUsage &u = _usage[std::size_t(l)];
-            u.queueWait += free_at - now;
-            _waitHist.record(static_cast<double>(free_at - now));
-        }
-        // Link busy: retry when it frees up. FIFO order is preserved by
-        // the event queue's deterministic tiebreak.
-        _eq.schedule(free_at, Step{this, slot});
+        waitForLink(slot, l, now);
         return;
     }
 

@@ -123,19 +123,26 @@ class AnalyticalNetwork : public NetworkApi
         std::uint32_t next = 0;
     };
 
+    /** Step::wait of a step that is not a link-busy retry. */
+    static constexpr LinkId kNoLink = -1;
+
     /**
      * The event every transfer schedules — loopback, protocol delay,
-     * hop, busy retry, down-window park and delivery alike. Two words,
-     * so it is stored inline in the event slab (no heap per event).
+     * hop, busy retry, down-window park and delivery alike. A busy
+     * retry carries the link it waits on, so a wake-up that finds the
+     * link still busy re-parks without touching the transfer. Two
+     * words, so it is stored inline in the event slab (no heap per
+     * event).
      */
     struct Step
     {
         AnalyticalNetwork *net;
         std::uint32_t slot;
+        LinkId wait = kNoLink;
 
-        void operator()() const { net->step(slot); }
+        void operator()() const { net->step(slot, wait); }
     };
-    static_assert(EventCallback::fitsInline<Step>());
+    static_assert(sizeof(Step) == 16 && EventCallback::fitsInline<Step>());
 
     /** Transfer slab granularity: chunk addresses are stable. */
     static constexpr std::size_t kTransferChunkBits = 6;
@@ -168,9 +175,17 @@ class AnalyticalNetwork : public NetworkApi
     /**
      * Advance transfer @p slot at the current time: deliver it when
      * every link is granted, else claim its next link (or wait for it)
-     * and schedule the following step.
+     * and schedule the following step. @p wait is the link a busy
+     * retry waits on (kNoLink otherwise); while it is still busy the
+     * retry only re-parks.
      */
-    void step(std::uint32_t slot);
+    void step(std::uint32_t slot, LinkId wait);
+
+    /**
+     * Park transfer @p slot until busy link @p l frees, accruing the
+     * wait in the link's metrics.
+     */
+    void waitForLink(std::uint32_t slot, LinkId l, Tick now);
 
     EventQueue &_eq;
     Fabric _fabric;

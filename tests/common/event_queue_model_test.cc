@@ -629,5 +629,80 @@ TEST(EventQueueModel, EqualTickRefillsFarRungNearMixedPriorities)
     m.drain();
 }
 
+TEST(EventQueueModel, RungRunHeadUndercutsBucketTail)
+{
+    // One parked block holds three runs: tick t at priority 10, tick
+    // t + 1, then tick t at priority 0. When the block is distributed
+    // the first run fills t's bucket, so the third run's head undercuts
+    // the bucket tail and must be placed entry by entry ahead of it,
+    // not spliced behind it.
+    Mirror m;
+    const Tick t = 12 * Mirror::kBlock + 100;
+    for (int i = 0; i < 3; ++i)
+        m.schedule(t, 10);
+    m.schedule(t + 1, 0);
+    for (int i = 0; i < 3; ++i)
+        m.schedule(t, 0);
+    m.schedule(t, 10);
+    ASSERT_EQ(m.eq.rungSize(), 8u);
+    m.drain();
+}
+
+TEST(EventQueueModel, RungRunsOfOneTickSplitByAnother)
+{
+    // Two runs of tick t in one block, split by a run of tick t + 5:
+    // the later run of t splices behind the earlier one (equal
+    // priority), and the t + 5 run must not be absorbed into either.
+    Mirror m;
+    const Tick t = 9 * Mirror::kBlock + 7;
+    for (int i = 0; i < 4; ++i)
+        m.schedule(t, 0);
+    for (int i = 0; i < 2; ++i)
+        m.schedule(t + 5, 0);
+    for (int i = 0; i < 3; ++i)
+        m.schedule(t, 0);
+    ASSERT_EQ(m.eq.rungSize(), 9u);
+    EXPECT_EQ(m.step(), 0);
+    EXPECT_EQ(m.eq.now(), t);
+    m.drain();
+}
+
+TEST(EventQueueModel, FarRefillExtendsTheTailRun)
+{
+    // Far-heap refs of one tick refill the rung as one run in
+    // (priority, seq) order; a direct schedule at that tick that does
+    // not undercut the last refilled priority extends that run, one
+    // that does starts a new run and takes the fallback on
+    // distribution.
+    Mirror m;
+    const Tick blk = Mirror::kBlock;
+    const Tick t = Tick(EventQueue::kRungBlocks + 10) * blk + 21;
+    for (const int priority : {5, -1, 0, 5, -1})
+        m.schedule(t, priority);
+    m.schedule(t + 3, 0);
+    ASSERT_EQ(m.eq.farHeapSize(), 6u);
+    m.runUntil(t - Tick(EventQueue::kRungBlocks - 2) * blk);
+    ASSERT_EQ(m.eq.farHeapSize(), 0u);
+    ASSERT_EQ(m.eq.rungSize(), 6u);
+    m.schedule(t + 3, 0); // extends the t + 3 run refilled last
+    m.schedule(t, 5);     // a new run of t behind it
+    m.schedule(t, 7);
+    m.schedule(t, 2);     // undercuts: a new run
+    m.drain();
+}
+
+TEST(EventQueueModel, RungRunPriorityExtendsUpNotDown)
+{
+    // Priority 0 then 10 at one parked tick is one run; 10 then 0
+    // starts a new run, whose priority-0 entry fires ahead of the
+    // pending priority-10 one.
+    Mirror m;
+    const Tick t = 30 * Mirror::kBlock + 500;
+    for (const int priority : {0, 10, 10, 0, 10, 0, 0})
+        m.schedule(t, priority);
+    ASSERT_EQ(m.eq.rungSize(), 7u);
+    m.drain();
+}
+
 } // namespace
 } // namespace astra

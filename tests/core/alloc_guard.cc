@@ -1,8 +1,11 @@
-// Allocation guard for the per-message collective path.
+// Allocation guard for the per-message collective and point-to-point
+// paths.
 //
 // A counting global operator new measures heap allocations per
 // delivered message over a warmed-up all-reduce on a 4x4x4 torus (ring
-// algorithms in every dimension), once on each network backend.
+// algorithms in every dimension), once on each network backend, and
+// over warm expectP2P/sendP2P pairs between two NPUs (the pipeline
+// trainer's path).
 // Contribution tracking stays on; what a message may cost is its
 // shared payload block and its contribution array, plus the per-chunk
 // and per-pass setup amortized over the chunk's messages. The network
@@ -110,13 +113,72 @@ checkBackend(astra::NetworkBackend backend)
     return true;
 }
 
+/**
+ * Ceiling of allocations per point-to-point message: about 25% above
+ * the measured 1.00, the receiver's expectation entry (2.00 while each
+ * arrival event copied the whole Message and so spilled to the heap).
+ */
+constexpr double kMaxAllocsPerP2P = 1.25;
+
+/** Measure warm expect/send pairs from NPU 0 to NPU 1; false on
+ *  regression. */
+bool
+checkP2P()
+{
+    using namespace astra;
+    SimConfig cfg;
+    cfg.torus(1, 4, 1);
+    Cluster cluster(cfg);
+    constexpr std::uint64_t kPairs = 256;
+    std::uint64_t received = 0;
+    std::uint64_t tag = 0;
+    auto exchange = [&] {
+        for (std::uint64_t i = 0; i < kPairs; ++i, ++tag) {
+            cluster.node(1).expectP2P(0, tag, [&received] { ++received; });
+            cluster.node(0).sendP2P(1, 64 * KiB, tag);
+        }
+        cluster.run();
+    };
+
+    exchange(); // warm-up: grows the event and transfer slabs
+    const std::size_t allocs_before = g_allocations.load();
+    const std::uint64_t delivered_before =
+        cluster.network().deliveredMessages();
+    exchange();
+    const std::size_t allocs = g_allocations.load() - allocs_before;
+    const std::uint64_t delivered =
+        cluster.network().deliveredMessages() - delivered_before;
+
+    if (delivered != kPairs || received != 2 * kPairs) {
+        std::fprintf(stderr,
+                     "alloc_guard (p2p): %llu delivered, %llu received "
+                     "of %llu\n",
+                     static_cast<unsigned long long>(delivered),
+                     static_cast<unsigned long long>(received),
+                     static_cast<unsigned long long>(2 * kPairs));
+        return false;
+    }
+    const double per_message = double(allocs) / double(delivered);
+    std::printf("alloc_guard (p2p): %zu allocations for %llu messages "
+                "(%.2f per message, limit %.2f)\n",
+                allocs, static_cast<unsigned long long>(delivered),
+                per_message, kMaxAllocsPerP2P);
+    if (per_message > kMaxAllocsPerP2P) {
+        std::fprintf(stderr, "alloc_guard (p2p): per-message allocations "
+                             "regressed\n");
+        return false;
+    }
+    return true;
+}
+
 } // namespace
 
 int
 main()
 {
-    // Both legs run (no short-circuit), so one report shows each.
+    // Every leg runs (no short-circuit), so one report shows each.
     const bool analytical = checkBackend(astra::NetworkBackend::Analytical);
     const bool garnet = checkBackend(astra::NetworkBackend::GarnetLite);
-    return analytical && garnet ? 0 : 1;
+    const bool p2p = checkP2P();
+    return analytical && garnet && p2p ? 0 : 1;
 }
