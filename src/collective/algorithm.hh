@@ -14,7 +14,6 @@
 #ifndef ASTRA_COLLECTIVE_ALGORITHM_HH
 #define ASTRA_COLLECTIVE_ALGORITHM_HH
 
-#include <functional>
 #include <memory>
 
 #include "common/event_queue.hh"
@@ -50,22 +49,16 @@ class AlgContext
     virtual ChunkState &data() = 0;
 
     /**
-     * Send @p bytes to the phase-group member with rank @p dst_rank on
-     * the chunk's assigned channel. @p step disambiguates algorithm
-     * steps at the receiver; @p payload carries tracking state.
+     * Send @p bytes to the phase-group member with rank @p dst_rank
+     * through channel @p channel of this phase's dimension. A ring
+     * pass sends on myChannel(); a direct pass spreads its concurrent
+     * transfers over the global switches (Sec. III-B: "receiving data
+     * from all other nodes at the same time"). @p step disambiguates
+     * algorithm steps at the receiver; @p payload carries the tracking
+     * state.
      */
-    virtual void sendToRank(int dst_rank, Bytes bytes, int step,
-                            std::shared_ptr<void> payload) = 0;
-
-    /**
-     * Like sendToRank but through an explicit channel — used on switch
-     * dimensions where simultaneous transfers to different peers take
-     * different global switches (Sec. III-B: "receiving data from all
-     * other nodes at the same time").
-     */
-    virtual void sendToRankVia(int dst_rank, int channel, Bytes bytes,
-                               int step,
-                               std::shared_ptr<void> payload) = 0;
+    virtual void send(int dst_rank, int channel, Bytes bytes, int step,
+                      std::shared_ptr<const ChunkPayload> payload) = 0;
 
     /** Number of channels available in this phase's dimension. */
     virtual int numChannels() const = 0;
@@ -95,7 +88,9 @@ class AlgContext
 };
 
 /**
- * Abstract per-node, per-phase algorithm.
+ * Abstract per-node, per-phase algorithm. Messages may arrive before
+ * start() (a faster peer is ahead); the algorithm holds them until it
+ * has started, and calls AlgContext::phaseDone() exactly once.
  */
 class PhaseAlgorithm
 {

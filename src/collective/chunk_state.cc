@@ -106,11 +106,11 @@ ChunkState::noteRetry()
     ++_retries;
 }
 
-RangePayload
+ChunkPayload
 ChunkState::makeRangePayload(const ElemRange &range, bool reduce) const
 {
     checkOp(ChunkOp::MakePayload);
-    RangePayload p;
+    ChunkPayload p;
     p.range = range;
     p.reduce = reduce;
     p.contribs.reserve(std::size_t(range.length()));
@@ -124,7 +124,7 @@ ChunkState::makeRangePayload(const ElemRange &range, bool reduce) const
 }
 
 void
-ChunkState::applyRangePayload(const RangePayload &payload)
+ChunkState::applyRangePayload(const ChunkPayload &payload)
 {
     checkOp(payload.reduce ? ChunkOp::ApplyReduce
                            : ChunkOp::ApplyInstall);

@@ -20,7 +20,7 @@
  * (e.g. after all-reduce every node holds every element with all E
  * contributions), and Sys::finishStream checks them on every run: the
  * tracking is always on. Its per-message cost is the payload: one
- * shared RangePayload block plus one array of per-element BitVecs,
+ * shared ChunkPayload block plus one array of per-element BitVecs,
  * whose words are stored inline for groups of up to 128 nodes, so
  * copying and merging them allocates nothing more.
  */
@@ -55,20 +55,16 @@ struct ElemRange
 };
 
 /**
- * Payload of reduce-scatter / all-gather style messages: a contiguous
- * element range and, per element, the contributions carried.
+ * What a collective message carries: for reduce-scatter / all-gather
+ * style messages a contiguous element range and, per element, the
+ * contributions carried; for all-to-all the blocks being forwarded.
  */
-struct RangePayload
+struct ChunkPayload
 {
     ElemRange range;
     std::vector<BitVec> contribs; //!< one BitVec per element in range
     bool reduce = false; //!< true: merge into receiver (reduce-scatter);
                          //!< false: replace/install (all-gather)
-};
-
-/** Payload of all-to-all messages: the blocks being forwarded. */
-struct BlockPayload
-{
     /** (source global rank, destination global rank) pairs. */
     std::vector<std::pair<int, int>> blocks;
 };
@@ -127,15 +123,15 @@ class ChunkState
     /** Is this node's copy of element @p e current? */
     bool valid(int e) const { return _valid[std::size_t(e)]; }
 
-    /** Extract a RangePayload for @p range of the local state. */
-    RangePayload makeRangePayload(const ElemRange &range,
+    /** Extract a range payload for @p range of the local state. */
+    ChunkPayload makeRangePayload(const ElemRange &range,
                                   bool reduce) const;
 
     /**
-     * Apply an incoming RangePayload: reduce-merge (payload.reduce) or
+     * Apply an incoming range payload: reduce-merge (payload.reduce) or
      * install (all-gather). Marks the range valid.
      */
-    void applyRangePayload(const RangePayload &payload);
+    void applyRangePayload(const ChunkPayload &payload);
 
     /** Invalidate every element outside @p keep (end of an RS phase). */
     void restrictValidTo(const ElemRange &keep);

@@ -1,102 +1,56 @@
 #include "collective/direct_algorithms.hh"
 
+#include <algorithm>
+
 #include "common/logging.hh"
 
 namespace astra
 {
 
-// --- DirectBase ---------------------------------------------------------
-
-DirectBase::DirectBase(AlgContext &ctx, int wire_step,
-                       std::function<void()> on_complete)
-    : _ctx(ctx), _d(ctx.groupSize()), _r(ctx.myRank()),
-      _wireStep(wire_step), _onComplete(std::move(on_complete))
+namespace
 {
-}
 
+/** Spread the transfer to @p dst_rank over the global switches. */
 int
-DirectBase::channelFor(int dst_rank) const
+channelFor(AlgContext &ctx, int dst_rank)
 {
-    const int n = _ctx.numChannels();
-    return (_r + dst_rank + _ctx.myChannel()) % n;
+    return (ctx.myRank() + dst_rank + ctx.myChannel()) % ctx.numChannels();
 }
 
-void
-DirectBase::onMessage(const Message &msg)
-{
-    if (msg.tag.step != _wireStep)
-        panic("direct pass got step %d, expected %d", msg.tag.step,
-              _wireStep);
-    _queue.push_back(msg.payload);
-    pumpReceives();
-}
-
-void
-DirectBase::pumpReceives()
-{
-    if (!_started || _completed || _processing || _queue.empty())
-        return;
-    auto payload = std::move(_queue.front());
-    _queue.pop_front();
-    _processing = true;
-    _ctx.scheduleAfter(_ctx.endpointDelay(),
-                       [this, payload = std::move(payload)] {
-                           _processing = false;
-                           ++_processed;
-                           processPayload(payload);
-                           if (!_completed)
-                               pumpReceives();
-                       });
-}
-
-void
-DirectBase::complete()
-{
-    if (_completed)
-        panic("direct pass completed twice");
-    _completed = true;
-    _onComplete();
-}
+} // namespace
 
 // --- DirectReduceScatter ------------------------------------------------
 
-DirectReduceScatter::DirectReduceScatter(AlgContext &ctx, int wire_step,
-                                         std::function<void()> on_complete)
-    : DirectBase(ctx, wire_step, std::move(on_complete))
+DirectReduceScatter::DirectReduceScatter(AlgContext &ctx, int first_step,
+                                         PassBase *next)
+    : PassBase(ctx, DimPattern::Switch, first_step, next)
 {
 }
 
 void
-DirectReduceScatter::start()
+DirectReduceScatter::begin()
 {
-    _started = true;
     _entryRange = _ctx.data().current();
-    if (_d == 1) {
-        complete();
-        return;
-    }
     // Send block j to node j, all peers at once (Fig. 5 right).
     for (int j = 0; j < _d; ++j) {
         if (j == _r)
             continue;
         const ElemRange br = _entryRange.subRange(_d, j);
-        auto payload = std::make_shared<RangePayload>(
-            _ctx.data().makeRangePayload(br, /*reduce=*/true));
-        _ctx.sendToRankVia(j, channelFor(j),
-                           _ctx.data().bytesFor(br.length()), _wireStep,
-                           std::move(payload));
+        _ctx.send(j, channelFor(_ctx, j), _ctx.data().bytesFor(br.length()),
+                  _firstStep,
+                  std::make_shared<const ChunkPayload>(
+                      _ctx.data().makeRangePayload(br, /*reduce=*/true)));
     }
-    pumpReceives();
 }
 
 void
-DirectReduceScatter::processPayload(const std::shared_ptr<void> &payload)
+DirectReduceScatter::processStep(
+    int s, const std::shared_ptr<const ChunkPayload> &payload)
 {
-    auto p = std::static_pointer_cast<RangePayload>(payload);
-    if (!(p->range == _entryRange.subRange(_d, _r)))
+    if (!(payload->range == _entryRange.subRange(_d, _r)))
         panic("direct RS received a block not owned by this node");
-    _ctx.data().applyRangePayload(*p);
-    if (_processed == _d - 1) {
+    _ctx.data().applyRangePayload(*payload);
+    if (lastStep(s)) {
         _ctx.data().restrictValidTo(_entryRange.subRange(_d, _r));
         complete();
     }
@@ -104,120 +58,73 @@ DirectReduceScatter::processPayload(const std::shared_ptr<void> &payload)
 
 // --- DirectAllGather ------------------------------------------------------
 
-DirectAllGather::DirectAllGather(AlgContext &ctx, int wire_step,
-                                 std::function<void()> on_complete)
-    : DirectBase(ctx, wire_step, std::move(on_complete))
+DirectAllGather::DirectAllGather(AlgContext &ctx, int first_step,
+                                 PassBase *next)
+    : PassBase(ctx, DimPattern::Switch, first_step, next)
 {
 }
 
 void
-DirectAllGather::start()
+DirectAllGather::begin()
 {
-    _started = true;
     const ElemRange cur = _ctx.data().current();
     _hullLo = cur.lo;
     _hullHi = cur.hi;
-    if (_d == 1) {
-        complete();
-        return;
-    }
     // Broadcast the own block to every peer.
     for (int j = 0; j < _d; ++j) {
         if (j == _r)
             continue;
-        auto payload = std::make_shared<RangePayload>(
-            _ctx.data().makeRangePayload(cur, /*reduce=*/false));
-        _ctx.sendToRankVia(j, channelFor(j),
-                           _ctx.data().bytesFor(cur.length()), _wireStep,
-                           std::move(payload));
+        _ctx.send(j, channelFor(_ctx, j), _ctx.data().bytesFor(cur.length()),
+                  _firstStep,
+                  std::make_shared<const ChunkPayload>(
+                      _ctx.data().makeRangePayload(cur, /*reduce=*/false)));
     }
-    pumpReceives();
 }
 
 void
-DirectAllGather::processPayload(const std::shared_ptr<void> &payload)
+DirectAllGather::processStep(
+    int s, const std::shared_ptr<const ChunkPayload> &payload)
 {
-    auto p = std::static_pointer_cast<RangePayload>(payload);
-    _ctx.data().applyRangePayload(*p);
-    _hullLo = std::min(_hullLo, p->range.lo);
-    _hullHi = std::max(_hullHi, p->range.hi);
-    if (_processed == _d - 1) {
+    _ctx.data().applyRangePayload(*payload);
+    _hullLo = std::min(_hullLo, payload->range.lo);
+    _hullHi = std::max(_hullHi, payload->range.hi);
+    if (lastStep(s)) {
         _ctx.data().setCurrent(ElemRange{_hullLo, _hullHi});
         complete();
-    }
-}
-
-// --- DirectAllReduce -------------------------------------------------------
-
-DirectAllReduce::DirectAllReduce(AlgContext &ctx)
-    : _ctx(ctx),
-      _rs(ctx, 0,
-          [this] {
-              _inGather = true;
-              _ag.start();
-              for (const Message &m : _earlyGather)
-                  _ag.onMessage(m);
-              _earlyGather.clear();
-          }),
-      _ag(ctx, 1, [this] { _ctx.phaseDone(); })
-{
-}
-
-void
-DirectAllReduce::start()
-{
-    _rs.start();
-}
-
-void
-DirectAllReduce::onMessage(const Message &msg)
-{
-    if (msg.tag.step == 0) {
-        _rs.onMessage(msg);
-    } else if (_inGather) {
-        _ag.onMessage(msg);
-    } else {
-        _earlyGather.push_back(msg);
     }
 }
 
 // --- DirectAllToAll ---------------------------------------------------------
 
 DirectAllToAll::DirectAllToAll(AlgContext &ctx)
-    : DirectBase(ctx, /*wire_step=*/0, [&ctx] { ctx.phaseDone(); })
+    : PassBase(ctx, DimPattern::Switch, /*first_step=*/0, nullptr)
 {
 }
 
 void
-DirectAllToAll::start()
+DirectAllToAll::begin()
 {
-    _started = true;
-    if (_d == 1) {
-        complete();
-        return;
-    }
     const Bytes msg_bytes =
         (_ctx.entryBytes() + Bytes(_d) - 1) / Bytes(_d);
     for (int j = 0; j < _d; ++j) {
         if (j == _r)
             continue;
-        auto payload = std::make_shared<BlockPayload>();
+        auto payload = std::make_shared<ChunkPayload>();
         payload->blocks = _ctx.data().takeBlocksIf(
             [this, j](int, int blk_dst) {
                 return _ctx.phaseCoordOfGlobalRank(blk_dst) == j;
             });
-        _ctx.sendToRankVia(j, channelFor(j), msg_bytes, _wireStep,
-                           std::move(payload));
+        _ctx.send(j, channelFor(_ctx, j), msg_bytes, _firstStep,
+                  std::move(payload));
     }
-    pumpReceives();
 }
 
 void
-DirectAllToAll::processPayload(const std::shared_ptr<void> &payload)
+DirectAllToAll::processStep(
+    int s, const std::shared_ptr<const ChunkPayload> &payload)
 {
-    auto p = std::static_pointer_cast<BlockPayload>(payload);
-    _ctx.data().addBlocks(p->blocks);
-    if (_processed == _d - 1)
+    _ctx.data().addBlocks(payload->blocks);
+    if (lastStep(s))
         complete();
 }
 

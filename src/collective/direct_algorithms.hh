@@ -24,110 +24,54 @@
 #ifndef ASTRA_COLLECTIVE_DIRECT_ALGORITHMS_HH
 #define ASTRA_COLLECTIVE_DIRECT_ALGORITHMS_HH
 
-#include <deque>
 #include <memory>
 
-#include "collective/algorithm.hh"
+#include "collective/pass.hh"
 
 namespace astra
 {
 
-/**
- * Shared receive machinery: arrivals are processed one at a time with
- * the endpoint delay, in arrival order (order across peers is
- * irrelevant for direct algorithms).
- */
-class DirectBase : public PhaseAlgorithm
-{
-  public:
-    DirectBase(AlgContext &ctx, int wire_step,
-               std::function<void()> on_complete);
-
-    void onMessage(const Message &msg) override;
-
-  protected:
-    /** Handle one received payload (already past the endpoint delay). */
-    virtual void processPayload(const std::shared_ptr<void> &payload) = 0;
-
-    /** Spread the transfer to @p dst_rank over the global switches. */
-    int channelFor(int dst_rank) const;
-
-    void pumpReceives();
-    void complete();
-
-    AlgContext &_ctx;
-    const int _d;
-    const int _r;
-    const int _wireStep; //!< step tag for this pass's messages
-    std::function<void()> _onComplete;
-
-    int _processed = 0;
-    bool _processing = false;
-    bool _started = false;
-    bool _completed = false;
-    std::deque<std::shared_ptr<void>> _queue;
-};
-
 /** Direct reduce-scatter. */
-class DirectReduceScatter : public DirectBase
+class DirectReduceScatter : public PassBase
 {
   public:
-    DirectReduceScatter(AlgContext &ctx, int wire_step,
-                        std::function<void()> on_complete);
-
-    void start() override;
+    DirectReduceScatter(AlgContext &ctx, int first_step, PassBase *next);
 
   protected:
-    void processPayload(const std::shared_ptr<void> &payload) override;
+    void begin() override;
+    void processStep(
+        int s, const std::shared_ptr<const ChunkPayload> &payload) override;
 
   private:
     ElemRange _entryRange;
 };
 
 /** Direct all-gather. */
-class DirectAllGather : public DirectBase
+class DirectAllGather : public PassBase
 {
   public:
-    DirectAllGather(AlgContext &ctx, int wire_step,
-                    std::function<void()> on_complete);
-
-    void start() override;
+    DirectAllGather(AlgContext &ctx, int first_step, PassBase *next);
 
   protected:
-    void processPayload(const std::shared_ptr<void> &payload) override;
+    void begin() override;
+    void processStep(
+        int s, const std::shared_ptr<const ChunkPayload> &payload) override;
 
   private:
     int _hullLo = 0;
     int _hullHi = 0;
 };
 
-/** Direct all-reduce: reduce-scatter then all-gather. */
-class DirectAllReduce : public PhaseAlgorithm
-{
-  public:
-    explicit DirectAllReduce(AlgContext &ctx);
-
-    void start() override;
-    void onMessage(const Message &msg) override;
-
-  private:
-    AlgContext &_ctx;
-    DirectReduceScatter _rs;
-    DirectAllGather _ag;
-    bool _inGather = false;
-    std::vector<Message> _earlyGather;
-};
-
 /** Direct all-to-all. */
-class DirectAllToAll : public DirectBase
+class DirectAllToAll : public PassBase
 {
   public:
     explicit DirectAllToAll(AlgContext &ctx);
 
-    void start() override;
-
   protected:
-    void processPayload(const std::shared_ptr<void> &payload) override;
+    void begin() override;
+    void processStep(
+        int s, const std::shared_ptr<const ChunkPayload> &payload) override;
 };
 
 } // namespace astra

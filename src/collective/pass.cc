@@ -1,0 +1,85 @@
+#include "collective/pass.hh"
+
+#include "common/logging.hh"
+
+namespace astra
+{
+
+PassBase::PassBase(AlgContext &ctx, DimPattern pattern, int first_step,
+                   PassBase *next)
+    : _ctx(ctx), _d(ctx.groupSize()), _r(ctx.myRank()),
+      _dir(ctx.direction()), _firstStep(first_step),
+      _stepOrdered(pattern == DimPattern::Ring), _next(next),
+      _slots(std::size_t(_d - 1))
+{
+}
+
+void
+PassBase::start()
+{
+    _started = true;
+    if (_d == 1) {
+        complete();
+        return;
+    }
+    begin();
+    pumpReceives();
+}
+
+void
+PassBase::onMessage(const Message &msg)
+{
+    int s;
+    if (_stepOrdered) {
+        s = msg.tag.step - _firstStep;
+        if (s < 0 || s >= _d - 1)
+            panic("ring pass got step %d (d=%d)", s, _d);
+        if (s < _nextRecv || _slots[std::size_t(s)])
+            panic("duplicate ring step %d", s);
+    } else {
+        if (msg.tag.step != _firstStep)
+            panic("direct pass got step %d, expected %d", msg.tag.step,
+                  _firstStep);
+        s = _arrived++;
+        if (s >= _d - 1)
+            panic("direct pass got arrival %d of %d", s + 1, _d - 1);
+    }
+    if (!msg.payload)
+        panic("collective pass message without payload");
+    _slots[std::size_t(s)] = msg.payload;
+    pumpReceives();
+}
+
+void
+PassBase::pumpReceives()
+{
+    if (!_started || _completed || _processing ||
+        std::size_t(_nextRecv) == _slots.size() ||
+        !_slots[std::size_t(_nextRecv)])
+        return;
+    _processing = true;
+    // The endpoint (NMU) spends endpointDelay cycles per received
+    // message before its data is usable.
+    _ctx.scheduleAfter(_ctx.endpointDelay(), [this] {
+        _processing = false;
+        const int s = _nextRecv++;
+        const auto payload = std::move(_slots[std::size_t(s)]);
+        processStep(s, payload);
+        if (!_completed)
+            pumpReceives();
+    });
+}
+
+void
+PassBase::complete()
+{
+    if (_completed)
+        panic("collective pass completed twice");
+    _completed = true;
+    if (_next)
+        _next->start();
+    else
+        _ctx.phaseDone();
+}
+
+} // namespace astra

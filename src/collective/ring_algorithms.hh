@@ -15,85 +15,34 @@
  *    multi-phase plans the message also carries every block routable
  *    through that destination in later phases (Sec. III-D).
  *
- * Receive processing is serialized per instance and each received
- * message pays the endpoint delay before its data can be used — this
- * models the NMU's message handling cost.
+ * Each received message pays the endpoint delay before its data can
+ * be used — this models the NMU's message handling cost. The RS and AG
+ * passes process their receives one at a time, in step order
+ * (collective/pass.hh). The all-to-all does not serialize: each
+ * arrival pays its endpoint delay on its own, so concurrent arrivals
+ * overlap.
  */
 
 #ifndef ASTRA_COLLECTIVE_RING_ALGORITHMS_HH
 #define ASTRA_COLLECTIVE_RING_ALGORITHMS_HH
 
 #include <memory>
-#include <vector>
 
-#include "collective/algorithm.hh"
+#include "collective/pass.hh"
 
 namespace astra
 {
 
-/**
- * Shared machinery for the step-ordered ring passes (RS and AG):
- * buffers out-of-order arrivals and processes them strictly in step
- * order with the endpoint delay between steps.
- */
-class RingPassBase : public PhaseAlgorithm
-{
-  public:
-    /**
-     * @param ctx         System-layer services.
-     * @param step_offset Added to every wire step tag (lets all-reduce
-     *                    chain an RS pass and an AG pass with disjoint
-     *                    step numbering).
-     * @param on_complete Invoked when the pass finishes locally; the
-     *                    standalone factory passes ctx.phaseDone.
-     */
-    RingPassBase(AlgContext &ctx, int step_offset,
-                 std::function<void()> on_complete);
-
-    void onMessage(const Message &msg) override;
-
-  protected:
-    /** Process the (in-order) payload of local step @p s. */
-    virtual void processStep(int s,
-                             std::shared_ptr<RangePayload> payload) = 0;
-
-    /** Dequeue-and-process loop; call after state changes. */
-    void pumpReceives();
-
-    /** Mark this pass complete. */
-    void complete();
-
-    int mod(int x) const;
-
-    AlgContext &_ctx;
-    const int _d;
-    const int _r;
-    const int _dir;
-    const int _stepOffset;
-    std::function<void()> _onComplete;
-
-    int _nextRecvStep = 0;     //!< next step to process
-    bool _processing = false;  //!< endpoint busy with a message
-    bool _started = false;
-    bool _completed = false;
-    /**
-     * Arrived, not yet processed payloads by local step: d-1 slots,
-     * allocated on the first arrival (null = not arrived or done).
-     */
-    std::vector<std::shared_ptr<RangePayload>> _pending;
-};
-
 /** Ring reduce-scatter. */
-class RingReduceScatter : public RingPassBase
+class RingReduceScatter : public PassBase
 {
   public:
-    RingReduceScatter(AlgContext &ctx, int step_offset,
-                      std::function<void()> on_complete);
-
-    void start() override;
+    RingReduceScatter(AlgContext &ctx, int first_step, PassBase *next);
 
   protected:
-    void processStep(int s, std::shared_ptr<RangePayload> payload) override;
+    void begin() override;
+    void processStep(
+        int s, const std::shared_ptr<const ChunkPayload> &payload) override;
 
   private:
     void sendStep(int s);
@@ -102,38 +51,19 @@ class RingReduceScatter : public RingPassBase
 };
 
 /** Ring all-gather. */
-class RingAllGather : public RingPassBase
+class RingAllGather : public PassBase
 {
   public:
-    RingAllGather(AlgContext &ctx, int step_offset,
-                  std::function<void()> on_complete);
-
-    void start() override;
+    RingAllGather(AlgContext &ctx, int first_step, PassBase *next);
 
   protected:
-    void processStep(int s, std::shared_ptr<RangePayload> payload) override;
+    void begin() override;
+    void processStep(
+        int s, const std::shared_ptr<const ChunkPayload> &payload) override;
 
   private:
     int _hullLo = 0;
     int _hullHi = 0;
-};
-
-/** Ring all-reduce: an RS pass chained into an AG pass. */
-class RingAllReduce : public PhaseAlgorithm
-{
-  public:
-    explicit RingAllReduce(AlgContext &ctx);
-
-    void start() override;
-    void onMessage(const Message &msg) override;
-
-  private:
-    AlgContext &_ctx;
-    RingReduceScatter _rs;
-    RingAllGather _ag;
-    bool _inGather = false;
-    /** AG messages arriving while this node is still reduce-scattering. */
-    std::vector<Message> _earlyGather;
 };
 
 /** Ring all-to-all. */

@@ -29,7 +29,7 @@ namespace astra
 /** Classification of every ChunkState mutation the FSM gates. */
 enum class ChunkOp
 {
-    MakePayload,  //!< extract a RangePayload to send
+    MakePayload,  //!< extract a range payload to send
     ApplyReduce,  //!< merge an incoming reduce payload
     ApplyInstall, //!< install an incoming all-gather payload
     Restrict,     //!< shrink the valid range at an RS phase boundary

@@ -67,16 +67,8 @@ Stream::numChannels() const
 }
 
 void
-Stream::sendToRank(int dst_rank, Bytes bytes, int step,
-                   std::shared_ptr<void> payload)
-{
-    _sys.sendMessage(*this, dst_rank, myChannel(), bytes, step,
-                     std::move(payload));
-}
-
-void
-Stream::sendToRankVia(int dst_rank, int channel, Bytes bytes, int step,
-                      std::shared_ptr<void> payload)
+Stream::send(int dst_rank, int channel, Bytes bytes, int step,
+             std::shared_ptr<const ChunkPayload> payload)
 {
     _sys.sendMessage(*this, dst_rank, channel, bytes, step,
                      std::move(payload));

@@ -93,10 +93,8 @@ class Stream final : public AlgContext
     int direction() const override;
     Bytes entryBytes() const override { return _entryBytes; }
     ChunkState &data() override { return _data; }
-    void sendToRank(int dst_rank, Bytes bytes, int step,
-                    std::shared_ptr<void> payload) override;
-    void sendToRankVia(int dst_rank, int channel, Bytes bytes, int step,
-                       std::shared_ptr<void> payload) override;
+    void send(int dst_rank, int channel, Bytes bytes, int step,
+              std::shared_ptr<const ChunkPayload> payload) override;
     int numChannels() const override;
     int myChannel() const override { return channelFor(_phase); }
     void scheduleAfter(Tick delay, EventCallback fn) override;

@@ -64,19 +64,8 @@ Sys::issueCollective(const CollectiveRequest &req)
         if (plan.empty()) {
             // Single-participant group: nothing to communicate; the
             // chunk completes on the next event boundary.
-            eventQueue().scheduleAfter(0, [this, handle] {
-                if (--handle->remainingChunks == 0) {
-                    handle->completedAt = now();
-                    if (handle->onComplete) {
-                        // The callback usually captures the handle;
-                        // clear it before firing or the shared_ptr
-                        // cycle outlives completion.
-                        auto cb = std::move(handle->onComplete);
-                        handle->onComplete = nullptr;
-                        cb();
-                    }
-                }
-            });
+            eventQueue().scheduleAfter(
+                0, [this, handle] { completeChunk(*handle); });
             continue;
         }
         auto stream = std::make_unique<Stream>(
@@ -90,7 +79,7 @@ Sys::issueCollective(const CollectiveRequest &req)
 
 void
 Sys::sendMessage(Stream &stream, int dst_rank, int channel, Bytes bytes,
-                 int step, std::shared_ptr<void> payload)
+                 int step, std::shared_ptr<const ChunkPayload> payload)
 {
     const PhaseDesc &ph = stream.phaseDesc();
     Coord c = _topo.coordOf(_id);
@@ -449,7 +438,6 @@ Sys::finishStream(Stream &stream)
         _inspector(stream);
 
     auto handle = stream.handle();
-    hotCounter(CompletedChunks) += 1;
 
     // End-to-end chunk latency (submit -> all phases complete), overall
     // and per collective kind, plus the data-movement count.
@@ -466,18 +454,23 @@ Sys::finishStream(Stream &stream)
 
     // Erase before firing callbacks: onComplete may issue collectives.
     eraseStream(stream.id());
+    completeChunk(*handle);
+}
 
-    if (--handle->remainingChunks == 0) {
-        handle->completedAt = now();
-        hotCounter(CompletedSets) += 1;
-        if (handle->onComplete) {
-            // The callback usually captures the handle; clear it
-            // before firing or the shared_ptr cycle outlives
-            // completion.
-            auto cb = std::move(handle->onComplete);
-            handle->onComplete = nullptr;
-            cb();
-        }
+void
+Sys::completeChunk(CollectiveHandle &handle)
+{
+    hotCounter(CompletedChunks) += 1;
+    if (--handle.remainingChunks > 0)
+        return;
+    handle.completedAt = now();
+    hotCounter(CompletedSets) += 1;
+    if (handle.onComplete) {
+        // The callback usually captures the handle; clear it before
+        // firing or the shared_ptr cycle outlives completion.
+        auto cb = std::move(handle.onComplete);
+        handle.onComplete = nullptr;
+        cb();
     }
 }
 

@@ -174,7 +174,8 @@ class Sys
 
     /** Transmit a message on behalf of @p stream's current phase. */
     void sendMessage(Stream &stream, int dst_rank, int channel,
-                     Bytes bytes, int step, std::shared_ptr<void> payload);
+                     Bytes bytes, int step,
+                     std::shared_ptr<const ChunkPayload> payload);
 
     /** Called by Stream::phaseDone (defers the transition). */
     void streamPhaseDone(Stream &stream);
@@ -196,6 +197,12 @@ class Sys
 
     /** Verify post-conditions, notify the handle, destroy the stream. */
     void finishStream(Stream &stream);
+
+    /**
+     * Count one completed chunk of @p handle's set, and complete the
+     * set (stamp, count, fire its callback) when it was the last one.
+     */
+    void completeChunk(CollectiveHandle &handle);
 
     /** Replay any messages buffered for (sid, phase). */
     void drainUnmatched(Stream &stream);

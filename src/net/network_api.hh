@@ -30,6 +30,7 @@
 namespace astra
 {
 
+struct ChunkPayload;
 class FaultManager;
 class StatGroup;
 class TraceRecorder;
@@ -73,8 +74,9 @@ struct MessageTag
 
 /**
  * A message in flight. `payload` carries the contribution-tracking
- * state (opaque to the network); `bytes` is what the network actually
- * models.
+ * state (declared by the collective layer, opaque to the network);
+ * `bytes` is what the network actually models. The payload is shared
+ * because a ring all-gather relays the one it received.
  */
 struct Message
 {
@@ -83,7 +85,7 @@ struct Message
     Bytes bytes = 0;
     RouteHint hint;
     MessageTag tag;
-    std::shared_ptr<void> payload;
+    std::shared_ptr<const ChunkPayload> payload;
     Tick sentAt = 0; //!< stamped by the backend at send()
     /**
      * Transmission attempt: 0 for the original send, incremented by

@@ -78,7 +78,7 @@ TEST(ChunkState, ReducePayloadMergesDisjointContribs)
 {
     ChunkState a(2, 0, 64, CollectiveKind::AllReduce);
     ChunkState b(2, 1, 64, CollectiveKind::AllReduce);
-    RangePayload p = b.makeRangePayload(ElemRange{0, 2}, true);
+    ChunkPayload p = b.makeRangePayload(ElemRange{0, 2}, true);
     a.applyRangePayload(p);
     EXPECT_TRUE(a.allReduced());
 }
@@ -86,7 +86,7 @@ TEST(ChunkState, ReducePayloadMergesDisjointContribs)
 TEST(ChunkState, DuplicateReductionPanics)
 {
     ChunkState a(2, 0, 64, CollectiveKind::AllReduce);
-    RangePayload p = a.makeRangePayload(ElemRange{0, 2}, true);
+    ChunkPayload p = a.makeRangePayload(ElemRange{0, 2}, true);
     // Reducing our own partial back into ourselves double-counts.
     EXPECT_THROW(a.applyRangePayload(p), FatalError);
 }
@@ -95,7 +95,7 @@ TEST(ChunkState, InstallPayloadSetsValidity)
 {
     ChunkState a(4, 0, 64, CollectiveKind::AllGather);
     ChunkState b(4, 3, 64, CollectiveKind::AllGather);
-    RangePayload p = b.makeRangePayload(ElemRange{3, 4}, false);
+    ChunkPayload p = b.makeRangePayload(ElemRange{3, 4}, false);
     a.applyRangePayload(p);
     EXPECT_TRUE(a.valid(3));
     EXPECT_TRUE(a.contribs(3).test(3));
@@ -144,12 +144,12 @@ TEST(ChunkState, AllToAllCompletionRequiresExactBlocks)
 TEST(ChunkState, BadPayloadRangePanics)
 {
     ChunkState a(4, 0, 64, CollectiveKind::AllReduce);
-    RangePayload p;
+    ChunkPayload p;
     p.range = ElemRange{2, 9};
     p.reduce = false;
     p.contribs.assign(7, BitVec(4));
     EXPECT_THROW(a.applyRangePayload(p), FatalError);
-    RangePayload q;
+    ChunkPayload q;
     q.range = ElemRange{0, 2};
     q.contribs.assign(1, BitVec(4)); // size mismatch
     EXPECT_THROW(a.applyRangePayload(q), FatalError);

@@ -312,7 +312,7 @@ TEST(ChunkFsm, AllGatherChunkRejectsReducePayload)
 {
     ScopedValidation guard(ValidateLevel::kBasic);
     ChunkState s(4, 0, 4096, CollectiveKind::AllGather);
-    RangePayload p = s.makeRangePayload(ElemRange{0, 1}, false);
+    ChunkPayload p = s.makeRangePayload(ElemRange{0, 1}, false);
     p.reduce = true; // a reduce payload reaching an all-gather chunk
     const std::string msg =
         failureMessage([&] { s.applyRangePayload(p); });

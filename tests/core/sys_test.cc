@@ -79,6 +79,14 @@ TEST(Sys, SingleParticipantGroupCompletesWithoutTraffic)
     for (auto &h : handles)
         EXPECT_TRUE(h->done());
     EXPECT_EQ(cluster.network().deliveredMessages(), 0u);
+    // The chunks complete through the same path as any other: counted.
+    for (int n = 0; n < cluster.numNodes(); ++n) {
+        const StatGroup &s = cluster.node(n).stats();
+        EXPECT_DOUBLE_EQ(s.counter("completed.sets"),
+                         s.counter("issued.sets"));
+        EXPECT_DOUBLE_EQ(s.counter("completed.chunks"),
+                         s.counter("issued.chunks"));
+    }
 }
 
 TEST(Sys, StatsCountIssuesAndCompletions)

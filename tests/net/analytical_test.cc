@@ -4,6 +4,7 @@
 #include <memory>
 #include <vector>
 
+#include "collective/chunk_state.hh"
 #include "common/event_queue.hh"
 #include "common/logging.hh"
 #include "fault/fault.hh"
@@ -268,7 +269,7 @@ TEST(Analytical, LossHandlerGetsTheMessageIntactAndMayResend)
     FaultManager fm(std::move(plan));
     h.net.setFaults(&fm);
 
-    auto payload = std::make_shared<int>(42);
+    auto payload = std::make_shared<ChunkPayload>();
     std::vector<Message> lost;
     std::vector<int> lostOn;
     h.net.setLossHandler([&](const Message &m, int link) {
@@ -314,7 +315,7 @@ TEST(Analytical, PayloadIsReleasedAfterDelivery)
     SimConfig cfg;
     cfg.torus(1, 4, 1);
     Harness h(cfg);
-    auto payload = std::make_shared<int>(1);
+    auto payload = std::make_shared<ChunkPayload>();
     Message m;
     m.src = 0;
     m.dst = 2;

@@ -4,6 +4,7 @@
 #include <memory>
 #include <vector>
 
+#include "collective/chunk_state.hh"
 #include "common/event_queue.hh"
 #include "common/logging.hh"
 #include "fault/fault.hh"
@@ -241,7 +242,7 @@ TEST(GarnetLite, ResendFromInsideDeliverReusesTheReleasedSlot)
     // each one back from inside its receiver: the slot is freed before
     // deliver() runs, so the bounce takes it and the slab never grows
     // a second chunk while the other 63 are still in flight.
-    auto payload = std::make_shared<int>(7);
+    auto payload = std::make_shared<ChunkPayload>();
     int bounced = 0;
     h.net.setReceiver(1, [&](const Message &m) {
         h.deliveries.emplace_back(1, h.eq.now());

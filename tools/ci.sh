@@ -104,6 +104,20 @@ echo "trace and report are valid JSON"
     --config=configs/table4_defaults.cfg --backend=garnet-lite \
     --injection-policy=aggressive --validate --digest=verify >/dev/null
 echo "validated garnet-lite all-to-all drained clean"
+# Every collective pass under the chunk state machine's checks: the
+# ring passes on the table4 torus, the direct passes on the switch
+# dimension of an 8-NPU alltoall topology. The digest goldens run
+# without --validate, so this is where those checks see the passes.
+for coll in allreduce reducescatter allgather alltoall; do
+    ./build/tools/astra-sim --collective="$coll" --bytes=256KB \
+        --config=configs/table4_defaults.cfg --validate --digest=verify \
+        >/dev/null
+    ./build/tools/astra-sim --collective="$coll" --bytes=256KB \
+        --topology=AllToAll --num-packages=4 --package-rows=4 \
+        --local-dim=2 --vertical-dim=1 --validate --digest=verify \
+        >/dev/null
+done
+echo "validated ring and direct passes of all four collectives"
 
 echo "=== fault-injection smoke (docs/faults.md) ==="
 # The shipped fault scenario must complete on both backends with every

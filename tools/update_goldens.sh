@@ -57,6 +57,15 @@ cases+=("--model=gpt2 --pipeline=16 --num-passes=2 --num-packages=4 --package-ro
 # batch-grants a busy source link's future wire slots.
 cases+=("--collective=alltoall --bytes=256KB --config=configs/table4_defaults.cfg --backend=garnet --injection-policy=aggressive")
 cases+=("--collective=alltoall --bytes=256KB --config=configs/table4_defaults.cfg --backend=garnet --net-coalesce=true")
+# The standalone reduce-scatter, all-gather and all-to-all passes, on
+# the ring dimensions of the table4 torus and on the direct (switch)
+# dimension of an 8-NPU alltoall topology.
+for coll in reducescatter allgather alltoall; do
+    cases+=("--collective=$coll --bytes=256KB --config=configs/table4_defaults.cfg --backend=analytical")
+done
+for coll in reducescatter allgather alltoall; do
+    cases+=("--collective=$coll --bytes=256KB --topology=AllToAll --num-packages=4 --package-rows=4 --local-dim=2 --vertical-dim=1 --backend=analytical")
+done
 
 tmp="$(mktemp)"
 report="$(mktemp)"
