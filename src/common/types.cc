@@ -1,12 +1,25 @@
 #include "common/types.hh"
 
 #include <cctype>
+#include <cmath>
 #include <string>
 
 #include "common/logging.hh"
 
 namespace astra
 {
+
+Tick
+ceilTicks(double ticks, const char *what)
+{
+    // 2^64: the first double past the largest Tick.
+    constexpr double kLimit = 18446744073709551616.0;
+    const double t = std::ceil(ticks);
+    if (!(t >= 0.0 && t < kLimit))
+        fatal("%s of %g cycles does not fit a %zu-bit tick", what, ticks,
+              sizeof(Tick) * 8);
+    return static_cast<Tick>(t);
+}
 
 const char *
 toString(CollectiveKind kind)

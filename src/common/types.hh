@@ -21,6 +21,13 @@ using Tick = std::uint64_t;
 /** Sentinel for "no time" / "not yet happened". */
 inline constexpr Tick kTickInvalid = std::numeric_limits<Tick>::max();
 
+/**
+ * ceil(@p ticks) as a Tick, for delays scaled by a double factor.
+ * fatal() names @p what when the value is not finite, is negative or
+ * does not fit a Tick, rather than wrapping.
+ */
+Tick ceilTicks(double ticks, const char *what);
+
 /** Data sizes, in bytes. */
 using Bytes = std::uint64_t;
 

@@ -42,24 +42,10 @@ Cluster::Cluster(const SimConfig &cfg) : _cfg(cfg), _topo(cfg)
     FaultPlan plan = FaultPlan::fromConfig(_cfg);
     if (!plan.empty()) {
         _faults = std::make_unique<FaultManager>(std::move(plan));
-        if (one_to_one) {
-            // Ring re-planning needs the literal hint->link mapping;
-            // mapped fabrics only seed channels, so skip binding there.
-            switch (_cfg.backend) {
-              case NetworkBackend::Analytical:
-                _faults->bindRingChannels(
-                    static_cast<AnalyticalNetwork *>(_net.get())
-                        ->fabric()
-                        .ringLinks());
-                break;
-              case NetworkBackend::GarnetLite:
-                _faults->bindRingChannels(
-                    static_cast<GarnetLiteNetwork *>(_net.get())
-                        ->fabric()
-                        .ringLinks());
-                break;
-            }
-        }
+        // Ring re-planning needs the literal hint->link mapping; mapped
+        // fabrics only seed channels, so skip binding there.
+        if (one_to_one)
+            _faults->bindRingChannels(_net->fabric().ringLinks());
         _net->setFaults(_faults.get());
         _net->setLossHandler([this](const Message &msg, int link) {
             ASTRA_CHECK(msg.src >= 0 &&

@@ -22,7 +22,7 @@
 #include "common/validate.hh"
 #include "core/sys.hh"
 #include "fault/fault.hh"
-#include "net/network_api.hh"
+#include "net/fabric.hh"
 #include "topo/topology.hh"
 
 namespace astra
@@ -157,7 +157,7 @@ class Cluster
     EventQueue _eq;
     Topology _topo; //!< logical
     std::unique_ptr<Topology> _physTopo; //!< set when mapping is on
-    std::unique_ptr<NetworkApi> _net;
+    std::unique_ptr<FabricNetwork> _net;
     std::vector<std::unique_ptr<Sys>> _nodes;
     std::unique_ptr<TraceRecorder> _trace;
     ValidatorRegistry _validators;

@@ -1,7 +1,6 @@
 #include "core/sys.hh"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/logging.hh"
 #include "common/units.hh"
@@ -213,8 +212,8 @@ Sys::scaledEndpointDelay() const
     const double f = computeSlowdown();
     if (f == 1.0)
         return _cfg.endpointDelay;
-    return static_cast<Tick>(
-        std::ceil(static_cast<double>(_cfg.endpointDelay) * f));
+    return ceilTicks(static_cast<double>(_cfg.endpointDelay) * f,
+                     "straggler endpoint delay");
 }
 
 void

@@ -1,9 +1,6 @@
 #include "fault/fault.hh"
 
 #include <algorithm>
-#include <cerrno>
-#include <climits>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 
@@ -66,62 +63,32 @@ tokenize(const std::string &s)
     return out;
 }
 
+/**
+ * Parse the value @p text of key @p key with the shared checked parser
+ * (parseValue) into @p out, within @p range.
+ */
+template <typename T>
 bool
-parseU64Token(const std::string &s, std::uint64_t *out)
+parseArg(const std::string &key, const std::string &text, T *out,
+         Range range, std::string *err)
 {
-    if (s.empty() || s[0] == '-')
-        return false;
-    char *end = nullptr;
-    errno = 0;
-    const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-    if (errno != 0 || end == s.c_str() || *end != '\0')
-        return false;
-    *out = v;
-    return true;
+    const std::string why = parseValue(text, out, range);
+    if (why.empty())
+        return true;
+    *err = "bad " + key + "='" + text + "': " + why;
+    return false;
 }
 
+/** A window bound: a tick, or "end" / "inf" for FaultPlan::kEnd. */
 bool
-parseIntToken(const std::string &s, int *out)
+parseTickArg(const std::string &key, const std::string &text, Tick *out,
+             std::string *err)
 {
-    if (s.empty())
-        return false;
-    char *end = nullptr;
-    errno = 0;
-    const long v = std::strtol(s.c_str(), &end, 10);
-    if (errno != 0 || end == s.c_str() || *end != '\0' ||
-        v < INT_MIN || v > INT_MAX)
-        return false;
-    *out = static_cast<int>(v);
-    return true;
-}
-
-bool
-parseDoubleToken(const std::string &s, double *out)
-{
-    if (s.empty())
-        return false;
-    char *end = nullptr;
-    errno = 0;
-    const double v = std::strtod(s.c_str(), &end);
-    if (errno != 0 || end == s.c_str() || *end != '\0')
-        return false;
-    *out = v;
-    return true;
-}
-
-/** "end" / "inf" mean FaultPlan::kEnd (open window). */
-bool
-parseTickToken(const std::string &s, Tick *out)
-{
-    if (s == "end" || s == "inf") {
+    if (text == "end" || text == "inf") {
         *out = FaultPlan::kEnd;
         return true;
     }
-    std::uint64_t v = 0;
-    if (!parseU64Token(s, &v))
-        return false;
-    *out = v;
-    return true;
+    return parseArg(key, text, out, {}, err);
 }
 
 /**
@@ -189,11 +156,7 @@ wantInt(RuleArgs &args, const std::string &key, bool required, int *out,
             *err = "missing " + key + "=";
         return !required;
     }
-    if (!parseIntToken(*v, out) || *out < 0) {
-        *err = "bad " + key + "='" + *v + "'";
-        return false;
-    }
-    return true;
+    return parseArg(key, *v, out, atLeast(0), err);
 }
 
 bool
@@ -210,14 +173,10 @@ wantWindow(RuleArgs &args, bool required, Tick *t0, Tick *t1,
         *err = "missing from=/to=";
         return false;
     }
-    if (from && !parseTickToken(*from, t0)) {
-        *err = "bad from='" + *from + "'";
+    if (from && !parseTickArg("from", *from, t0, err))
         return false;
-    }
-    if (to && !parseTickToken(*to, t1)) {
-        *err = "bad to='" + *to + "'";
+    if (to && !parseTickArg("to", *to, t1, err))
         return false;
-    }
     if (*t0 == FaultPlan::kEnd || *t1 <= *t0) {
         *err = "empty window [" + std::to_string(*t0) + ", " +
                (*t1 == FaultPlan::kEnd ? std::string("end")
@@ -258,11 +217,8 @@ FaultPlan::parseRule(const std::string &rule, std::string *err)
                 *err = "missing factor=";
                 return false;
             }
-            if (!parseDoubleToken(*f, &w.factor) || w.factor <= 0.0 ||
-                w.factor > 1.0) {
-                *err = "factor must be in (0, 1], got '" + *f + "'";
+            if (!parseArg("factor", *f, &w.factor, kUnitInterval, err))
                 return false;
-            }
         }
         if (!args.checkNoLeftovers(err))
             return false;
@@ -281,10 +237,8 @@ FaultPlan::parseRule(const std::string &rule, std::string *err)
             *err = "missing factor=";
             return false;
         }
-        if (!parseDoubleToken(*f, &r.factor) || r.factor < 1.0) {
-            *err = "factor must be >= 1, got '" + *f + "'";
+        if (!parseArg("factor", *f, &r.factor, atLeast(1), err))
             return false;
-        }
         if (!args.checkNoLeftovers(err))
             return false;
         _stragglers.push_back(r);
@@ -301,17 +255,13 @@ FaultPlan::parseRule(const std::string &rule, std::string *err)
             *err = "missing every=";
             return false;
         }
-        if (!parseU64Token(*every, &r.every) || r.every == 0) {
-            *err = "bad every='" + *every + "'";
+        if (!parseArg("every", *every, &r.every, atLeast(1), err))
             return false;
-        }
         if (!wantWindow(args, /*required=*/false, &r.t0, &r.t1, err))
             return false;
         const std::string *limit = args.get("limit");
-        if (limit && !parseU64Token(*limit, &r.limit)) {
-            *err = "bad limit='" + *limit + "'";
+        if (limit && !parseArg("limit", *limit, &r.limit, {}, err))
             return false;
-        }
         if (!args.checkNoLeftovers(err))
             return false;
         _drops.push_back(r);

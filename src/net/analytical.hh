@@ -14,6 +14,11 @@
  *    relays whole messages). Used for all of the paper's experiments.
  *  - Hardware routing: virtual cut-through — the head claims each link
  *    as it arrives and serialization overlaps across hops.
+ *
+ * This file holds only the model: the per-link free-at ticks, the hop
+ * step and the busy-link wait. The transfer slab, route admission,
+ * grant accounting and fault windows come from FabricNetwork and
+ * SlotNetwork (net/fabric.hh).
  */
 
 #ifndef ASTRA_NET_ANALYTICAL_HH
@@ -21,21 +26,32 @@
 
 #include <cmath>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "common/config.hh"
 #include "common/stats.hh"
 #include "net/fabric.hh"
-#include "net/network_api.hh"
 
 namespace astra
 {
 
 /**
+ * One in-flight analytical transfer: the message, the length of its
+ * resolved route (SlotNetwork::routeOf) and the index of the next link
+ * to claim (hops once the last link is granted, so the next step
+ * delivers).
+ */
+struct AnalyticalTransfer
+{
+    Message msg;
+    std::uint32_t hops = 0;
+    std::uint32_t next = 0;
+};
+
+/**
  * The analytical backend. Fast enough for 64-node, multi-MB sweeps.
  */
-class AnalyticalNetwork : public NetworkApi
+class AnalyticalNetwork : public SlotNetwork<AnalyticalTransfer>
 {
   public:
     /**
@@ -48,10 +64,6 @@ class AnalyticalNetwork : public NetworkApi
 
     void send(Message msg) override;
 
-    EventQueue &eventQueue() override { return _eq; }
-
-    const Fabric &fabric() const { return _fabric; }
-
     /** Serialization time of @p bytes on a link of class @p cls. */
     Tick
     txTime(LinkClass cls, Bytes bytes) const
@@ -63,28 +75,6 @@ class AnalyticalNetwork : public NetworkApi
 
     /** Busy-until tick of link @p id (for tests). */
     Tick linkFreeAt(LinkId id) const { return _freeAt[std::size_t(id)]; }
-
-    /** Usage tallies of link @p id (zeroes when net-metrics is off). */
-    const LinkUsage &
-    linkUsage(LinkId id) const
-    {
-        return _usage[std::size_t(id)];
-    }
-
-    /**
-     * Publish link utilization (per link and per dimension),
-     * serialization-time and queue-wait histograms, and the base
-     * delivery/energy totals into @p g. @p elapsed is the observation
-     * window (usually the cluster's final tick); zero yields 0.0
-     * utilization, never NaN.
-     */
-    void exportStats(StatGroup &g, Tick elapsed) const;
-
-    void
-    exportStats(StatGroup &g) const override
-    {
-        exportStats(g, _eq.now());
-    }
 
     /**
      * Register the analytical drain checker (busy-interval ledger
@@ -101,28 +91,7 @@ class AnalyticalNetwork : public NetworkApi
      */
     void validateDrain() const;
 
-    /** Transfers sent but not yet delivered or lost (for tests). */
-    std::size_t
-    liveTransfers() const
-    {
-        return _transferChunks.size() * kTransferChunk -
-               _freeTransfers.size();
-    }
-
   private:
-    /**
-     * One in-flight transfer: the message, the length of its resolved
-     * route (stored at routeOf(slot)) and the index of the next link to
-     * claim (hops once the last link is granted, so the next step
-     * delivers).
-     */
-    struct Transfer
-    {
-        Message msg;
-        std::uint32_t hops = 0;
-        std::uint32_t next = 0;
-    };
-
     /** Step::wait of a step that is not a link-busy retry. */
     static constexpr LinkId kNoLink = -1;
 
@@ -144,34 +113,6 @@ class AnalyticalNetwork : public NetworkApi
     };
     static_assert(sizeof(Step) == 16 && EventCallback::fitsInline<Step>());
 
-    /** Transfer slab granularity: chunk addresses are stable. */
-    static constexpr std::size_t kTransferChunkBits = 6;
-    static constexpr std::size_t kTransferChunk =
-        std::size_t(1) << kTransferChunkBits;
-
-    Transfer &
-    transferAt(std::uint32_t slot)
-    {
-        return _transferChunks[slot >> kTransferChunkBits]
-                              [slot & (kTransferChunk - 1)];
-    }
-
-    /** The route of transfer @p slot (its first hops entries). */
-    LinkId *
-    routeOf(std::uint32_t slot)
-    {
-        return _routes.data() + std::size_t(slot) * _maxHops;
-    }
-
-    /** Take a free transfer slot, growing the slab by a chunk when dry. */
-    std::uint32_t allocTransfer();
-
-    /**
-     * Free @p slot and hand back its message, so a receiver or loss
-     * handler that sends again can reuse the slot.
-     */
-    Message releaseTransfer(std::uint32_t slot);
-
     /**
      * Advance transfer @p slot at the current time: deliver it when
      * every link is granted, else claim its next link (or wait for it)
@@ -187,26 +128,11 @@ class AnalyticalNetwork : public NetworkApi
      */
     void waitForLink(std::uint32_t slot, LinkId l, Tick now);
 
-    EventQueue &_eq;
-    Fabric _fabric;
-    PacketRouting _routing;
-    Tick _routerLatency;
-    Tick _protocolDelay; //!< scale-out transport cost per message
-    std::vector<Tick> _freeAt;
+    /** Serialization-time and queue-wait histograms. */
+    void exportModelStats(StatGroup &g) const override;
 
-    // In-flight transfer slab with a LIFO free list.
-    std::vector<std::unique_ptr<Transfer[]>> _transferChunks;
-    std::vector<std::uint32_t> _freeTransfers;
-    /**
-     * Routes by slot, _maxHops (Fabric::maxRouteLength) links each,
-     * grown with the slab. One buffer rather than a vector per slot:
-     * resolving allocates nothing, and tearing the network down frees
-     * no per-slot blocks, which the next Cluster build would otherwise
-     * pay for as allocator consolidation (docs/performance.md).
-     */
-    std::size_t _maxHops;
-    std::vector<LinkId> _routes;
-    std::vector<LinkId> _resolved; //!< resolve() scratch, reused
+    PacketRouting _routing;
+    std::vector<Tick> _freeAt;
 
     /**
      * Busy-interval non-overlap ledger (integrity layer): an
@@ -215,13 +141,9 @@ class AnalyticalNetwork : public NetworkApi
      * drain. Empty (zero cost) unless validation was enabled when the
      * backend was constructed.
      */
-    bool _validate;
     std::vector<Tick> _busyUntil;
 
-    // Observer-only instrumentation (see DESIGN.md): tallies below are
-    // written on the grant/busy paths but never scheduled against.
-    bool _metrics;
-    std::vector<LinkUsage> _usage;
+    // Observer-only instrumentation (see DESIGN.md).
     Histogram _txHist;   //!< per-grant serialization time, ticks
     Histogram _waitHist; //!< per-busy-retry queue wait segment, ticks
 };

@@ -1,7 +1,11 @@
 #include "net/fabric.hh"
 
+#include <algorithm>
+
+#include "common/check.hh"
 #include "common/logging.hh"
 #include "common/stats.hh"
+#include "fault/fault.hh"
 
 namespace astra
 {
@@ -151,16 +155,80 @@ Fabric::hopCount(NodeId src, NodeId dst, const RouteHint &hint) const
                               _topo.rankInGroup(hint.dim, dst));
 }
 
-void
-exportLinkUsage(const Fabric &fabric, const std::vector<LinkUsage> &usage,
-                Tick elapsed, StatGroup &g)
+FabricNetwork::FabricNetwork(EventQueue &eq, const Topology &topo,
+                             const SimConfig &cfg, bool one_to_one,
+                             NetworkBackend kind)
+    : _eq(eq), _fabric(topo, cfg, one_to_one),
+      _routerLatency(cfg.routerLatency),
+      _protocolDelay(cfg.scaleoutProtocolDelay),
+      _maxHops(_fabric.maxRouteLength()),
+      _validate(validationAtLeast(ValidateLevel::kBasic)),
+      _metrics(cfg.netMetrics), _usage(std::size_t(_fabric.numLinks())),
+      _kind(kind)
 {
-    const int nlinks = fabric.numLinks();
-    if (std::size_t(nlinks) != usage.size())
-        panic("exportLinkUsage: %zu usage slots for %d links",
-              usage.size(), nlinks);
+    setEnergyParams(cfg.energy, cfg.flitWidthBits);
 
-    const Topology &topo = fabric.topology();
+    std::vector<std::string> names;
+    std::vector<int> counts(std::size_t(topo.numDims()), 0);
+    for (int d = 0; d < topo.numDims(); ++d)
+        names.push_back(topo.dim(d).name);
+    for (LinkId l = 0; l < _fabric.numLinks(); ++l)
+        ++counts[std::size_t(_fabric.link(l).dim)];
+    setupUtilLanes(std::move(names), std::move(counts));
+}
+
+FabricNetwork::Departure
+FabricNetwork::resolveRoute(const Message &msg, LinkId *row,
+                            std::uint32_t *hops)
+{
+    *hops = 0;
+    if (msg.src == msg.dst)
+        return Departure::Loopback;
+    _resolved.clear();
+    _fabric.resolve(msg.src, msg.dst, msg.hint, _resolved);
+    if (_resolved.size() > _maxHops)
+        panic("route of %zu links exceeds the fabric bound %zu",
+              _resolved.size(), _maxHops);
+    std::copy(_resolved.begin(), _resolved.end(), row);
+    *hops = static_cast<std::uint32_t>(_resolved.size());
+    // Transport-layer cost: messages leaving the pod pay the sender's
+    // protocol-stack processing once (scale-out extension).
+    const bool scale_out =
+        _protocolDelay > 0 &&
+        std::any_of(_resolved.begin(), _resolved.end(), [this](LinkId l) {
+            return _fabric.link(l).cls == LinkClass::ScaleOut;
+        });
+    return scale_out ? Departure::ProtocolDelay : Departure::Now;
+}
+
+bool
+FabricNetwork::faultedGrant(LinkId l, Tick now, Tick &tx,
+                            Tick &resume) const
+{
+    // Faults apply per busy interval: a degraded link stretches it by
+    // 1/factor, and a down link grants nothing until its window ends.
+    const FaultManager &fm = *faults();
+    const double factor = fm.bandwidthFactor(int(l), now);
+    if (factor <= 0.0) {
+        resume = fm.downUntil(int(l), now);
+        return false;
+    }
+    if (factor < 1.0)
+        tx = ceilTicks(static_cast<double>(tx) / factor,
+                       "degraded link busy time");
+    return true;
+}
+
+void
+FabricNetwork::exportStats(StatGroup &g) const
+{
+    const Tick elapsed = _eq.now();
+    NetworkApi::exportStats(g);
+    g.set("backend", double(_kind));
+    g.set("elapsed.ticks", double(elapsed));
+
+    const int nlinks = _fabric.numLinks();
+    const Topology &topo = _fabric.topology();
     struct DimAgg
     {
         Tick busy = 0;
@@ -175,8 +243,8 @@ exportLinkUsage(const Fabric &fabric, const std::vector<LinkUsage> &usage,
     double util_sum = 0;
     std::uint64_t bytes_total = 0;
     for (LinkId l = 0; l < nlinks; ++l) {
-        const LinkUsage &u = usage[std::size_t(l)];
-        const LinkDesc &desc = fabric.link(l);
+        const LinkUsage &u = _usage[std::size_t(l)];
+        const LinkDesc &desc = _fabric.link(l);
         DimAgg &agg = dims[std::size_t(desc.dim)];
         agg.busy += u.busy;
         agg.queueWait += u.queueWait;
@@ -211,6 +279,8 @@ exportLinkUsage(const Fabric &fabric, const std::vector<LinkUsage> &usage,
     g.set("links.total", double(nlinks));
     g.set("bytes.total", double(bytes_total));
     g.set("util.mean", nlinks > 0 ? util_sum / nlinks : 0.0);
+
+    exportModelStats(g);
 }
 
 } // namespace astra

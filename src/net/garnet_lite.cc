@@ -1,13 +1,11 @@
 // astra-lint: hot-path (per-flit hop scheduling lives here; messages
-// and packets come from the allocMessage() slab and the allocPacket()
-// arena, not the heap — the two allows below mark their growth)
+// come from the SlotNetwork slab and packets from the allocPacket()
+// arena, not the heap — the allow below marks the arena's growth)
 #include "net/garnet_lite.hh"
 
 #include <algorithm>
 #include <cmath>
 
-#include "common/check.hh"
-#include "common/logging.hh"
 #include "fault/fault.hh"
 #include "net/validate.hh"
 
@@ -17,29 +15,13 @@ namespace astra
 GarnetLiteNetwork::GarnetLiteNetwork(EventQueue &eq, const Topology &topo,
                                      const SimConfig &cfg,
                                      bool one_to_one)
-    : _eq(eq), _fabric(topo, cfg, one_to_one), _injection(cfg.injectionPolicy),
-      _routerLatency(cfg.routerLatency),
+    : SlotNetwork(eq, topo, cfg, one_to_one, NetworkBackend::GarnetLite),
+      _injection(cfg.injectionPolicy),
       _flitBytes(std::max(1, cfg.flitWidthBits / 8)),
       _bufferCapacityFlits(cfg.vcsPerVnet * cfg.buffersPerVc),
-      _protocolDelay(cfg.scaleoutProtocolDelay),
       _links(std::size_t(_fabric.numLinks())),
-      _maxHops(_fabric.maxRouteLength()),
-      _validate(validationAtLeast(ValidateLevel::kBasic)),
-      _coalesce(cfg.netCoalesce),
-      _metrics(cfg.netMetrics),
-      _usage(std::size_t(_fabric.numLinks()))
+      _coalesce(cfg.netCoalesce)
 {
-    setEnergyParams(cfg.energy, cfg.flitWidthBits);
-
-    const Topology &t = _fabric.topology();
-    std::vector<std::string> names;
-    std::vector<int> counts(std::size_t(t.numDims()), 0);
-    for (int d = 0; d < t.numDims(); ++d)
-        names.push_back(t.dim(d).name);
-    for (LinkId l = 0; l < _fabric.numLinks(); ++l)
-        ++counts[std::size_t(_fabric.link(l).dim)];
-    setupUtilLanes(std::move(names), std::move(counts));
-
     // flitTxTime() table. Packets are sized by their first link's class
     // and may cross links of another, so each class covers the largest
     // packet of any.
@@ -71,67 +53,28 @@ GarnetLiteNetwork::computeTxTime(LinkClass cls, int flits) const
         std::ceil(bytes / (p.bandwidth * p.efficiency)));
 }
 
-std::uint32_t
-GarnetLiteNetwork::allocMessage()
-{
-    if (_freeMessages.empty()) {
-        const auto base = static_cast<std::uint32_t>(
-            _messageChunks.size() * kMessageChunk);
-        // Slab growth: amortized over every later reuse of the slots.
-        _messageChunks.push_back(std::make_unique<MessageState[]>(kMessageChunk)); // astra-lint: allow(hot-path-alloc)
-        _routes.resize(_messageChunks.size() * kMessageChunk * _maxHops);
-        // Reverse order so the lowest new slot is handed out first.
-        for (std::size_t i = kMessageChunk; i-- > 0;)
-            _freeMessages.push_back(base + static_cast<std::uint32_t>(i));
-    }
-    const std::uint32_t slot = _freeMessages.back();
-    _freeMessages.pop_back();
-    return slot;
-}
-
-Message
-GarnetLiteNetwork::releaseMessage(std::uint32_t slot)
-{
-    Message msg = std::move(messageAt(slot).msg);
-    _freeMessages.push_back(slot);
-    return msg;
-}
-
 void
 GarnetLiteNetwork::send(Message msg)
 {
-    msg.sentAt = _eq.now();
-    const std::uint32_t slot = allocMessage();
-    MessageState &ms = messageAt(slot);
-    ms.msg = std::move(msg);
-    ms.hops = 0;
+    const Admission a = admit(std::move(msg));
+    GarnetMessage &ms = slotAt(a.slot);
     ms.lost = false;
     ms.lostLink = -1;
-    if (ms.msg.src == ms.msg.dst) {
-        _eq.scheduleAfter(1, Deliver{this, slot});
+    if (a.departure == Departure::Loopback) {
+        _eq.scheduleAfter(1, Deliver{this, a.slot});
         return;
     }
-    _resolved.clear();
-    _fabric.resolve(ms.msg.src, ms.msg.dst, ms.msg.hint, _resolved);
-    if (_resolved.size() > _maxHops)
-        panic("route of %zu links exceeds the fabric bound %zu",
-              _resolved.size(), _maxHops);
-    std::copy(_resolved.begin(), _resolved.end(), routeOf(slot));
-    ms.hops = static_cast<std::uint32_t>(_resolved.size());
-    const Bytes pkt_size = _fabric.linkParams(_resolved[0]).packetSize;
+    const Bytes pkt_size = _fabric.linkParams(routeOf(a.slot)[0]).packetSize;
     const int npackets = static_cast<int>(
         std::max<Bytes>(1, (ms.msg.bytes + pkt_size - 1) / pkt_size));
     ms.packetsLeft = npackets;
     ms.packetsUninjected = npackets;
 
-    if (_protocolDelay > 0 &&
-        std::any_of(_resolved.begin(), _resolved.end(), [this](LinkId l) {
-            return _fabric.link(l).cls == LinkClass::ScaleOut;
-        })) {
-        _eq.scheduleAfter(_protocolDelay, Inject{this, slot});
+    if (a.departure == Departure::ProtocolDelay) {
+        _eq.scheduleAfter(_protocolDelay, Inject{this, a.slot});
         return;
     }
-    inject(slot);
+    inject(a.slot);
 }
 
 void
@@ -141,7 +84,7 @@ GarnetLiteNetwork::inject(std::uint32_t slot)
         // Only this loop injects an Aggressive message, so the count is
         // fixed up front: the last packet may complete the message (a
         // drop on a dead link) and free the slot for reuse.
-        for (int n = messageAt(slot).packetsUninjected; n > 0; --n)
+        for (int n = slotAt(slot).packetsUninjected; n > 0; --n)
             injectNext(slot);
     } else {
         injectNext(slot);
@@ -151,7 +94,7 @@ GarnetLiteNetwork::inject(std::uint32_t slot)
 void
 GarnetLiteNetwork::injectNext(std::uint32_t slot)
 {
-    MessageState &ms = messageAt(slot);
+    GarnetMessage &ms = slotAt(slot);
     if (ms.packetsUninjected <= 0)
         return;
     const LinkId first = routeOf(slot)[0];
@@ -226,7 +169,7 @@ GarnetLiteNetwork::pump(LinkId l)
             const bool batchable =
                 _coalesce && !faults() && pkt->hop == 0 &&
                 (_injection == InjectionPolicy::Aggressive ||
-                 messageAt(pkt->msg).packetsUninjected <= 0);
+                 slotAt(pkt->msg).packetsUninjected <= 0);
             if (!batchable) {
                 schedulePump(l, ls.freeAt);
                 return;
@@ -235,32 +178,26 @@ GarnetLiteNetwork::pump(LinkId l)
         }
 
         Tick tx = flitTxTime(desc.cls, pkt->flits);
-        bool dropped = false;
-        if (FaultManager *fm = faults()) {
-            const double factor = fm->bandwidthFactor(int(l), now);
-            if (factor <= 0.0) {
-                const Tick resume = fm->downUntil(int(l), now);
-                if (resume != FaultPlan::kEnd) {
-                    // Down window: everything queued here waits it
-                    // out; upstream backpressure follows from the
-                    // credits they keep holding.
-                    schedulePump(l, resume);
-                    return;
-                }
-                // Down for the rest of the run: the queue can never
-                // drain; every waiter is a loss.
-                while (ls.head)
-                    dropPacket(ls.pop(), l, now);
+        Tick resume = 0;
+        if (!linkUp(l, now, tx, resume)) {
+            if (resume != FaultPlan::kEnd) {
+                // Down window: everything queued here waits it out;
+                // upstream backpressure follows from the credits they
+                // keep holding.
+                schedulePump(l, resume);
                 return;
             }
-            if (factor < 1.0)
-                tx = static_cast<Tick>(
-                    std::ceil(static_cast<double>(tx) / factor));
-            // Counted transient loss: the packet still serializes on
-            // the wire (freeAt advances, energy is spent) but never
-            // enters the downstream buffer.
-            dropped = fm->shouldDropPacket(int(l), now);
+            // Down for the rest of the run: the queue can never drain;
+            // every waiter is a loss.
+            while (ls.head)
+                dropPacket(ls.pop(), l, now);
+            return;
         }
+        // Counted transient loss: the packet still serializes on the
+        // wire (freeAt advances, energy is spent) but never enters the
+        // downstream buffer.
+        const bool dropped =
+            faults() && faults()->shouldDropPacket(int(l), now);
 
         // Grant.
         ls.pop();
@@ -272,21 +209,15 @@ GarnetLiteNetwork::pump(LinkId l)
                                        _bufferCapacityFlits);
             _peakOccupancy = std::max(_peakOccupancy, ls.bufferOcc);
         }
-        accountHop(pkt->bytes, desc.cls);
+        chargeGrant(l, desc, pkt->bytes, tx, now);
         if (_metrics) {
-            LinkUsage &u = _usage[std::size_t(l)];
-            u.busy += tx;
-            u.bytes += pkt->bytes;
-            ++u.grants;
-            u.queueWait += start - pkt->waitSince;
+            _usage[std::size_t(l)].queueWait += start - pkt->waitSince;
             if (pkt->creditStallSince != kTickInvalid) {
                 _creditStall += start - pkt->creditStallSince;
                 pkt->creditStallSince = kTickInvalid;
             }
             if (!dropped)
                 _occHist.record(double(ls.bufferOcc));
-            addDimBusy(desc.dim, tx);
-            maybeEmitUtilCounters(now);
         }
 
         if (dropped) {
@@ -322,7 +253,7 @@ GarnetLiteNetwork::arrive(PacketRef pkt, LinkId l)
     if (_metrics)
         _hopLatency.record(static_cast<double>(now - pkt->waitSince));
     const std::uint32_t slot = pkt->msg;
-    MessageState &ms = messageAt(slot);
+    GarnetMessage &ms = slotAt(slot);
     if (++pkt->hop == ms.hops) {
         // Ejected at the destination NPU: credits return immediately.
         _links[std::size_t(l)].bufferOcc -= pkt->flits;
@@ -339,7 +270,7 @@ GarnetLiteNetwork::arrive(PacketRef pkt, LinkId l)
             // destination no matter how many packets made it.
             const bool lost = ms.lost;
             const int lost_link = ms.lostLink;
-            const Message msg = releaseMessage(slot);
+            const Message msg = releaseSlot(slot);
             if (lost)
                 notifyLoss(msg, lost_link);
             else
@@ -377,7 +308,7 @@ GarnetLiteNetwork::dropPacket(PacketRef pkt, LinkId l, Tick now)
     // The slot outlives the nested injection above: this packet still
     // counts in packetsLeft.
     const std::uint32_t slot = pkt->msg;
-    MessageState &ms = messageAt(slot);
+    GarnetMessage &ms = slotAt(slot);
     recyclePacket(pkt);
     if (!ms.lost) {
         ms.lost = true;
@@ -385,7 +316,7 @@ GarnetLiteNetwork::dropPacket(PacketRef pkt, LinkId l, Tick now)
     }
     if (--ms.packetsLeft == 0) {
         const int lost_link = ms.lostLink;
-        notifyLoss(releaseMessage(slot), lost_link);
+        notifyLoss(releaseSlot(slot), lost_link);
     }
 }
 
@@ -409,12 +340,8 @@ GarnetLiteNetwork::recyclePacket(Packet *pkt)
 }
 
 void
-GarnetLiteNetwork::exportStats(StatGroup &g, Tick elapsed) const
+GarnetLiteNetwork::exportModelStats(StatGroup &g) const
 {
-    NetworkApi::exportStats(g);
-    g.set("backend", 1); // 0 = analytical, 1 = garnet-lite
-    g.set("elapsed.ticks", double(elapsed));
-    exportLinkUsage(_fabric, _usage, elapsed, g);
     g.set("packets.injected", double(_injectedPackets));
     g.set("packets.retired", double(_deliveredPackets));
     g.set("flits.injected", double(_injectedFlits));

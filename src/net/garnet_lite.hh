@@ -21,6 +21,11 @@
  * a router and flit-by-flit wormhole interleaving. Packets are the
  * atomic scheduling unit. Tests cross-check this backend against the
  * analytical one on uncongested transfers.
+ *
+ * This file holds only the model: packets, credits, the link pump and
+ * the per-class transmit table. The message slab, route admission,
+ * grant accounting and fault windows come from FabricNetwork and
+ * SlotNetwork (net/fabric.hh).
  */
 
 #ifndef ASTRA_NET_GARNET_LITE_HH
@@ -33,15 +38,34 @@
 #include "common/config.hh"
 #include "common/stats.hh"
 #include "net/fabric.hh"
-#include "net/network_api.hh"
 
 namespace astra
 {
 
 /**
+ * One in-flight garnet-lite message: the message itself, the length of
+ * its resolved route (SlotNetwork::routeOf; 0 for loopback) and its
+ * packet counters.
+ */
+struct GarnetMessage
+{
+    Message msg;
+    std::uint32_t hops = 0;
+    int packetsLeft = 0;
+    int packetsUninjected = 0; //!< for Normal injection pacing
+    /**
+     * Fault layer: some packet of this message was dropped, so the
+     * message completes as a loss (notifyLoss) instead of a delivery
+     * once the surviving packets retire.
+     */
+    bool lost = false;
+    int lostLink = -1; //!< link of the first drop
+};
+
+/**
  * Packet-level backend with credits.
  */
-class GarnetLiteNetwork : public NetworkApi
+class GarnetLiteNetwork : public SlotNetwork<GarnetMessage>
 {
   public:
     /**
@@ -53,10 +77,6 @@ class GarnetLiteNetwork : public NetworkApi
                       const SimConfig &cfg, bool one_to_one = true);
 
     void send(Message msg) override;
-
-    EventQueue &eventQueue() override { return _eq; }
-
-    const Fabric &fabric() const { return _fabric; }
 
     /** Total packets that completed their route. */
     std::uint64_t deliveredPackets() const { return _deliveredPackets; }
@@ -74,46 +94,11 @@ class GarnetLiteNetwork : public NetworkApi
      */
     std::size_t allocatedPackets() const { return _packetArena.size(); }
 
-    /** Messages sent but not yet delivered or lost (for tests). */
-    std::size_t
-    liveMessages() const
-    {
-        return messageSlots() - _freeMessages.size();
-    }
-
-    /** Message slots ever allocated (slab capacity, whole chunks). */
-    std::size_t
-    messageSlots() const
-    {
-        return _messageChunks.size() * kMessageChunk;
-    }
-
     /** Total packets handed to the injection queues. */
     std::uint64_t injectedPackets() const { return _injectedPackets; }
 
     /** Total ticks packets spent blocked on downstream credits. */
     Tick creditStallTicks() const { return _creditStall; }
-
-    /** Usage tallies of link @p id (zeroes when net-metrics is off). */
-    const LinkUsage &
-    linkUsage(LinkId id) const
-    {
-        return _usage[std::size_t(id)];
-    }
-
-    /**
-     * Publish link utilization (per link and per dimension), per-hop
-     * latency and VC-occupancy histograms, credit-stall time, and
-     * packet/flit injected-vs-retired counters into @p g. @p elapsed
-     * is the observation window; zero yields 0.0 utilization.
-     */
-    void exportStats(StatGroup &g, Tick elapsed) const;
-
-    void
-    exportStats(StatGroup &g) const override
-    {
-        exportStats(g, _eq.now());
-    }
 
     /**
      * Register the garnet-lite drain checker (credit ledger + packet/
@@ -131,26 +116,6 @@ class GarnetLiteNetwork : public NetworkApi
     void validateDrain() const;
 
   private:
-    /**
-     * One in-flight message: the message itself, the length of its
-     * resolved route (stored at routeOf(slot); 0 for loopback) and its
-     * packet counters.
-     */
-    struct MessageState
-    {
-        Message msg;
-        std::uint32_t hops = 0;
-        int packetsLeft = 0;
-        int packetsUninjected = 0; //!< for Normal injection pacing
-        /**
-         * Fault layer: some packet of this message was dropped, so the
-         * message completes as a loss (notifyLoss) instead of a
-         * delivery once the surviving packets retire.
-         */
-        bool lost = false;
-        int lostLink = -1; //!< link of the first drop
-    };
-
     /**
      * One packet in flight. At any instant a packet is referenced from
      * exactly one place — either some link's waiting queue (threaded
@@ -254,37 +219,9 @@ class GarnetLiteNetwork : public NetworkApi
         GarnetLiteNetwork *net;
         std::uint32_t slot;
 
-        void operator()() const { net->deliver(net->releaseMessage(slot)); }
+        void operator()() const { net->deliver(net->releaseSlot(slot)); }
     };
     static_assert(EventCallback::fitsInline<Deliver>());
-
-    /** Message slab granularity: chunk addresses are stable. */
-    static constexpr std::size_t kMessageChunkBits = 6;
-    static constexpr std::size_t kMessageChunk =
-        std::size_t(1) << kMessageChunkBits;
-
-    MessageState &
-    messageAt(std::uint32_t slot)
-    {
-        return _messageChunks[slot >> kMessageChunkBits]
-                             [slot & (kMessageChunk - 1)];
-    }
-
-    /** The route of message @p slot (its first hops entries). */
-    LinkId *
-    routeOf(std::uint32_t slot)
-    {
-        return _routes.data() + std::size_t(slot) * _maxHops;
-    }
-
-    /** Take a free message slot, growing the slab by a chunk when dry. */
-    std::uint32_t allocMessage();
-
-    /**
-     * Free @p slot and hand back its message, so a receiver or loss
-     * handler that sends again can reuse the slot.
-     */
-    Message releaseMessage(std::uint32_t slot);
 
     /** Try to grant the head waiter(s) of link @p l. */
     void pump(LinkId l);
@@ -332,13 +269,15 @@ class GarnetLiteNetwork : public NetworkApi
     /** Return a finished Packet to the free list. */
     void recyclePacket(Packet *pkt);
 
-    EventQueue &_eq;
-    Fabric _fabric;
+    /**
+     * Per-hop latency and VC-occupancy histograms, credit-stall time,
+     * and packet/flit injected-vs-retired counters.
+     */
+    void exportModelStats(StatGroup &g) const override;
+
     InjectionPolicy _injection;
-    Tick _routerLatency;
     int _flitBytes;
     int _bufferCapacityFlits;
-    Tick _protocolDelay; //!< scale-out transport cost per message
     std::vector<LinkState> _links;
     /**
      * flitTxTime() by (link class, flits): _txFlits entries per class,
@@ -350,16 +289,6 @@ class GarnetLiteNetwork : public NetworkApi
     std::size_t _txFlits = 0;
     std::vector<Tick> _txTime;
 
-    // In-flight message slab with a LIFO free list.
-    std::vector<std::unique_ptr<MessageState[]>> _messageChunks;
-    std::vector<std::uint32_t> _freeMessages;
-    /**
-     * Routes by slot, _maxHops (Fabric::maxRouteLength) links each,
-     * grown with the slab; one buffer, so resolving allocates nothing.
-     */
-    std::size_t _maxHops;
-    std::vector<LinkId> _routes;
-    std::vector<LinkId> _resolved; //!< resolve() scratch, reused
     /** Every Packet ever allocated; owns the storage _packetFree and
      *  in-flight PacketRefs point into. */
     std::vector<std::unique_ptr<Packet>> _packetArena;
@@ -368,9 +297,6 @@ class GarnetLiteNetwork : public NetworkApi
     std::uint64_t _droppedPackets = 0;
     std::uint64_t _droppedFlits = 0;
     int _peakOccupancy = 0;
-
-    /** Incremental credit-ledger checks on (level >= basic). */
-    bool _validate;
 
     /**
      * Opt-in pump coalescing (net-coalesce, SimConfig::netCoalesce):
@@ -382,8 +308,6 @@ class GarnetLiteNetwork : public NetworkApi
     bool _coalesce;
 
     // Observer-only instrumentation (see DESIGN.md).
-    bool _metrics;
-    std::vector<LinkUsage> _usage;
     std::uint64_t _injectedPackets = 0;
     std::uint64_t _injectedFlits = 0;
     std::uint64_t _retiredFlits = 0;

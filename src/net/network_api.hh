@@ -39,7 +39,8 @@ class ValidatorRegistry;
 /**
  * Per-link usage tallies, kept as plain integers so the hot path pays
  * a few adds per grant; they are folded into StatGroup metrics only
- * when exportStats() runs (see exportLinkUsage in net/fabric.hh).
+ * when exportStats() runs (see FabricNetwork::exportStats in
+ * net/fabric.hh).
  */
 struct LinkUsage
 {

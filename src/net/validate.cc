@@ -96,9 +96,9 @@ GarnetLiteNetwork::validateDrain() const
                 "not returned to the free list",
                 _packetArena.size() - _packetFree.size(),
                 _packetArena.size());
-    ASTRA_CHECK(liveMessages() == 0,
+    ASTRA_CHECK(liveSlots() == 0,
                 "garnet-lite drained with %zu message slot(s) still live",
-                liveMessages());
+                liveSlots());
 }
 
 void
@@ -110,10 +110,10 @@ AnalyticalNetwork::registerCheckers(ValidatorRegistry &reg)
 void
 AnalyticalNetwork::validateDrain() const
 {
-    ASTRA_CHECK(liveTransfers() == 0,
+    ASTRA_CHECK(liveSlots() == 0,
                 "analytical backend drained with %zu transfer slot(s) "
                 "still live",
-                liveTransfers());
+                liveSlots());
     if (!_validate)
         return; // ledger was never maintained; nothing to cross-check
     ASTRA_CHECK(_busyUntil.size() == _freeAt.size(),

@@ -1,6 +1,5 @@
 #include "workload/trainer.hh"
 
-#include <cmath>
 #include <utility>
 
 #include "common/logging.hh"
@@ -72,8 +71,8 @@ NodeTrainer::scaled(Tick base) const
     // factor is 1.0 on a fault-free run, leaving `base / computeScale`
     // bit-for-bit unchanged.
     const double slow = _sys.computeSlowdown();
-    return static_cast<Tick>(std::ceil(
-        static_cast<double>(base) * slow / _opts.computeScale));
+    return ceilTicks(static_cast<double>(base) * slow / _opts.computeScale,
+                     "scaled compute delay");
 }
 
 std::shared_ptr<CollectiveHandle>

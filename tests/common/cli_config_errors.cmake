@@ -42,6 +42,23 @@ expect_config_error(--compute-scale "--model=resnet50 --compute-scale=0")
 expect_config_error(local-link-bw "--model=resnet50 --local-link-bw=inf")
 expect_config_error(--top "--explore=16 --top=-1")
 expect_config_error(--local-dims "--explore=16 --local-dims=99999999999")
+# Fault-rule numbers parse like every other value: a non-finite
+# straggler factor is a configuration error.
+expect_config_error(factor
+    "--collective=allreduce --bytes=64KB --fault='straggle node=0 factor=inf'")
+expect_config_error(factor
+    "--collective=allreduce --bytes=64KB --fault='straggle node=0 factor=nan'")
+# A finite factor whose scaled delay or stretched link busy time does
+# not fit a tick is a runtime fatal (exit 1), not a delay wrapped
+# around to a small one.
+foreach(rule "straggle node=0 factor=1e30"
+             "degrade link=0 from=0 to=end factor=1e-300")
+    run_astra_sim("--collective=allreduce --bytes=64KB --fault='${rule}'")
+    if(NOT rc EQUAL 1 OR NOT err MATCHES "does not fit")
+        message(FATAL_ERROR "'${rule}' exited ${rc}, want 1 with a "
+                            "tick-range fatal:\n${out}${err}")
+    endif()
+endforeach()
 # Model and collective names are checked with the other flags.
 expect_config_error(--model "--model=bogus")
 expect_config_error(collective "--collective=bogus")

@@ -78,6 +78,12 @@ TEST(FaultPlan, RejectsMalformedRules)
         "down link=1 from=0 to=9 from=2",          // duplicate key
         "down link=1 from=0 to=9 bogus=3",         // unknown key
         "straggle node=0 factor=0.5",              // factor < 1
+        "straggle node=0 factor=inf",              // factor not finite
+        "straggle node=0 factor=nan",              // factor not finite
+        "degrade link=1 from=0 to=9 factor=nan",   // factor not finite
+        "straggle node=2x factor=2",               // trailing junk
+        "down link=1 from=0 to=-9",                // negative tick
+        "drop link=1 every=64 limit=-1",           // negative limit
         "drop link=1 every=0",                     // every must be >= 1
         "drop link=1",                             // missing every
     };

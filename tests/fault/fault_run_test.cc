@@ -170,6 +170,19 @@ TEST(FaultRun, StragglerSlowsTheRunDown)
     EXPECT_GT(straggled, normal);
 }
 
+TEST(FaultRun, StragglerDelayPastTheTickRangeIsFatal)
+{
+    // A finite factor the parser accepts, but whose scaled endpoint
+    // delay does not fit a Tick: the run must stop, not wrap the delay
+    // around to a small one.
+    SimConfig cfg = baseConfig();
+    cfg.faultRules = {"straggle node=0 factor=1e30"};
+    Cluster cluster(cfg);
+    EXPECT_THROW(
+        cluster.runCollective(CollectiveKind::AllReduce, 64 * KiB),
+        FatalError);
+}
+
 TEST(FaultRun, EmptyPlanIsBitForBitIdenticalToNoPlan)
 {
     // Retry-policy keys alone leave the plan empty: no FaultManager is

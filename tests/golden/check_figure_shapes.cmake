@@ -136,6 +136,22 @@ foreach(claim "64KB;MIN;4x4x4" "64KB;MAX;1x64x1" "4MB;MIN;1x64x1")
     endif()
 endforeach()
 
+# Fig. 16: FIFO and LIFO scheduling finish ResNet-50 at the same tick
+# (the fast local dimension drains each layer before the next arrives).
+csv_column(fig16_makespan.csv policy policies)
+csv_column(fig16_makespan.csv makespan_cycles makespans)
+list(FIND policies "FIFO" at_fifo)
+list(FIND policies "LIFO" at_lifo)
+if(at_fifo LESS 0 OR at_lifo LESS 0)
+    message(FATAL_ERROR "fig16_makespan.csv: no FIFO or LIFO row")
+endif()
+list(GET makespans ${at_fifo} fifo)
+list(GET makespans ${at_lifo} lifo)
+if(NOT fifo EQUAL lifo)
+    list(APPEND failures
+         "Fig. 16 makespan: FIFO ${fifo} cycles, LIFO ${lifo} cycles")
+endif()
+
 if(failures)
     list(JOIN failures "\n  " text)
     message(FATAL_ERROR "figure CSVs in ${GOLDEN_DIR} break the paper's "

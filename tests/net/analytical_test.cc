@@ -223,7 +223,7 @@ TEST(Analytical, SixtyFourMessagesOnOneLinkDeliverInFifoOrder)
         m.tag.step = i;
         h.net.send(std::move(m));
     }
-    EXPECT_EQ(h.net.liveTransfers(), 64u);
+    EXPECT_EQ(h.net.liveSlots(), 64u);
     EXPECT_THROW(h.net.validateDrain(), FatalError); // slots still live
     h.eq.run();
     ASSERT_EQ(got.size(), 64u);
@@ -232,7 +232,7 @@ TEST(Analytical, SixtyFourMessagesOnOneLinkDeliverInFifoOrder)
         EXPECT_EQ(got[k].first, std::int32_t(k));
         EXPECT_EQ(got[k].second, Tick(k + 1) * t1 + 200) << "k=" << k;
     }
-    EXPECT_EQ(h.net.liveTransfers(), 0u);
+    EXPECT_EQ(h.net.liveSlots(), 0u);
     h.net.validateDrain();
 }
 
@@ -254,7 +254,7 @@ TEST(Analytical, SendFromInsideDeliverIsDelivered)
     EXPECT_EQ(h.deliveries[1].first, 0);
     EXPECT_GT(h.deliveries[1].second, h.deliveries[0].second);
     EXPECT_EQ(h.net.deliveredMessages(), 2u);
-    EXPECT_EQ(h.net.liveTransfers(), 0u);
+    EXPECT_EQ(h.net.liveSlots(), 0u);
 }
 
 TEST(Analytical, LossHandlerGetsTheMessageIntactAndMayResend)
@@ -307,7 +307,7 @@ TEST(Analytical, LossHandlerGetsTheMessageIntactAndMayResend)
     ASSERT_EQ(h.deliveries.size(), 1u);
     EXPECT_EQ(h.deliveries[0].first, 1);
     EXPECT_EQ(h.net.lostMessages(), 1u);
-    EXPECT_EQ(h.net.liveTransfers(), 0u);
+    EXPECT_EQ(h.net.liveSlots(), 0u);
 }
 
 TEST(Analytical, PayloadIsReleasedAfterDelivery)

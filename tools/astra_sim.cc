@@ -328,13 +328,19 @@ candidateFailuresJson(const std::vector<FailureRecord> &failures)
     return out;
 }
 
-/** Write the cluster's metric registry if --report-json was given. */
+/**
+ * Write the cluster's metric registry, plus whatever @p add_run adds
+ * (a workload run's own group), if --report-json was given.
+ */
 void
-writeReportJson(const CliOptions &opts, const Cluster &cluster)
+writeReportJson(const CliOptions &opts, const Cluster &cluster,
+                const std::function<void(MetricRegistry &)> &add_run = {})
 {
     if (opts.reportJson.empty())
         return;
     MetricRegistry reg = cluster.exportMetrics();
+    if (add_run)
+        add_run(reg);
     reg.writeFile(opts.reportJson, reportExtra(cluster));
     std::printf("wrote metric report: %s\n", opts.reportJson.c_str());
 }
@@ -380,13 +386,9 @@ writeRunReport(const CliOptions &opts, const Cluster &cluster,
     t.print();
     if (!opts.reportCsv.empty())
         t.writeCsv(opts.reportCsv);
-    if (!opts.reportJson.empty()) {
-        MetricRegistry reg = cluster.exportMetrics();
+    writeReportJson(opts, cluster, [&](MetricRegistry &reg) {
         run.exportStats(reg.group(group));
-        reg.writeFile(opts.reportJson);
-        std::printf("wrote metric report: %s\n",
-                    opts.reportJson.c_str());
-    }
+    });
     std::printf("\n");
 }
 

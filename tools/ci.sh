@@ -132,6 +132,13 @@ for backend in analytical garnet-lite; do
     grep -q '"outcome": "completed"' "build/ci_fault_${backend}.json" \
         || { echo "fault smoke ($backend): not completed" >&2; exit 1; }
 done
+# Workload mode writes the same outcome member as collective mode.
+./build/tools/astra-sim --model=transformer --num-passes=2 \
+    --config=configs/faulty_4x4x4.cfg \
+    --report-json=build/ci_fault_workload.json >/dev/null
+python3 -m json.tool build/ci_fault_workload.json >/dev/null
+grep -q '"outcome": "completed"' build/ci_fault_workload.json \
+    || { echo "fault smoke (workload): not completed" >&2; exit 1; }
 # Retries-exhausted must surface as the Degraded exit code (3) with a
 # machine-readable failure report, not a fatal.
 set +e
