@@ -89,8 +89,10 @@ class AlgContext
 
 /**
  * Abstract per-node, per-phase algorithm. Messages may arrive before
- * start() (a faster peer is ahead); the algorithm holds them until it
- * has started, and calls AlgContext::phaseDone() exactly once.
+ * start() (a faster peer is ahead); every algorithm holds them,
+ * unprocessed, until it has started, processes each one endpoint delay
+ * after the previous (PassBase, collective/pass.hh), and calls
+ * AlgContext::phaseDone() exactly once.
  */
 class PhaseAlgorithm
 {

@@ -23,7 +23,7 @@ channelFor(AlgContext &ctx, int dst_rank)
 
 DirectReduceScatter::DirectReduceScatter(AlgContext &ctx, int first_step,
                                          PassBase *next)
-    : PassBase(ctx, DimPattern::Switch, first_step, next)
+    : PassBase(ctx, ReceiveOrder::ByArrival, first_step, next)
 {
 }
 
@@ -60,7 +60,7 @@ DirectReduceScatter::processStep(
 
 DirectAllGather::DirectAllGather(AlgContext &ctx, int first_step,
                                  PassBase *next)
-    : PassBase(ctx, DimPattern::Switch, first_step, next)
+    : PassBase(ctx, ReceiveOrder::ByArrival, first_step, next)
 {
 }
 
@@ -96,36 +96,15 @@ DirectAllGather::processStep(
 
 // --- DirectAllToAll ---------------------------------------------------------
 
-DirectAllToAll::DirectAllToAll(AlgContext &ctx)
-    : PassBase(ctx, DimPattern::Switch, /*first_step=*/0, nullptr)
-{
-}
+DirectAllToAll::DirectAllToAll(AlgContext &ctx) : AllToAllPass(ctx) {}
 
 void
 DirectAllToAll::begin()
 {
-    const Bytes msg_bytes =
-        (_ctx.entryBytes() + Bytes(_d) - 1) / Bytes(_d);
     for (int j = 0; j < _d; ++j) {
-        if (j == _r)
-            continue;
-        auto payload = std::make_shared<ChunkPayload>();
-        payload->blocks = _ctx.data().takeBlocksIf(
-            [this, j](int, int blk_dst) {
-                return _ctx.phaseCoordOfGlobalRank(blk_dst) == j;
-            });
-        _ctx.send(j, channelFor(_ctx, j), msg_bytes, _firstStep,
-                  std::move(payload));
+        if (j != _r)
+            sendBlocksTo(j, channelFor(_ctx, j));
     }
-}
-
-void
-DirectAllToAll::processStep(
-    int s, const std::shared_ptr<const ChunkPayload> &payload)
-{
-    _ctx.data().addBlocks(payload->blocks);
-    if (lastStep(s))
-        complete();
 }
 
 } // namespace astra

@@ -63,15 +63,13 @@ class DirectAllGather : public PassBase
 };
 
 /** Direct all-to-all. */
-class DirectAllToAll : public PassBase
+class DirectAllToAll : public AllToAllPass
 {
   public:
     explicit DirectAllToAll(AlgContext &ctx);
 
   protected:
     void begin() override;
-    void processStep(
-        int s, const std::shared_ptr<const ChunkPayload> &payload) override;
 };
 
 } // namespace astra

@@ -5,11 +5,11 @@
 namespace astra
 {
 
-PassBase::PassBase(AlgContext &ctx, DimPattern pattern, int first_step,
+PassBase::PassBase(AlgContext &ctx, ReceiveOrder order, int first_step,
                    PassBase *next)
     : _ctx(ctx), _d(ctx.groupSize()), _r(ctx.myRank()),
       _dir(ctx.direction()), _firstStep(first_step),
-      _stepOrdered(pattern == DimPattern::Ring), _next(next),
+      _stepOrdered(order == ReceiveOrder::ByStep), _next(next),
       _slots(std::size_t(_d - 1))
 {
 }
@@ -38,11 +38,11 @@ PassBase::onMessage(const Message &msg)
             panic("duplicate ring step %d", s);
     } else {
         if (msg.tag.step != _firstStep)
-            panic("direct pass got step %d, expected %d", msg.tag.step,
+            panic("pass got step %d, expected %d", msg.tag.step,
                   _firstStep);
         s = _arrived++;
         if (s >= _d - 1)
-            panic("direct pass got arrival %d of %d", s + 1, _d - 1);
+            panic("pass got arrival %d of %d", s + 1, _d - 1);
     }
     if (!msg.payload)
         panic("collective pass message without payload");
@@ -80,6 +80,31 @@ PassBase::complete()
         _next->start();
     else
         _ctx.phaseDone();
+}
+
+AllToAllPass::AllToAllPass(AlgContext &ctx)
+    : PassBase(ctx, ReceiveOrder::ByArrival, /*first_step=*/0, nullptr)
+{
+}
+
+void
+AllToAllPass::sendBlocksTo(int dst, int channel)
+{
+    auto payload = std::make_shared<ChunkPayload>();
+    payload->blocks = _ctx.data().takeBlocksIf([this, dst](int, int blk_dst) {
+        return _ctx.phaseCoordOfGlobalRank(blk_dst) == dst;
+    });
+    _ctx.send(dst, channel, (_ctx.entryBytes() + Bytes(_d) - 1) / Bytes(_d),
+              _firstStep, std::move(payload));
+}
+
+void
+AllToAllPass::processStep(
+    int s, const std::shared_ptr<const ChunkPayload> &payload)
+{
+    _ctx.data().addBlocks(payload->blocks);
+    if (lastStep(s))
+        complete();
 }
 
 } // namespace astra

@@ -1,17 +1,19 @@
 /**
  * @file
- * The receive engine of every step-serialized collective pass (Sec.
- * III-B, Fig. 5), and the all-reduce that chains a reduce-scatter pass
- * into an all-gather pass on either dimension pattern.
+ * The receive engine of every collective pass (Sec. III-B, Fig. 5),
+ * the all-to-all pass both dimension patterns share, and the
+ * all-reduce that chains a reduce-scatter pass into an all-gather
+ * pass on either pattern.
  *
  * A pass on a group of d nodes receives d-1 messages, each into a
- * payload slot. A ring pass files a message under its step, so
- * out-of-order arrivals are processed in step order; a direct pass
- * files it under its arrival count, so arrivals are processed in
- * arrival order (order across peers is irrelevant there). The slots
- * are processed one at a time, each after the endpoint delay (the
- * NMU's per-message handling cost), and only once the pass has
- * started: arrivals that come before start() wait in their slots.
+ * payload slot. A ring reduce-scatter or all-gather files a message
+ * under its step, so out-of-order arrivals are processed in step
+ * order; the direct passes and both all-to-alls file it under its
+ * arrival count, so arrivals are processed in arrival order (their
+ * steps carry no data dependency). The slots are processed one at a
+ * time, each after the endpoint delay (the NMU's per-message handling
+ * cost), and only once the pass has started: arrivals that come
+ * before start() wait in their slots.
  */
 
 #ifndef ASTRA_COLLECTIVE_PASS_HH
@@ -25,7 +27,17 @@
 namespace astra
 {
 
-/** One reduce-scatter, all-gather or direct all-to-all pass. */
+/** The order a pass processes its received messages in. */
+enum class ReceiveOrder
+{
+    /** By wire step: slot = step - first step (ring RS and AG). */
+    ByStep,
+    /** By arrival: every message on the first step (direct passes,
+     *  all-to-alls). */
+    ByArrival,
+};
+
+/** One reduce-scatter, all-gather or all-to-all pass. */
 class PassBase : public PhaseAlgorithm
 {
   public:
@@ -35,14 +47,14 @@ class PassBase : public PhaseAlgorithm
   protected:
     /**
      * @param ctx        System-layer services.
-     * @param pattern    Ring: slot by step; Switch: slot by arrival.
+     * @param order      How received messages are filed into slots.
      * @param first_step Wire step of the pass's first message (an
      *                   all-reduce numbers its all-gather steps after
      *                   its reduce-scatter steps).
      * @param next       Pass started when this one completes; null
      *                   when completing it finishes the phase.
      */
-    PassBase(AlgContext &ctx, DimPattern pattern, int first_step,
+    PassBase(AlgContext &ctx, ReceiveOrder order, int first_step,
              PassBase *next);
 
     /** Send the pass's opening messages (d > 1). */
@@ -82,6 +94,30 @@ class PassBase : public PhaseAlgorithm
     bool _completed = false;
     /** Received, not yet processed payloads: d-1 slots. */
     std::vector<std::shared_ptr<const ChunkPayload>> _slots;
+};
+
+/**
+ * All-to-all (ring or direct): the pass sends each of the d-1 other
+ * members one message with the blocks routable through it (Sec.
+ * III-D: with multi-phase plans that includes every block it relays in
+ * later phases), and applies the d-1 messages it receives by arrival.
+ * The derived passes differ only in the order and channels of begin()'s
+ * sends.
+ */
+class AllToAllPass : public PassBase
+{
+  protected:
+    explicit AllToAllPass(AlgContext &ctx);
+
+    /**
+     * Send phase rank @p dst, on channel @p channel, the blocks whose
+     * destination lies at @p dst's coordinate of this phase's
+     * dimension: ceil(entry / d) bytes.
+     */
+    void sendBlocksTo(int dst, int channel);
+
+    void processStep(
+        int s, const std::shared_ptr<const ChunkPayload> &payload) final;
 };
 
 /**

@@ -9,7 +9,7 @@ namespace astra
 
 RingReduceScatter::RingReduceScatter(AlgContext &ctx, int first_step,
                                      PassBase *next)
-    : PassBase(ctx, DimPattern::Ring, first_step, next)
+    : PassBase(ctx, ReceiveOrder::ByStep, first_step, next)
 {
 }
 
@@ -52,7 +52,7 @@ RingReduceScatter::processStep(
 
 RingAllGather::RingAllGather(AlgContext &ctx, int first_step,
                              PassBase *next)
-    : PassBase(ctx, DimPattern::Ring, first_step, next)
+    : PassBase(ctx, ReceiveOrder::ByStep, first_step, next)
 {
 }
 
@@ -89,59 +89,15 @@ RingAllGather::processStep(
 
 // --- RingAllToAll -------------------------------------------------------
 
-RingAllToAll::RingAllToAll(AlgContext &ctx)
-    : _ctx(ctx), _d(ctx.groupSize()), _r(ctx.myRank()),
-      _dir(ctx.direction())
-{
-}
+RingAllToAll::RingAllToAll(AlgContext &ctx) : AllToAllPass(ctx) {}
 
 void
-RingAllToAll::start()
+RingAllToAll::begin()
 {
-    _started = true;
-    if (_d == 1) {
-        _completed = true;
-        _ctx.phaseDone();
-        return;
-    }
-    const Bytes msg_bytes =
-        (_ctx.entryBytes() + Bytes(_d) - 1) / Bytes(_d);
     // All messages are available up front: data destined to the node
-    // at ring distance i (including blocks routable through it in the
-    // remaining phases) goes out at step i.
-    for (int i = 1; i < _d; ++i) {
-        const int dst = ((_r + _dir * i) % _d + _d) % _d;
-        auto payload = std::make_shared<ChunkPayload>();
-        payload->blocks = _ctx.data().takeBlocksIf(
-            [this, dst](int, int blk_dst) {
-                return _ctx.phaseCoordOfGlobalRank(blk_dst) == dst;
-            });
-        _ctx.send(dst, _ctx.myChannel(), msg_bytes, i, std::move(payload));
-    }
-    finishIfDone();
-}
-
-void
-RingAllToAll::onMessage(const Message &msg)
-{
-    // Unlike the passes, each arrival pays its endpoint delay on its
-    // own (see the file comment).
-    _ctx.scheduleAfter(_ctx.endpointDelay(), [this, payload = msg.payload] {
-        _ctx.data().addBlocks(payload->blocks);
-        ++_received;
-        finishIfDone();
-    });
-}
-
-void
-RingAllToAll::finishIfDone()
-{
-    if (_completed || !_started)
-        return;
-    if (_received == _d - 1) {
-        _completed = true;
-        _ctx.phaseDone();
-    }
+    // at ring distance i goes out i-th.
+    for (int i = 1; i < _d; ++i)
+        sendBlocksTo(mod(_r + _dir * i), _ctx.myChannel());
 }
 
 } // namespace astra

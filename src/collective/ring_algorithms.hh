@@ -10,17 +10,16 @@
  *    the next step. Node r ends up owning block (r + dir) mod d.
  *  - All-gather: d-1 relay steps without reduction.
  *  - All-reduce: reduce-scatter followed by all-gather (2(d-1) steps).
- *  - All-to-all: d-1 steps; at step i node r sends the data destined
- *    to the node at ring distance i (message size = entry/d). With
- *    multi-phase plans the message also carries every block routable
- *    through that destination in later phases (Sec. III-D).
+ *  - All-to-all: node r sends its d-1 messages at once, the i-th with
+ *    the data destined to the node at ring distance i (message size =
+ *    entry/d). With multi-phase plans the message also carries every
+ *    block routable through that destination in later phases (Sec.
+ *    III-D).
  *
  * Each received message pays the endpoint delay before its data can
- * be used — this models the NMU's message handling cost. The RS and AG
- * passes process their receives one at a time, in step order
- * (collective/pass.hh). The all-to-all does not serialize: each
- * arrival pays its endpoint delay on its own, so concurrent arrivals
- * overlap.
+ * be used — this models the NMU's message handling cost. Every pass
+ * processes its receives one at a time (collective/pass.hh): the RS
+ * and AG passes in step order, the all-to-all in arrival order.
  */
 
 #ifndef ASTRA_COLLECTIVE_RING_ALGORITHMS_HH
@@ -67,24 +66,13 @@ class RingAllGather : public PassBase
 };
 
 /** Ring all-to-all. */
-class RingAllToAll : public PhaseAlgorithm
+class RingAllToAll : public AllToAllPass
 {
   public:
     explicit RingAllToAll(AlgContext &ctx);
 
-    void start() override;
-    void onMessage(const Message &msg) override;
-
-  private:
-    void finishIfDone();
-
-    AlgContext &_ctx;
-    const int _d;
-    const int _r;
-    const int _dir;
-    int _received = 0;
-    bool _started = false;
-    bool _completed = false;
+  protected:
+    void begin() override;
 };
 
 } // namespace astra

@@ -44,8 +44,13 @@ Cluster::Cluster(const SimConfig &cfg) : _cfg(cfg), _topo(cfg)
         _faults = std::make_unique<FaultManager>(std::move(plan));
         // Ring re-planning needs the literal hint->link mapping; mapped
         // fabrics only seed channels, so skip binding there.
-        if (one_to_one)
-            _faults->bindRingChannels(_net->fabric().ringLinks());
+        if (one_to_one) {
+            const Fabric &fabric = _net->fabric();
+            for (int d = 0; d < net_topo.numDims(); ++d) {
+                for (int ch = 0; ch < fabric.ringChannels(d); ++ch)
+                    _faults->bindRingChannel(d, ch, fabric.ringLinks(d, ch));
+            }
+        }
         _net->setFaults(_faults.get());
         _net->setLossHandler([this](const Message &msg, int link) {
             ASTRA_CHECK(msg.src >= 0 &&

@@ -483,24 +483,22 @@ FaultManager::shouldDropPacket(int link, Tick now)
 }
 
 void
-FaultManager::bindRingChannels(
-    const std::map<std::pair<int, int>, std::vector<std::int32_t>>
-        &ring_links)
+FaultManager::bindRingChannel(int dim, int channel,
+                              std::span<const std::int32_t> links)
 {
-    for (const auto &entry : ring_links) {
-        const int dim = entry.first.first;
-        const int channel = entry.first.second;
-        int &bound = _boundChannels[dim];
-        bound = std::max(bound, channel + 1);
-        bool usable = true;
-        for (const std::int32_t link : entry.second) {
-            if (link >= 0 && downForever(link)) {
-                usable = false;
-                break;
-            }
-        }
-        if (usable)
-            _usableChannels[dim].push_back(channel);
+    if (std::size_t(dim) >= _boundChannels.size()) {
+        _boundChannels.resize(std::size_t(dim) + 1, 0);
+        _usableChannels.resize(std::size_t(dim) + 1);
+    }
+    int &bound = _boundChannels[std::size_t(dim)];
+    bound = std::max(bound, channel + 1);
+    const bool usable =
+        std::none_of(links.begin(), links.end(), [this](std::int32_t l) {
+            return l >= 0 && downForever(l);
+        });
+    if (usable) {
+        auto &ok = _usableChannels[std::size_t(dim)];
+        ok.insert(std::upper_bound(ok.begin(), ok.end(), channel), channel);
     }
 }
 
@@ -508,23 +506,21 @@ int
 FaultManager::pickChannel(int dim, int channels, StreamId id) const
 {
     const int fallback = static_cast<int>(id % StreamId(channels));
-    auto bound = _boundChannels.find(dim);
-    if (bound == _boundChannels.end() || bound->second < channels)
+    if (dim < 0 || std::size_t(dim) >= _boundChannels.size() ||
+        _boundChannels[std::size_t(dim)] < channels)
         return fallback;
-    std::vector<int> ok;
-    auto it = _usableChannels.find(dim);
-    if (it != _usableChannels.end()) {
-        for (const int c : it->second) {
-            if (c < channels)
-                ok.push_back(c);
-        }
-    }
+    // The usable channels below `channels`: a prefix, as the list is
+    // ascending.
+    const std::vector<int> &usable = _usableChannels[std::size_t(dim)];
+    const auto ok = std::size_t(
+        std::lower_bound(usable.begin(), usable.end(), channels) -
+        usable.begin());
     // Every channel usable: keep the historical choice bit-for-bit.
     // None usable: nowhere better to re-plan to; the retry machinery
     // owns what happens next.
-    if (ok.empty() || static_cast<int>(ok.size()) == channels)
+    if (ok == 0 || ok == std::size_t(channels))
         return fallback;
-    return ok[std::size_t(id % StreamId(ok.size()))];
+    return usable[std::size_t(id % StreamId(ok))];
 }
 
 std::string

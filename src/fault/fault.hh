@@ -31,6 +31,7 @@
 
 #include <cstdint>
 #include <map>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -230,14 +231,14 @@ class FaultManager
     int maxRetries() const { return _plan.maxRetries; }
 
     /**
-     * Feed the fabric's ring-link table ((dim, channel) -> per-node
-     * egress link; Fabric::ringLinks) so pickChannel can re-plan ring
-     * collectives around channels containing a link that is down for
-     * the whole run.
+     * Feed ring channel @p channel of dimension @p dim, given as its
+     * per-node egress links (Fabric::ringLinks), so pickChannel can
+     * re-plan ring collectives around channels containing a link that
+     * is down for the whole run. The cluster binds every ring channel
+     * of the fabric once, before the run.
      */
-    void bindRingChannels(
-        const std::map<std::pair<int, int>, std::vector<std::int32_t>>
-            &ring_links);
+    void bindRingChannel(int dim, int channel,
+                         std::span<const std::int32_t> links);
 
     /**
      * Ring channel stream @p id should use in @p dim (of @p channels).
@@ -261,10 +262,11 @@ class FaultManager
     std::map<int, std::vector<LinkWindow>> _byLink;
     std::map<NodeId, double> _slowdown;
     std::map<int, std::vector<DropState>> _dropsByLink;
-    /** dim -> channels that contain no forever-down link. */
-    std::map<int, std::vector<int>> _usableChannels;
-    /** dim -> total channels seen in the bound ring table. */
-    std::map<int, int> _boundChannels;
+    /** Per dim: the bound channels that contain no forever-down link,
+     *  ascending. */
+    std::vector<std::vector<int>> _usableChannels;
+    /** Per dim: channels bound (highest bound channel + 1; 0: none). */
+    std::vector<int> _boundChannels;
     std::uint64_t _dropsInjected = 0;
 };
 

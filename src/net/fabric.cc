@@ -5,6 +5,7 @@
 #include "common/check.hh"
 #include "common/logging.hh"
 #include "common/stats.hh"
+#include "common/trace.hh"
 #include "fault/fault.hh"
 
 namespace astra
@@ -16,45 +17,38 @@ Fabric::Fabric(const Topology &topo, const SimConfig &cfg,
       _package(cfg.package), _scaleout(cfg.scaleout)
 {
     const int nodes = topo.numNodes();
+    auto addLink = [this](std::int32_t from, std::int32_t to,
+                          const DimInfo &info, int d) {
+        _links.push_back(LinkDesc{from, to, info.linkClass, d});
+        return static_cast<LinkId>(_links.size() - 1);
+    };
 
+    int switch_ports = 0; // switch port allocator, above the node ids
+    _dimRowBase.push_back(0);
     for (int d = 0; d < topo.numDims(); ++d) {
         const DimInfo &info = topo.dim(d);
-        if (info.size < 2)
-            continue; // degenerate dimension: no links needed
-        if (info.pattern == DimPattern::Ring) {
+        if (info.size >= 2 && info.pattern == DimPattern::Ring) {
             for (int ch = 0; ch < info.channels; ++ch) {
-                std::vector<LinkId> per_node(std::size_t(nodes), -1);
-                for (NodeId u = 0; u < nodes; ++u) {
-                    NodeId v = topo.ringNext(d, ch, u);
-                    per_node[std::size_t(u)] =
-                        static_cast<LinkId>(_links.size());
-                    _links.push_back(LinkDesc{u, v, info.linkClass, d});
-                }
-                _ringLinks[{d, ch}] = std::move(per_node);
+                for (NodeId u = 0; u < nodes; ++u)
+                    _rows.push_back(
+                        addLink(u, topo.ringNext(d, ch, u), info, d));
             }
-        } else {
+        } else if (info.size >= 2) {
             // Switch dimension: every node connects to every global
             // switch of the dimension. Switch ports get ids above the
             // node id space, unique across dimensions.
-            const int switches = topo.numSwitches(d);
-            for (int s = 0; s < switches; ++s) {
-                const std::int32_t port = nodes + _switchPorts++;
-                auto &up = _upLinks[{d, s}];
-                auto &down = _downLinks[{d, s}];
-                up.resize(std::size_t(nodes));
-                down.resize(std::size_t(nodes));
+            for (int s = 0; s < topo.numSwitches(d); ++s) {
+                const std::int32_t port = nodes + switch_ports++;
+                const std::size_t up = _rows.size();
+                _rows.resize(up + 2 * std::size_t(nodes));
                 for (NodeId u = 0; u < nodes; ++u) {
-                    up[std::size_t(u)] =
-                        static_cast<LinkId>(_links.size());
-                    _links.push_back(
-                        LinkDesc{u, port, info.linkClass, d});
-                    down[std::size_t(u)] =
-                        static_cast<LinkId>(_links.size());
-                    _links.push_back(
-                        LinkDesc{port, u, info.linkClass, d});
+                    _rows[up + std::size_t(u)] = addLink(u, port, info, d);
+                    _rows[up + std::size_t(nodes + u)] =
+                        addLink(port, u, info, d);
                 }
             }
         }
+        _dimRowBase.push_back(static_cast<int>(_rows.size()) / nodes);
     }
 }
 
@@ -81,10 +75,9 @@ Fabric::route(NodeId src, NodeId dst, const RouteHint &hint,
     }
 
     if (info.pattern == DimPattern::Ring) {
-        auto it = _ringLinks.find({d, hint.channel});
-        if (it == _ringLinks.end())
+        if (hint.channel < 0 || hint.channel >= rowCount(d))
             panic("route: no ring channel %d in dim %d", hint.channel, d);
-        const auto &per_node = it->second;
+        const LinkId *per_node = row(d, hint.channel);
         NodeId cur = src;
         int guard = info.size;
         while (cur != dst) {
@@ -98,8 +91,8 @@ Fabric::route(NodeId src, NodeId dst, const RouteHint &hint,
         const int s = hint.channel;
         if (s < 0 || s >= _topo.numSwitches(d))
             panic("route: switch %d out of range in dim %d", s, d);
-        out.push_back(_upLinks.at({d, s})[std::size_t(src)]);
-        out.push_back(_downLinks.at({d, s})[std::size_t(dst)]);
+        out.push_back(row(d, 2 * s)[std::size_t(src)]);
+        out.push_back(row(d, 2 * s + 1)[std::size_t(dst)]);
     }
 }
 
@@ -164,17 +157,9 @@ FabricNetwork::FabricNetwork(EventQueue &eq, const Topology &topo,
       _maxHops(_fabric.maxRouteLength()),
       _validate(validationAtLeast(ValidateLevel::kBasic)),
       _metrics(cfg.netMetrics), _usage(std::size_t(_fabric.numLinks())),
-      _kind(kind)
+      _kind(kind), _laneBusyAtEmit(std::size_t(topo.numDims()), 0)
 {
     setEnergyParams(cfg.energy, cfg.flitWidthBits);
-
-    std::vector<std::string> names;
-    std::vector<int> counts(std::size_t(topo.numDims()), 0);
-    for (int d = 0; d < topo.numDims(); ++d)
-        names.push_back(topo.dim(d).name);
-    for (LinkId l = 0; l < _fabric.numLinks(); ++l)
-        ++counts[std::size_t(_fabric.link(l).dim)];
-    setupUtilLanes(std::move(names), std::move(counts));
 }
 
 FabricNetwork::Departure
@@ -217,6 +202,33 @@ FabricNetwork::faultedGrant(LinkId l, Tick now, Tick &tx,
         tx = ceilTicks(static_cast<double>(tx) / factor,
                        "degraded link busy time");
     return true;
+}
+
+void
+FabricNetwork::emitUtilCounters(Tick now)
+{
+    const Tick window = now - _lastEmitAt;
+    if (window == 0)
+        return;
+    const Topology &topo = _fabric.topology();
+    LinkId l = 0;
+    for (int d = 0; d < topo.numDims(); ++d) {
+        // Links are numbered dimension by dimension.
+        Tick busy = 0;
+        int links = 0;
+        for (; l < _fabric.numLinks() && _fabric.link(l).dim == d; ++l) {
+            busy += _usage[std::size_t(l)].busy;
+            ++links;
+        }
+        Tick &at_emit = _laneBusyAtEmit[std::size_t(d)];
+        const double capacity = static_cast<double>(window) * links;
+        _trace->counter(_tracePid, "net.util." + topo.dim(d).name, now,
+                        safeDiv(static_cast<double>(busy - at_emit),
+                                capacity));
+        at_emit = busy;
+    }
+    _lastEmitAt = now;
+    _nextCounterAt = now + kUtilCounterInterval;
 }
 
 void

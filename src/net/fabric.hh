@@ -17,8 +17,9 @@
  *
  * FabricNetwork holds everything a backend needs that is not its
  * timing model: the Fabric, the parameters both models read, per-link
- * usage tallies and utilization lanes, route admission, grant
- * accounting, the fault-window lookup and the common metric export.
+ * usage tallies and the utilization trace lanes sampled from them,
+ * route admission, grant accounting, the fault-window lookup and the
+ * common metric export.
  * SlotNetwork adds the in-flight message slab over the backend's slot
  * state.
  */
@@ -30,8 +31,8 @@
 #define ASTRA_NET_FABRIC_HH
 
 #include <cstdint>
-#include <map>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "common/config.hh"
@@ -40,6 +41,8 @@
 
 namespace astra
 {
+
+class TraceRecorder;
 
 /** Dense link identifier. */
 using LinkId = std::int32_t;
@@ -175,31 +178,64 @@ class Fabric
     const Topology &topology() const { return _topo; }
 
     /**
-     * Ring-channel link map: ringLinks()[(dim,ch)][node] is the link
-     * leaving @p node on ring channel @p ch of dimension @p dim. The
-     * fault layer uses it to find which channels a forever-down link
-     * disables (FaultManager::bindRingChannels).
+     * Ring channels dimension @p dim has links for: its channel count
+     * for a Ring dimension of two or more nodes, else 0.
      */
-    const std::map<std::pair<int, int>, std::vector<LinkId>> &
-    ringLinks() const
+    int
+    ringChannels(int dim) const
     {
-        return _ringLinks;
+        return _topo.dim(dim).pattern == DimPattern::Ring
+                   ? rowCount(dim)
+                   : 0;
+    }
+
+    /**
+     * Ring channel @p ch (< ringChannels(@p dim)) of dimension @p dim:
+     * element n is the link leaving node n on that channel. The fault
+     * layer uses it to find which channels a forever-down link
+     * disables (FaultManager::bindRingChannel).
+     */
+    std::span<const LinkId>
+    ringLinks(int dim, int ch) const
+    {
+        return {row(dim, ch), std::size_t(_topo.numNodes())};
     }
 
   private:
+    /** Rows of dimension @p d: ring channels, or (up, down) switch pairs. */
+    int
+    rowCount(int d) const
+    {
+        return _dimRowBase[std::size_t(d) + 1] - _dimRowBase[std::size_t(d)];
+    }
+
+    /** Row @p i of dimension @p d: one link per node. */
+    const LinkId *
+    row(int d, int i) const
+    {
+        return _rows.data() +
+               std::size_t(_dimRowBase[std::size_t(d)] + i) *
+                   std::size_t(_topo.numNodes());
+    }
+
     const Topology &_topo;
     bool _oneToOne;
     LinkParams _local;
     LinkParams _package;
     LinkParams _scaleout;
+    /** Links, numbered dimension by dimension. */
     std::vector<LinkDesc> _links;
 
-    /** ringLink[(dim,ch)][node] = link leaving node on that channel. */
-    std::map<std::pair<int, int>, std::vector<LinkId>> _ringLinks;
-    /** upLink[(dim,switch)][node], downLink[(dim,switch)][node]. */
-    std::map<std::pair<int, int>, std::vector<LinkId>> _upLinks;
-    std::map<std::pair<int, int>, std::vector<LinkId>> _downLinks;
-    std::int32_t _switchPorts = 0; //!< switch port id allocator
+    /**
+     * Dense link rows, numNodes links each, in dimension order: a Ring
+     * dimension has one row per channel (the link leaving each node),
+     * a Switch dimension an up-link row (node -> switch s) and a
+     * down-link row (switch s -> node) per switch, at 2s and 2s+1.
+     * Dimensions of fewer than two nodes have none.
+     */
+    std::vector<LinkId> _rows;
+    /** Dimension d's rows are [_dimRowBase[d], _dimRowBase[d+1]). */
+    std::vector<int> _dimRowBase;
 };
 
 /**
@@ -222,6 +258,20 @@ class FabricNetwork : public NetworkApi
     linkUsage(LinkId id) const
     {
         return _usage[std::size_t(id)];
+    }
+
+    /**
+     * Attach a trace recorder: grants emit throttled "ph":"C"
+     * per-dimension link-utilization counters ("net.util.<dim>", one
+     * sample per dimension at most every kUtilCounterInterval ticks)
+     * into process lane @p pid. Observer-only (never schedules events).
+     * Null detaches.
+     */
+    void
+    setTrace(TraceRecorder *trace, int pid)
+    {
+        _trace = trace;
+        _tracePid = pid;
     }
 
     /**
@@ -270,8 +320,8 @@ class FabricNetwork : public NetworkApi
     /**
      * Account one grant of link @p l (descriptor @p desc) to @p bytes
      * for @p tx busy ticks at @p now: byte-hops and energy, and under
-     * net-metrics the link's busy/bytes/grants tallies and its
-     * dimension's utilization lane.
+     * net-metrics the link's busy/bytes/grants tallies, which the
+     * utilization lanes sample.
      */
     void
     chargeGrant(LinkId l, const LinkDesc &desc, Bytes bytes, Tick tx,
@@ -284,8 +334,8 @@ class FabricNetwork : public NetworkApi
         u.busy += tx;
         u.bytes += bytes;
         ++u.grants;
-        addDimBusy(desc.dim, tx);
-        maybeEmitUtilCounters(now);
+        if (_trace && now >= _nextCounterAt)
+            emitUtilCounters(now);
     }
 
     /**
@@ -320,8 +370,25 @@ class FabricNetwork : public NetworkApi
     /** linkUp() under a fault plan. */
     bool faultedGrant(LinkId l, Tick now, Tick &tx, Tick &resume) const;
 
+    /**
+     * Emit one utilization sample per dimension: the busy ticks its
+     * links gained since the last emission over their capacity in the
+     * window.
+     */
+    void emitUtilCounters(Tick now);
+
+    /** Ticks between consecutive utilization counter samples. */
+    static constexpr Tick kUtilCounterInterval = 2048;
+
     const NetworkBackend _kind;
     std::vector<LinkId> _resolved; //!< resolve() scratch, reused
+
+    TraceRecorder *_trace = nullptr; //!< null: no utilization lanes
+    int _tracePid = 0;
+    Tick _nextCounterAt = 0;
+    Tick _lastEmitAt = 0;
+    /** Per dimension: its links' busy ticks at the last emission. */
+    std::vector<Tick> _laneBusyAtEmit;
 };
 
 /**

@@ -225,21 +225,7 @@ GarnetLiteNetwork::pump(LinkId l)
             continue;
         }
 
-        if (pkt->hop > 0) {
-            // Leaving the previous link's downstream buffer: release
-            // those credits and let its waiters retry.
-            const LinkId up = routeOf(pkt->msg)[pkt->hop - 1];
-            _links[std::size_t(up)].bufferOcc -= pkt->flits;
-            if (_validate)
-                validate::creditBounds(int(up),
-                                       _links[std::size_t(up)].bufferOcc,
-                                       _bufferCapacityFlits);
-            schedulePump(up, now);
-        } else if (_injection == InjectionPolicy::Normal) {
-            // Paced injection: next packet enters once this one has
-            // been granted the first link.
-            injectNext(pkt->msg);
-        }
+        leaveHop(pkt, now);
 
         const Tick arrival = start + tx + p.latency + _routerLatency;
         _eq.schedule(arrival, Arrive{this, pkt, l});
@@ -256,12 +242,7 @@ GarnetLiteNetwork::arrive(PacketRef pkt, LinkId l)
     GarnetMessage &ms = slotAt(slot);
     if (++pkt->hop == ms.hops) {
         // Ejected at the destination NPU: credits return immediately.
-        _links[std::size_t(l)].bufferOcc -= pkt->flits;
-        if (_validate)
-            validate::creditBounds(int(l),
-                                   _links[std::size_t(l)].bufferOcc,
-                                   _bufferCapacityFlits);
-        schedulePump(l, now);
+        returnCredits(l, pkt->flits, now);
         ++_deliveredPackets;
         _retiredFlits += std::uint64_t(pkt->flits);
         recyclePacket(pkt);
@@ -286,25 +267,33 @@ GarnetLiteNetwork::arrive(PacketRef pkt, LinkId l)
 }
 
 void
+GarnetLiteNetwork::returnCredits(LinkId l, int flits, Tick now)
+{
+    LinkState &ls = _links[std::size_t(l)];
+    ls.bufferOcc -= flits;
+    if (_validate)
+        validate::creditBounds(int(l), ls.bufferOcc, _bufferCapacityFlits);
+    schedulePump(l, now);
+}
+
+void
+GarnetLiteNetwork::leaveHop(PacketRef pkt, Tick now)
+{
+    if (pkt->hop > 0)
+        returnCredits(routeOf(pkt->msg)[pkt->hop - 1], pkt->flits, now);
+    else if (_injection == InjectionPolicy::Normal)
+        injectNext(pkt->msg); // paced: the next packet follows this one
+}
+
+void
 GarnetLiteNetwork::dropPacket(PacketRef pkt, LinkId l, Tick now)
 {
     ++_droppedPackets;
     _droppedFlits += std::uint64_t(pkt->flits);
-    if (pkt->hop > 0) {
-        // The packet dies holding the previous link's downstream
-        // buffer space: reclaim those credits and wake its waiters.
-        const LinkId up = routeOf(pkt->msg)[pkt->hop - 1];
-        _links[std::size_t(up)].bufferOcc -= pkt->flits;
-        if (_validate)
-            validate::creditBounds(int(up),
-                                   _links[std::size_t(up)].bufferOcc,
-                                   _bufferCapacityFlits);
-        schedulePump(up, now);
-    } else if (_injection == InjectionPolicy::Normal) {
-        // Dropped at its source link: keep the injection pipeline
-        // moving exactly as a granted packet would have.
-        injectNext(pkt->msg);
-    }
+    // The packet dies holding the previous link's buffer space, or at
+    // its source link, where the injection pipeline keeps moving
+    // exactly as for a granted packet.
+    leaveHop(pkt, now);
     // The slot outlives the nested injection above: this packet still
     // counts in packetsLeft.
     const std::uint32_t slot = pkt->msg;

@@ -233,6 +233,20 @@ class GarnetLiteNetwork : public SlotNetwork<GarnetMessage>
     void arrive(PacketRef pkt, LinkId l);
 
     /**
+     * Return @p flits credits to link @p l's downstream buffer and let
+     * its waiters retry at @p now.
+     */
+    void returnCredits(LinkId l, int flits, Tick now);
+
+    /**
+     * @p pkt leaves its current hop for good (granted the next link,
+     * or dropped there): release the previous link's credits it held,
+     * or, at its source link under Normal injection, inject the
+     * message's next packet.
+     */
+    void leaveHop(PacketRef pkt, Tick now);
+
+    /**
      * Fault layer: discard @p pkt at link @p l. Reclaims the upstream
      * credits the packet held (or paces the next injection when it was
      * still at its source), marks the parent message lost, and fires

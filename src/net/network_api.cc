@@ -2,7 +2,6 @@
 
 #include "common/logging.hh"
 #include "common/stats.hh"
-#include "common/trace.hh"
 
 namespace astra
 {
@@ -38,34 +37,6 @@ NetworkApi::exportStats(StatGroup &g) const
     g.set("energy.scaleout_pj", _energy.scaleoutLinkPj);
     g.set("energy.router_pj", _energy.routerPj);
     g.set("energy.total_uj", _energy.totalUj());
-}
-
-void
-NetworkApi::setupUtilLanes(std::vector<std::string> names,
-                           std::vector<int> link_counts)
-{
-    _dimNames = std::move(names);
-    _dimLinkCounts = std::move(link_counts);
-    _dimBusy.assign(_dimNames.size(), 0);
-    _dimBusyAtEmit.assign(_dimNames.size(), 0);
-}
-
-void
-NetworkApi::emitUtilCounters(Tick now)
-{
-    const Tick window = now - _lastEmitAt;
-    if (window == 0)
-        return;
-    for (std::size_t d = 0; d < _dimNames.size(); ++d) {
-        const Tick busy = _dimBusy[d] - _dimBusyAtEmit[d];
-        const double capacity =
-            static_cast<double>(window) * _dimLinkCounts[d];
-        _trace->counter(_tracePid, "net.util." + _dimNames[d], now,
-                        safeDiv(static_cast<double>(busy), capacity));
-        _dimBusyAtEmit[d] = _dimBusy[d];
-    }
-    _lastEmitAt = now;
-    _nextCounterAt = now + kUtilCounterInterval;
 }
 
 } // namespace astra

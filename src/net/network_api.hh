@@ -19,7 +19,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "common/config.hh"
@@ -33,7 +32,6 @@ namespace astra
 struct ChunkPayload;
 class FaultManager;
 class StatGroup;
-class TraceRecorder;
 class ValidatorRegistry;
 
 /**
@@ -176,18 +174,6 @@ class NetworkApi
     const Energy &energy() const { return _energy; }
 
     /**
-     * Attach a trace recorder: the backend emits throttled "ph":"C"
-     * per-dimension link-utilization counters into process lane
-     * @p pid. Observer-only (never schedules events). Null detaches.
-     */
-    void
-    setTrace(TraceRecorder *trace, int pid)
-    {
-        _trace = trace;
-        _tracePid = pid;
-    }
-
-    /**
      * Fold the backend's metrics into @p g. The base implementation
      * publishes delivery/energy totals; backends extend it with link
      * usage and backend-specific histograms.
@@ -245,48 +231,8 @@ class NetworkApi
         _energy.routerPj += flits * _eparams.routerPjPerFlit;
     }
 
-    /**
-     * Declare the counter lanes for per-dimension utilization tracing:
-     * one lane per topology dimension, with @p link_counts[i] links
-     * behind lane @p names[i]. Called once from backend constructors.
-     */
-    void setupUtilLanes(std::vector<std::string> names,
-                        std::vector<int> link_counts);
-
-    /** Accumulate @p tx busy ticks against dimension lane @p dim. */
-    void
-    addDimBusy(int dim, Tick tx)
-    {
-        if (dim >= 0 && std::size_t(dim) < _dimBusy.size())
-            _dimBusy[std::size_t(dim)] += tx;
-    }
-
-    /**
-     * Emit one utilization counter sample per dimension lane if at
-     * least kUtilCounterInterval ticks have passed since the last
-     * emission. Cheap no-op when no trace is attached. Called from the
-     * backends' grant paths.
-     */
-    void
-    maybeEmitUtilCounters(Tick now)
-    {
-        if (_trace && now >= _nextCounterAt)
-            emitUtilCounters(now);
-    }
-
-    /** Ticks between consecutive utilization counter samples. */
-    static constexpr Tick kUtilCounterInterval = 2048;
-
-    /** The attached trace recorder (null when tracing is off). */
-    TraceRecorder *trace() const { return _trace; }
-
-    /** Trace process lane utilization counters are emitted into. */
-    int tracePid() const { return _tracePid; }
-
   private:
     void resizeReceivers(std::size_t n) { _receivers.resize(n); }
-
-    void emitUtilCounters(Tick now);
 
     std::vector<Receiver> _receivers;
     LossHandler _lossHandler;
@@ -297,15 +243,6 @@ class NetworkApi
     Energy _energy;
     EnergyParams _eparams;
     int _flitBits = 0;
-
-    TraceRecorder *_trace = nullptr;
-    int _tracePid = 0;
-    Tick _nextCounterAt = 0;
-    std::vector<std::string> _dimNames;
-    std::vector<int> _dimLinkCounts;
-    std::vector<Tick> _dimBusy;     //!< cumulative busy ticks per dim
-    std::vector<Tick> _dimBusyAtEmit; //!< snapshot at the last emission
-    Tick _lastEmitAt = 0;
 };
 
 } // namespace astra

@@ -1,9 +1,10 @@
-// The collective passes' receive path: ring arrivals are buffered by
-// step and processed strictly in step order, direct arrivals in
-// arrival order, one endpoint delay apart; a step that arrives twice,
-// on the wrong wire step or once too often is a schedule bug. An
-// all-reduce holds an all-gather step that overtakes its own
-// reduce-scatter until that pass completes.
+// The collective passes' receive path: ring reduce-scatter and
+// all-gather arrivals are buffered by step and processed strictly in
+// step order, direct and all-to-all arrivals in arrival order, one
+// endpoint delay apart; a step that arrives twice, on the wrong wire
+// step or once too often is a schedule bug. An all-reduce holds an
+// all-gather step that overtakes its own reduce-scatter until that
+// pass completes.
 
 #include <gtest/gtest.h>
 
@@ -200,6 +201,69 @@ blockFrom(int src)
     auto p = std::make_shared<ChunkPayload>();
     p->blocks.emplace_back(src, 0);
     return p;
+}
+
+TEST(RingAllToAllReceive, SameTickArrivalsAreProcessedOneDelayApart)
+{
+    const int d = 4;
+    const Tick t = 100;
+    FakeRingNode node(d, 0, CollectiveKind::AllToAll);
+    RingAllToAll a2a(node);
+    a2a.start();
+    ASSERT_EQ(node.sent.size(), std::size_t(d - 1));
+    for (int i = 1; i < d; ++i)
+        EXPECT_EQ(node.sent[std::size_t(i - 1)].dst, i); // ring distance i
+
+    // All d-1 messages arrive at one tick.
+    const int order[] = {2, 3, 1};
+    node.eq.schedule(t, [&] {
+        for (int src : order)
+            a2a.onMessage(FakeRingNode::message(0, blockFrom(src)));
+    });
+
+    // The endpoint handles them one at a time, first come first.
+    for (int i = 1; i < d; ++i) {
+        node.eq.runUntil(t + Tick(i) * FakeRingNode::kDelay);
+        EXPECT_EQ(node.data().blocks().size(), std::size_t(i + 1));
+        EXPECT_EQ(node.data().blocks().back().first, order[i - 1]);
+    }
+    node.eq.run();
+    EXPECT_EQ(node.doneAt, t + Tick(d - 1) * FakeRingNode::kDelay);
+    EXPECT_TRUE(node.data().allToAllComplete());
+}
+
+TEST(RingAllToAllReceive, ArrivalBeforeStartWaitsForIt)
+{
+    const int d = 3;
+    FakeRingNode node(d, 0, CollectiveKind::AllToAll);
+    RingAllToAll a2a(node);
+    a2a.onMessage(FakeRingNode::message(0, blockFrom(1)));
+    a2a.onMessage(FakeRingNode::message(0, blockFrom(2)));
+    node.eq.run();
+    EXPECT_EQ(node.data().blocks().size(), std::size_t(d)); // untouched
+    EXPECT_EQ(node.doneAt, kTickInvalid);
+
+    const Tick started = node.eq.now();
+    a2a.start();
+    EXPECT_EQ(node.sent.size(), std::size_t(d - 1));
+    node.eq.run();
+    EXPECT_EQ(node.doneAt, started + Tick(d - 1) * FakeRingNode::kDelay);
+    EXPECT_TRUE(node.data().allToAllComplete());
+}
+
+TEST(RingAllToAllReceive, WrongStepOrExtraArrivalPanics)
+{
+    const int d = 3;
+    FakeRingNode node(d, 0, CollectiveKind::AllToAll);
+    RingAllToAll a2a(node);
+    a2a.start();
+    // Every message of the pass travels on its one wire step.
+    EXPECT_THROW(a2a.onMessage(FakeRingNode::message(1, blockFrom(1))),
+                 FatalError);
+    a2a.onMessage(FakeRingNode::message(0, blockFrom(1)));
+    a2a.onMessage(FakeRingNode::message(0, blockFrom(2)));
+    EXPECT_THROW(a2a.onMessage(FakeRingNode::message(0, blockFrom(2))),
+                 FatalError);
 }
 
 TEST(DirectReceive, ArrivalsAreAppliedInArrivalOrder)

@@ -266,17 +266,20 @@ TEST(FaultManager, DropWindowGatesTheCounter)
 
 TEST(FaultManager, PickChannelReplansAroundForeverDownLinks)
 {
-    // Ring table: dim 0 has channels 0 (links 0,1) and 1 (links 2,3).
-    std::map<std::pair<int, int>, std::vector<std::int32_t>> rings;
-    rings[{0, 0}] = {0, 1};
-    rings[{0, 1}] = {2, 3};
+    // Ring rows: dim 0 has channels 0 (links 0,1) and 1 (links 2,3).
+    const std::int32_t ch0[] = {0, 1};
+    const std::int32_t ch1[] = {2, 3};
+    auto bindRings = [&](FaultManager &fm) {
+        fm.bindRingChannel(0, 0, ch0);
+        fm.bindRingChannel(0, 1, ch1);
+    };
 
     {
         // No relevant faults: the historical id % channels choice.
         FaultPlan plan;
         plan.addRule("down link=2 from=0 to=100"); // transient only
         FaultManager fm(std::move(plan));
-        fm.bindRingChannels(rings);
+        bindRings(fm);
         EXPECT_EQ(fm.pickChannel(0, 2, 5), 1);
         EXPECT_EQ(fm.pickChannel(0, 2, 6), 0);
     }
@@ -285,7 +288,7 @@ TEST(FaultManager, PickChannelReplansAroundForeverDownLinks)
         FaultPlan plan;
         plan.addRule("down link=2 from=50 to=end");
         FaultManager fm(std::move(plan));
-        fm.bindRingChannels(rings);
+        bindRings(fm);
         EXPECT_EQ(fm.pickChannel(0, 2, 5), 0);
         EXPECT_EQ(fm.pickChannel(0, 2, 6), 0);
         // Unbound dimension: fall back to id % channels.
@@ -297,7 +300,7 @@ TEST(FaultManager, PickChannelReplansAroundForeverDownLinks)
         plan.addRule("down link=0 from=0 to=end");
         plan.addRule("down link=2 from=0 to=end");
         FaultManager fm(std::move(plan));
-        fm.bindRingChannels(rings);
+        bindRings(fm);
         EXPECT_EQ(fm.pickChannel(0, 2, 5), 1);
     }
 }

@@ -97,6 +97,102 @@ function(check_rising what xs ys mode)
     set(failures "${failures}" PARENT_SCOPE)
 endfunction()
 
+# Set <out> to the byte counts of the "size" column of <csv> ("32KB",
+# "2MB", ...), and fail unless they strictly rise row by row, so the
+# first row is the smallest size and the last the largest.
+function(csv_sizes csv out)
+    csv_column(${csv} size labels)
+    set(values "")
+    set(prev -1)
+    foreach(label IN LISTS labels)
+        if(NOT label MATCHES "^([0-9]+)(B|KB|MB|GB)$")
+            message(FATAL_ERROR "${csv}: size '${label}' is not <n>B/KB/MB/GB")
+        endif()
+        set(units B KB MB GB)
+        list(FIND units "${CMAKE_MATCH_2}" power)
+        math(EXPR n "${CMAKE_MATCH_1} << (10 * ${power})")
+        if(NOT n GREATER prev)
+            message(FATAL_ERROR "${csv}: sizes not in rising order at ${label}")
+        endif()
+        set(prev "${n}")
+        list(APPEND values "${n}")
+    endforeach()
+    set(${out} "${values}" PARENT_SCOPE)
+endfunction()
+
+# Record a failure for every value of <ys> that is not <op> (LESS or
+# GREATER) <bound>; <labels> names the rows in the message.
+function(check_each what labels ys op bound)
+    list(LENGTH ys n)
+    math(EXPR last "${n} - 1")
+    foreach(i RANGE ${last})
+        list(GET labels ${i} label)
+        list(GET ys ${i} y)
+        if(NOT y ${op} bound)
+            string(TOLOWER "${op}" rel)
+            list(APPEND failures "${what}: ${y} at ${label}, not ${rel} than ${bound}")
+        endif()
+    endforeach()
+    set(failures "${failures}" PARENT_SCOPE)
+endfunction()
+
+# Fig. 9 all-to-all: the alltoall topology beats the torus at every
+# size.
+csv_column(fig09_ALLTOALL.csv size labels)
+csv_column(fig09_ALLTOALL.csv alltoall/torus ratio)
+check_each("Fig. 9 all-to-all alltoall/torus" "${labels}" "${ratio}"
+           LESS 1)
+
+# Fig. 9 all-reduce: the alltoall topology wins at the smallest size
+# and the torus at the largest (the switch links queue as size grows).
+csv_sizes(fig09_ALLREDUCE.csv sizes)
+csv_column(fig09_ALLREDUCE.csv size labels)
+csv_column(fig09_ALLREDUCE.csv alltoall_cycles a2a)
+csv_column(fig09_ALLREDUCE.csv torus_cycles torus)
+list(GET labels 0 small)
+list(GET a2a 0 a2a_small)
+list(GET torus 0 torus_small)
+list(GET labels -1 large)
+list(GET a2a -1 a2a_large)
+list(GET torus -1 torus_large)
+if(NOT a2a_small LESS torus_small)
+    list(APPEND failures
+         "Fig. 9 all-reduce at ${small}: alltoall ${a2a_small} cycles, not below torus ${torus_small}")
+endif()
+if(NOT torus_large LESS a2a_large)
+    list(APPEND failures
+         "Fig. 9 all-reduce at ${large}: torus ${torus_large} cycles, not below alltoall ${a2a_large}")
+endif()
+
+# Fig. 11 all-to-all: the asymmetric package beats the symmetric one
+# at every size.
+csv_column(fig11_alltoall.csv size labels)
+csv_column(fig11_alltoall.csv speedup speedup)
+check_each("Fig. 11 all-to-all speedup" "${labels}" "${speedup}" GREATER 1)
+
+# Fig. 11 all-reduce: the asymmetric 3-phase baseline beats the
+# symmetric one at every size, and the enhanced 4-phase algorithm's
+# speedup over it is above 1 and never falls as the size grows.
+csv_sizes(fig11_allreduce.csv sizes)
+csv_column(fig11_allreduce.csv size labels)
+csv_column(fig11_allreduce.csv sym_baseline sym)
+csv_column(fig11_allreduce.csv "asym_baseline(3ph)" asym)
+list(LENGTH sym n)
+math(EXPR last "${n} - 1")
+foreach(i RANGE ${last})
+    list(GET labels ${i} label)
+    list(GET sym ${i} s)
+    list(GET asym ${i} a)
+    if(NOT a LESS s)
+        list(APPEND failures
+             "Fig. 11 all-reduce at ${label}: asym_baseline(3ph) ${a}, not below sym_baseline ${s}")
+    endif()
+endforeach()
+csv_column(fig11_allreduce.csv enh_speedup enh)
+check_each("Fig. 11 all-reduce enh_speedup" "${labels}" "${enh}" GREATER 1)
+check_rising("Fig. 11 all-reduce enh_speedup" "${sizes}" "${enh}"
+             NONDECREASING)
+
 # Fig. 17: the exposed-communication share does not shrink as the
 # system grows.
 csv_column(fig17_size_scaling.csv npus npus)

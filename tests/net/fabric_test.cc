@@ -41,6 +41,37 @@ TEST(Fabric, AllToAllLinkCount)
     EXPECT_EQ(f.numLinks(), 16 * 2 + 7 * 16 * 2);
 }
 
+TEST(Fabric, RingRowsHoldTheLinkLeavingEachNode)
+{
+    SimConfig torus;
+    torus.torus(2, 3, 4);
+    SimConfig a2a;
+    a2a.allToAll(2, 8, 7);
+    for (const SimConfig &cfg : {torus, a2a}) {
+        Topology topo(cfg);
+        Fabric f(topo, cfg);
+        for (int d = 0; d < topo.numDims(); ++d) {
+            const DimInfo &info = topo.dim(d);
+            const bool ring =
+                info.pattern == DimPattern::Ring && info.size >= 2;
+            ASSERT_EQ(f.ringChannels(d), ring ? info.channels : 0);
+            for (int ch = 0; ch < f.ringChannels(d); ++ch) {
+                const auto row = f.ringLinks(d, ch);
+                ASSERT_EQ(row.size(), std::size_t(topo.numNodes()));
+                for (NodeId n = 0; n < topo.numNodes(); ++n) {
+                    const LinkDesc &l = f.link(row[std::size_t(n)]);
+                    EXPECT_EQ(l.from, n);
+                    EXPECT_EQ(l.to, topo.ringNext(d, ch, n));
+                    EXPECT_EQ(l.dim, d);
+                }
+            }
+        }
+        // Links are numbered dimension by dimension.
+        for (LinkId l = 1; l < f.numLinks(); ++l)
+            EXPECT_LE(f.link(l - 1).dim, f.link(l).dim);
+    }
+}
+
 TEST(Fabric, MaxRouteLengthIsTheLongestRoute)
 {
     // The analytical backend sizes each transfer's route slot with

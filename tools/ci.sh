@@ -117,6 +117,17 @@ for coll in allreduce reducescatter allgather alltoall; do
         --local-dim=2 --vertical-dim=1 --validate --digest=verify \
         >/dev/null
 done
+# The all-to-all receive discipline where arrivals queue at the
+# endpoint: an endpoint delay near a hop time, and retried messages
+# under the shipped fault plan.
+for backend in analytical garnet-lite; do
+    ./build/tools/astra-sim --collective=alltoall --bytes=64KB \
+        --config=configs/table4_defaults.cfg --endpoint-delay=1000 \
+        --backend="$backend" --validate --digest=verify >/dev/null
+    ./build/tools/astra-sim --collective=alltoall --bytes=1MB \
+        --config=configs/faulty_4x4x4.cfg --backend="$backend" \
+        --validate --digest=verify >/dev/null
+done
 echo "validated ring and direct passes of all four collectives"
 
 echo "=== fault-injection smoke (docs/faults.md) ==="

@@ -10,6 +10,11 @@
 # of a 16-NPU explore sweep with each candidate's event digest. The
 # golden_explore ctest byte-compares a fresh run against it.
 #
+# Also regenerate tests/golden/traces.txt: the SHA-256 of the Chrome
+# trace (--trace-file) of a 1MB table4 all-reduce on each backend,
+# which pins the network's utilization counter lanes. The
+# golden_traces ctest re-runs every line.
+#
 # And regenerate tests/golden/figures/*.csv: the --csv output of every
 # paper-figure harness (Fig. 17 at --quick size), taken from the bench/
 # directory of the same build tree. The golden_<harness> ctests
@@ -26,6 +31,7 @@ cd "$(dirname "$0")/.."
 SIM="${1:-build/tools/astra-sim}"
 OUT=tests/golden/digests.txt
 EXPLORE_OUT=tests/golden/explore16.csv
+TRACE_OUT=tests/golden/traces.txt
 
 cases=()
 for cfg in configs/*.cfg; do
@@ -66,6 +72,13 @@ done
 for coll in reducescatter allgather alltoall; do
     cases+=("--collective=$coll --bytes=256KB --topology=AllToAll --num-packages=4 --package-rows=4 --local-dim=2 --vertical-dim=1 --backend=analytical")
 done
+# The receive discipline of the all-to-all passes: with an endpoint
+# delay near a hop time, or with retried messages, arrivals come closer
+# together than one endpoint delay and queue at the endpoint.
+for backend in analytical garnet; do
+    cases+=("--collective=alltoall --bytes=64KB --config=configs/table4_defaults.cfg --endpoint-delay=1000 --backend=$backend")
+done
+cases+=("--collective=alltoall --bytes=1MB --config=configs/faulty_4x4x4.cfg --backend=garnet")
 
 tmp="$(mktemp)"
 report="$(mktemp)"
@@ -101,6 +114,29 @@ trap 'rm -f "$explore"' EXIT
 mv "$explore" "$EXPLORE_OUT"
 trap - EXIT
 echo "wrote $EXPLORE_OUT ($(($(wc -l < "$EXPLORE_OUT") - 1)) candidates)"
+
+trace_cases=()
+for backend in analytical garnet; do
+    trace_cases+=("--collective=allreduce --bytes=1MB --config=configs/table4_defaults.cfg --backend=$backend")
+done
+trace="$(mktemp)"
+tmp="$(mktemp)"
+trap 'rm -f "$trace" "$tmp"' EXIT
+{
+    echo "# Goldens of astra-sim traces: <trace-sha256> <arguments>, the"
+    echo "# SHA-256 of the --trace-file output. Checked by the golden_traces"
+    echo "# ctest (tests/golden/check_traces.cmake); regenerate with"
+    echo "# tools/update_goldens.sh."
+    for args in "${trace_cases[@]}"; do
+        # shellcheck disable=SC2086 # $args is a word list on purpose
+        "$SIM" $args --trace-file="$trace" >/dev/null
+        echo "$(sha256sum "$trace" | cut -d' ' -f1) $args"
+    done
+} > "$tmp"
+mv "$tmp" "$TRACE_OUT"
+rm -f "$trace"
+trap - EXIT
+echo "wrote $TRACE_OUT (${#trace_cases[@]} runs)"
 
 # The paper-figure harnesses sit next to tools/ in the build tree.
 BENCH="$(dirname "$(dirname "$SIM")")/bench"
