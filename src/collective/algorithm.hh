@@ -8,7 +8,10 @@
  * model: a node cannot observe a peer's state, only its messages.
  *
  * The system layer (src/core) implements AlgContext; the algorithms
- * are agnostic of streams, LSQs and the physical network.
+ * are agnostic of streams, LSQs and the physical network. An instance
+ * reads its phase's facts (PhaseFacts: group size, rank, direction,
+ * channel, entry bytes, endpoint delay) from AlgContext::phase(),
+ * which the system layer fixes when the chunk enters the phase.
  */
 
 #ifndef ASTRA_COLLECTIVE_ALGORITHM_HH
@@ -26,24 +29,33 @@ namespace astra
 {
 
 /**
- * Services the system layer provides to an algorithm instance.
+ * One node's facts of one phase, fixed when its chunk enters the phase:
+ * none of them changes while the phase runs (Sec. IV-B: each NPU runs
+ * one phase algorithm per chunk on one dimension and channel).
+ */
+struct PhaseFacts
+{
+    int dim = 0;            //!< topology dimension of the phase
+    int groupSize = 1;      //!< d: nodes in the phase's group
+    int rank = 0;           //!< this node's rank (coordinate) in it
+    int direction = +1;     //!< ring direction of the channel; +1 off rings
+    int channel = 0;        //!< channel this chunk's LSQ is bound to
+    int numChannels = 1;    //!< channels of the dimension
+    Bytes entryBytes = 0;   //!< bytes this node holds entering the phase
+    Tick endpointDelay = 0; //!< per-message handling cost (parameter
+                            //!< #13), stretched on a straggler node
+};
+
+/**
+ * Services the system layer provides to an algorithm instance. The
+ * per-phase facts are plain data the implementation fills when a phase
+ * is entered; the rest is behaviour.
  */
 class AlgContext
 {
   public:
-    virtual ~AlgContext() = default;
-
-    /** Number of nodes in this phase's group. */
-    virtual int groupSize() const = 0;
-
-    /** This node's rank within the phase group (== its coordinate). */
-    virtual int myRank() const = 0;
-
-    /** Ring direction (+1/-1) of the channel this chunk was assigned. */
-    virtual int direction() const = 0;
-
-    /** Bytes this node holds entering the phase. */
-    virtual Bytes entryBytes() const = 0;
+    /** This node's facts of the running phase. */
+    const PhaseFacts &phase() const { return _facts; }
 
     /** The chunk's trackable data state. */
     virtual ChunkState &data() = 0;
@@ -51,20 +63,14 @@ class AlgContext
     /**
      * Send @p bytes to the phase-group member with rank @p dst_rank
      * through channel @p channel of this phase's dimension. A ring
-     * pass sends on myChannel(); a direct pass spreads its concurrent
-     * transfers over the global switches (Sec. III-B: "receiving data
-     * from all other nodes at the same time"). @p step disambiguates
-     * algorithm steps at the receiver; @p payload carries the tracking
-     * state.
+     * pass sends on phase().channel; a direct pass spreads its
+     * concurrent transfers over the global switches (Sec. III-B:
+     * "receiving data from all other nodes at the same time"). @p step
+     * disambiguates algorithm steps at the receiver; @p payload
+     * carries the tracking state.
      */
     virtual void send(int dst_rank, int channel, Bytes bytes, int step,
                       std::shared_ptr<const ChunkPayload> payload) = 0;
-
-    /** Number of channels available in this phase's dimension. */
-    virtual int numChannels() const = 0;
-
-    /** Channel this chunk's LSQ is bound to. */
-    virtual int myChannel() const = 0;
 
     /**
      * Run @p fn after @p delay cycles. Takes the event queue's own
@@ -74,9 +80,6 @@ class AlgContext
      */
     virtual void scheduleAfter(Tick delay, EventCallback fn) = 0;
 
-    /** Per-received-message endpoint processing delay (parameter #13). */
-    virtual Tick endpointDelay() const = 0;
-
     /**
      * Coordinate along this phase's dimension of the participant with
      * global rank @p global_rank (multi-phase all-to-all routing).
@@ -85,6 +88,13 @@ class AlgContext
 
     /** Signal that this node has finished the phase. */
     virtual void phaseDone() = 0;
+
+  protected:
+    /** Not owned through this interface. */
+    ~AlgContext() = default;
+
+    /** Set by the implementation before the phase's algorithm exists. */
+    PhaseFacts _facts;
 };
 
 /**

@@ -26,7 +26,7 @@ makePhaseAlgorithm(DimPattern pattern, CollectiveKind op, AlgContext &ctx)
         if (ring)
             return std::make_unique<
                 AllReduce<RingReduceScatter, RingAllGather>>(
-                ctx, ctx.groupSize() - 1);
+                ctx, ctx.phase().groupSize - 1);
         return std::make_unique<
             AllReduce<DirectReduceScatter, DirectAllGather>>(ctx, 1);
       case CollectiveKind::AllToAll:

@@ -92,20 +92,6 @@ ChunkState::finalize()
     _done = true;
 }
 
-void
-ChunkState::noteTimeout()
-{
-    checkOp(ChunkOp::Timeout);
-    ++_timeouts;
-}
-
-void
-ChunkState::noteRetry()
-{
-    checkOp(ChunkOp::Retry);
-    ++_retries;
-}
-
 ChunkPayload
 ChunkState::makeRangePayload(const ElemRange &range, bool reduce) const
 {
@@ -168,20 +154,24 @@ ChunkState::restrictValidTo(const ElemRange &keep)
     _current = keep;
 }
 
-std::vector<std::pair<int, int>>
-ChunkState::takeBlocksIf(
-    const std::function<bool(int src, int dst)> &pred)
+std::vector<std::vector<std::pair<int, int>>>
+ChunkState::takeBlocksByPart(int parts, int keep,
+                             const std::function<int(int dst)> &part_of)
 {
     checkOp(ChunkOp::TakeBlocks);
-    std::vector<std::pair<int, int>> taken;
-    std::vector<std::pair<int, int>> kept;
+    std::vector<std::vector<std::pair<int, int>>> taken(
+        static_cast<std::size_t>(parts));
+    std::size_t kept = 0;
     for (const auto &b : _blocks) {
-        if (pred(b.first, b.second))
-            taken.push_back(b);
+        const int part = part_of(b.second);
+        if (part < 0 || part >= parts)
+            panic("block to %d in part %d of %d", b.second, part, parts);
+        if (part == keep)
+            _blocks[kept++] = b;
         else
-            kept.push_back(b);
+            taken[std::size_t(part)].push_back(b);
     }
-    _blocks = std::move(kept);
+    _blocks.resize(kept);
     return taken;
 }
 

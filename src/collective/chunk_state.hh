@@ -145,13 +145,16 @@ class ChunkState
     }
 
     /**
-     * Remove and return the held blocks for which @p route_rank
-     * matches the supplied selector result. Used by multi-phase
-     * all-to-all: a phase forwards every block whose destination is
-     * reachable through a given neighbour.
+     * Split the held blocks by the part @p part_of(dst) of their
+     * destination, 0 <= part < @p parts: the blocks of part @p keep
+     * stay held, every other block moves into its part of the result,
+     * and both keep their held order. A multi-phase all-to-all phase
+     * splits by the phase coordinate of the destination: each part is
+     * what it forwards through one neighbour.
      */
-    std::vector<std::pair<int, int>>
-    takeBlocksIf(const std::function<bool(int src, int dst)> &pred);
+    std::vector<std::vector<std::pair<int, int>>>
+    takeBlocksByPart(int parts, int keep,
+                     const std::function<int(int dst)> &part_of);
 
     /** Install forwarded blocks. */
     void addBlocks(const std::vector<std::pair<int, int>> &blocks);
@@ -186,17 +189,12 @@ class ChunkState
      * Record that a send of this chunk was lost and timed out. An FSM
      * transition like any other: illegal on a finalized chunk, so a
      * retry racing a completed collective is caught under validation.
+     * (Sys counts them in its "fault.retries*" stats.)
      */
-    void noteTimeout();
+    void noteTimeout() { checkOp(ChunkOp::Timeout); }
 
     /** Record that the timed-out send is being retransmitted. */
-    void noteRetry();
-
-    /** Timeouts recorded against this chunk. */
-    std::uint64_t timeouts() const { return _timeouts; }
-
-    /** Retransmissions recorded against this chunk. */
-    std::uint64_t retries() const { return _retries; }
+    void noteRetry() { checkOp(ChunkOp::Retry); }
 
   private:
     /**
@@ -217,8 +215,6 @@ class ChunkState
     std::vector<bool> _valid;
     std::vector<std::pair<int, int>> _blocks;
     std::uint64_t _payloadsApplied = 0;
-    std::uint64_t _timeouts = 0;
-    std::uint64_t _retries = 0;
 };
 
 } // namespace astra

@@ -12,9 +12,10 @@ namespace
 
 /** Spread the transfer to @p dst_rank over the global switches. */
 int
-channelFor(AlgContext &ctx, int dst_rank)
+channelFor(const AlgContext &ctx, int dst_rank)
 {
-    return (ctx.myRank() + dst_rank + ctx.myChannel()) % ctx.numChannels();
+    const PhaseFacts &ph = ctx.phase();
+    return (ph.rank + dst_rank + ph.channel) % ph.numChannels;
 }
 
 } // namespace
@@ -99,7 +100,7 @@ DirectAllGather::processStep(
 DirectAllToAll::DirectAllToAll(AlgContext &ctx) : AllToAllPass(ctx) {}
 
 void
-DirectAllToAll::begin()
+DirectAllToAll::sendParts()
 {
     for (int j = 0; j < _d; ++j) {
         if (j != _r)

@@ -69,7 +69,7 @@ class DirectAllToAll : public AllToAllPass
     explicit DirectAllToAll(AlgContext &ctx);
 
   protected:
-    void begin() override;
+    void sendParts() override;
 };
 
 } // namespace astra

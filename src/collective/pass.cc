@@ -7,8 +7,8 @@ namespace astra
 
 PassBase::PassBase(AlgContext &ctx, ReceiveOrder order, int first_step,
                    PassBase *next)
-    : _ctx(ctx), _d(ctx.groupSize()), _r(ctx.myRank()),
-      _dir(ctx.direction()), _firstStep(first_step),
+    : _ctx(ctx), _d(ctx.phase().groupSize), _r(ctx.phase().rank),
+      _dir(ctx.phase().direction), _firstStep(first_step),
       _stepOrdered(order == ReceiveOrder::ByStep), _next(next),
       _slots(std::size_t(_d - 1))
 {
@@ -58,9 +58,9 @@ PassBase::pumpReceives()
         !_slots[std::size_t(_nextRecv)])
         return;
     _processing = true;
-    // The endpoint (NMU) spends endpointDelay cycles per received
+    // The endpoint (NMU) spends the endpoint delay per received
     // message before its data is usable.
-    _ctx.scheduleAfter(_ctx.endpointDelay(), [this] {
+    _ctx.scheduleAfter(_ctx.phase().endpointDelay, [this] {
         _processing = false;
         const int s = _nextRecv++;
         const auto payload = std::move(_slots[std::size_t(s)]);
@@ -88,13 +88,23 @@ AllToAllPass::AllToAllPass(AlgContext &ctx)
 }
 
 void
+AllToAllPass::begin()
+{
+    // One pass over the held blocks: each peer's part is sent whole,
+    // and the blocks bound for this node's own coordinate stay held.
+    _parts = _ctx.data().takeBlocksByPart(_d, _r, [this](int dst) {
+        return _ctx.phaseCoordOfGlobalRank(dst);
+    });
+    sendParts();
+}
+
+void
 AllToAllPass::sendBlocksTo(int dst, int channel)
 {
     auto payload = std::make_shared<ChunkPayload>();
-    payload->blocks = _ctx.data().takeBlocksIf([this, dst](int, int blk_dst) {
-        return _ctx.phaseCoordOfGlobalRank(blk_dst) == dst;
-    });
-    _ctx.send(dst, channel, (_ctx.entryBytes() + Bytes(_d) - 1) / Bytes(_d),
+    payload->blocks = std::move(_parts[std::size_t(dst)]);
+    _ctx.send(dst, channel,
+              (_ctx.phase().entryBytes + Bytes(_d) - 1) / Bytes(_d),
               _firstStep, std::move(payload));
 }
 

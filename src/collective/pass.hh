@@ -14,6 +14,10 @@
  * time, each after the endpoint delay (the NMU's per-message handling
  * cost), and only once the pass has started: arrivals that come
  * before start() wait in their slots.
+ *
+ * A pass reads its group size, rank, direction, channel and endpoint
+ * delay from AlgContext::phase(); they are fixed for the whole phase,
+ * so the pass copies the first three at construction.
  */
 
 #ifndef ASTRA_COLLECTIVE_PASS_HH
@@ -101,23 +105,33 @@ class PassBase : public PhaseAlgorithm
  * members one message with the blocks routable through it (Sec.
  * III-D: with multi-phase plans that includes every block it relays in
  * later phases), and applies the d-1 messages it receives by arrival.
- * The derived passes differ only in the order and channels of begin()'s
- * sends.
+ * begin() splits the held blocks by the phase coordinate of their
+ * destination once; the derived passes differ only in the order and
+ * channels of sendParts()'s sends.
  */
 class AllToAllPass : public PassBase
 {
   protected:
     explicit AllToAllPass(AlgContext &ctx);
 
+    void begin() final;
+
+    /** Send every other member its part (sendBlocksTo). */
+    virtual void sendParts() = 0;
+
     /**
-     * Send phase rank @p dst, on channel @p channel, the blocks whose
-     * destination lies at @p dst's coordinate of this phase's
-     * dimension: ceil(entry / d) bytes.
+     * Send phase rank @p dst, on channel @p channel, its part: the
+     * blocks whose destination lies at @p dst's coordinate of this
+     * phase's dimension; ceil(entry / d) bytes.
      */
     void sendBlocksTo(int dst, int channel);
 
     void processStep(
         int s, const std::shared_ptr<const ChunkPayload> &payload) final;
+
+  private:
+    /** The blocks bound for each phase rank, taken at begin(). */
+    std::vector<std::vector<std::pair<int, int>>> _parts;
 };
 
 /**

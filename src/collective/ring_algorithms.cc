@@ -25,7 +25,7 @@ RingReduceScatter::sendStep(int s)
 {
     const int block = mod(_r - _dir * s);
     const ElemRange br = _entryRange.subRange(_d, block);
-    _ctx.send(mod(_r + _dir), _ctx.myChannel(),
+    _ctx.send(mod(_r + _dir), _ctx.phase().channel,
               _ctx.data().bytesFor(br.length()), _firstStep + s,
               std::make_shared<const ChunkPayload>(
                   _ctx.data().makeRangePayload(br, /*reduce=*/true)));
@@ -63,7 +63,7 @@ RingAllGather::begin()
     _hullLo = cur.lo;
     _hullHi = cur.hi;
     // Step 0: broadcast the own block to the successor.
-    _ctx.send(mod(_r + _dir), _ctx.myChannel(),
+    _ctx.send(mod(_r + _dir), _ctx.phase().channel,
               _ctx.data().bytesFor(cur.length()), _firstStep,
               std::make_shared<const ChunkPayload>(
                   _ctx.data().makeRangePayload(cur, /*reduce=*/false)));
@@ -78,7 +78,7 @@ RingAllGather::processStep(
     _hullHi = std::max(_hullHi, payload->range.hi);
     if (!lastStep(s)) {
         // Relay the block onward unchanged.
-        _ctx.send(mod(_r + _dir), _ctx.myChannel(),
+        _ctx.send(mod(_r + _dir), _ctx.phase().channel,
                   _ctx.data().bytesFor(payload->range.length()),
                   _firstStep + s + 1, payload);
     } else {
@@ -92,12 +92,12 @@ RingAllGather::processStep(
 RingAllToAll::RingAllToAll(AlgContext &ctx) : AllToAllPass(ctx) {}
 
 void
-RingAllToAll::begin()
+RingAllToAll::sendParts()
 {
     // All messages are available up front: data destined to the node
     // at ring distance i goes out i-th.
     for (int i = 1; i < _d; ++i)
-        sendBlocksTo(mod(_r + _dir * i), _ctx.myChannel());
+        sendBlocksTo(mod(_r + _dir * i), _ctx.phase().channel);
 }
 
 } // namespace astra

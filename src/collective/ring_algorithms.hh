@@ -72,7 +72,7 @@ class RingAllToAll : public AllToAllPass
     explicit RingAllToAll(AlgContext &ctx);
 
   protected:
-    void begin() override;
+    void sendParts() override;
 };
 
 } // namespace astra

@@ -43,9 +43,6 @@ class GroupInfo
     /** The local node's global rank. */
     int myRank() const { return _myRank; }
 
-    /** Participating dimensions, ascending. */
-    const std::vector<int> &dims() const { return _dims; }
-
     /** Coordinate along dimension @p dim of global rank @p g. */
     int coordOf(int g, int dim) const;
 

@@ -47,10 +47,9 @@ Scheduler::lsqKeyAt(std::size_t i) const
 }
 
 Scheduler::LsqKey
-Scheduler::keyFor(const Stream *s, int p) const
+Scheduler::keyFor(const Stream *s) const
 {
-    const PhaseDesc &ph = s->plan().at(std::size_t(p));
-    return LsqKey{p, ph.dim, s->channelFor(p)};
+    return LsqKey{s->phaseIndex(), s->phase().dim, s->phase().channel};
 }
 
 void
@@ -96,20 +95,20 @@ Scheduler::dispatch()
         Stream *s = _ready.front();
         _ready.pop_front();
         ++issued;
-        ++_phase0Active;
-        ++_inFlight;
-        const Tick now = _sys.now();
-        sampleReadyDelay(s, now);
-        s->enterPhase(0, now);
-        enqueue(s, 0);
+        release(s);
     }
 }
 
 void
-Scheduler::sampleReadyDelay(Stream *s, Tick now)
+Scheduler::release(Stream *s)
 {
+    ++_phase0Active;
+    ++_inFlight;
+    const Tick now = _sys.now();
     _queueDelay.record(_sys.stats(), 0, s->handle()->layer,
                        static_cast<double>(now - s->submittedAt));
+    s->enterPhase(0, now);
+    enqueue(s);
 }
 
 void
@@ -124,15 +123,9 @@ Scheduler::traceReadyDepth()
 }
 
 void
-Scheduler::enqueuePhase(Stream *stream, int p)
+Scheduler::enqueue(Stream *s)
 {
-    enqueue(stream, p);
-}
-
-void
-Scheduler::enqueue(Stream *s, int p)
-{
-    const LsqKey key = keyFor(s, p);
+    const LsqKey key = keyFor(s);
     const std::size_t slot = lsqIndex(key);
     if (slot >= _lsqs.size()) {
         // A plan deeper than any seen: add every LSQ of its phases.
@@ -146,8 +139,8 @@ Scheduler::enqueue(Stream *s, int p)
     pump(key);
     // Deadlock guard (see file comment): if peers are already sending
     // for this phase, run the chunk regardless of the concurrency cap.
-    if (!s->phaseStarted() && _sys.hasBufferedMessages(s->id(), p))
-        promoteIfWaiting(s, p);
+    if (!s->phaseStarted() && _sys.hasBufferedMessages(s->id(), key.phase))
+        promoteIfWaiting(s, key.phase);
 }
 
 void
@@ -180,7 +173,7 @@ Scheduler::admit(Stream *s, const LsqKey &key)
 void
 Scheduler::promoteIfWaiting(Stream *stream, int p)
 {
-    if (stream->phase() == -1 && p == 0) {
+    if (stream->phaseIndex() == -1 && p == 0) {
         // Peers are already executing this chunk's first phase but our
         // dispatcher has not released it (T/P throttling): release it
         // now, or the cluster can deadlock on the dispatcher itself.
@@ -188,18 +181,13 @@ Scheduler::promoteIfWaiting(Stream *stream, int p)
         if (pos == _ready.end())
             return;
         _ready.erase(pos);
-        ++_phase0Active;
-        ++_inFlight;
-        const Tick now = _sys.now();
-        sampleReadyDelay(stream, now);
-        stream->enterPhase(0, now);
-        enqueue(stream, 0);
+        release(stream);
         traceReadyDepth();
         return;
     }
-    if (stream->phase() != p || stream->phaseStarted())
+    if (stream->phaseIndex() != p || stream->phaseStarted())
         return;
-    const LsqKey key = keyFor(stream, p);
+    const LsqKey key = keyFor(stream);
     const std::size_t slot = lsqIndex(key);
     if (slot >= _lsqs.size())
         return;
@@ -212,9 +200,10 @@ Scheduler::promoteIfWaiting(Stream *stream, int p)
 }
 
 void
-Scheduler::onPhaseFinished(Stream *stream, int p, bool stream_complete)
+Scheduler::onPhaseFinished(Stream *stream, bool stream_complete)
 {
-    const LsqKey key = keyFor(stream, p);
+    const LsqKey key = keyFor(stream);
+    const int p = key.phase;
     Lsq &q = _lsqs[lsqIndex(key)];
     ASTRA_CHECK(q.active > 0,
                 "LSQ accounting underflow on npu %d: phase %d "

@@ -75,15 +75,18 @@ class Scheduler
     /** A new chunk enters the ready queue. */
     void submit(Stream *stream);
 
-    /** Chunk entered phase @p p (p > 0): put it into its LSQ. */
-    void enqueuePhase(Stream *stream, int p);
+    /**
+     * Chunk entered a phase (Stream::enterPhase): put it into that
+     * phase's LSQ and try admissions.
+     */
+    void enqueue(Stream *s);
 
     /**
-     * Chunk finished phase @p p: release its LSQ slot, trigger the
-     * dispatcher (p == 0) and admissions. @p stream_complete marks the
-     * final phase.
+     * Chunk finished its current phase: release its LSQ slot, trigger
+     * the dispatcher (phase 0) and admissions. @p stream_complete
+     * marks the final phase.
      */
-    void onPhaseFinished(Stream *stream, int p, bool stream_complete);
+    void onPhaseFinished(Stream *stream, bool stream_complete);
 
     /**
      * Messages arrived for @p stream's phase @p p; promote it if it is
@@ -122,8 +125,8 @@ class Scheduler
         int active = 0;
     };
 
-    /** Key of the LSQ stream @p s uses for phase @p p. */
-    LsqKey keyFor(const Stream *s, int p) const;
+    /** Key of the LSQ of @p s's current phase (its PhaseFacts). */
+    LsqKey keyFor(const Stream *s) const;
 
     /** Slot of @p key in _lsqs (keys in lexicographic order). */
     std::size_t
@@ -137,17 +140,17 @@ class Scheduler
     /** Key of slot @p i of _lsqs (inverse of lsqIndex). */
     LsqKey lsqKeyAt(std::size_t i) const;
 
-    /** Put @p s into its phase-@p p LSQ and try admissions. */
-    void enqueue(Stream *s, int p);
-
     /** Admit eligible waiters of @p key. */
     void pump(const LsqKey &key);
 
     /** Start @p s's current phase (admission). */
     void admit(Stream *s, const LsqKey &key);
 
-    /** Record ready-queue (P0) delay, globally and per layer. */
-    void sampleReadyDelay(Stream *s, Tick now);
+    /**
+     * Release ready chunk @p s into the pipeline: count it, record its
+     * ready-queue (P0) delay, enter phase 0 and enqueue it.
+     */
+    void release(Stream *s);
 
     /** Emit a ready-queue depth trace counter (no-op without trace). */
     void traceReadyDepth();

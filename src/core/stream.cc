@@ -6,64 +6,23 @@
 namespace astra
 {
 
-Stream::Stream(Sys &sys, StreamId id, CollectiveKind kind,
-               Bytes chunk_bytes, PhasePlan plan, GroupInfo group,
+Stream::Stream(Sys &sys, StreamId id, Bytes chunk_bytes,
                std::shared_ptr<CollectiveHandle> handle)
-    : _sys(sys), _id(id), _kind(kind), _chunkBytes(chunk_bytes),
-      _plan(std::move(plan)), _group(std::move(group)),
-      _handle(std::move(handle)),
-      _data(_group.size(), _group.myRank(), chunk_bytes, kind)
+    : _sys(sys), _id(id), _handle(std::move(handle)),
+      _data(group().size(), group().myRank(), chunk_bytes, kind())
 {
-    enqueuedAt.assign(_plan.size(), kTickInvalid);
-    startedAt.assign(_plan.size(), kTickInvalid);
-    finishedAt.assign(_plan.size(), kTickInvalid);
+    enqueuedAt.assign(plan().size(), kTickInvalid);
+    startedAt.assign(plan().size(), kTickInvalid);
+    finishedAt.assign(plan().size(), kTickInvalid);
 }
 
 const PhaseDesc &
 Stream::phaseDesc() const
 {
-    if (_phase < 0 || std::size_t(_phase) >= _plan.size())
+    if (_phaseIndex < 0 || std::size_t(_phaseIndex) >= plan().size())
         panic("stream %llu: no active phase",
               static_cast<unsigned long long>(_id));
-    return _plan[std::size_t(_phase)];
-}
-
-int
-Stream::channelFor(int p) const
-{
-    const PhaseDesc &ph = _plan.at(std::size_t(p));
-    const int channels = _sys.topology().dim(ph.dim).channels;
-    // Delegated so the fault layer can re-plan rings around links that
-    // are down for the whole run; `id % channels` without faults.
-    return _sys.pickChannel(ph.dim, channels, _id);
-}
-
-int
-Stream::groupSize() const
-{
-    return _sys.topology().dim(phaseDesc().dim).size;
-}
-
-int
-Stream::myRank() const
-{
-    return _sys.topology().rankInGroup(phaseDesc().dim, _sys.id());
-}
-
-int
-Stream::direction() const
-{
-    const PhaseDesc &ph = phaseDesc();
-    const DimInfo &info = _sys.topology().dim(ph.dim);
-    if (info.pattern != DimPattern::Ring)
-        return +1;
-    return _sys.topology().channelDirection(ph.dim, channelFor(_phase));
-}
-
-int
-Stream::numChannels() const
-{
-    return _sys.topology().dim(phaseDesc().dim).channels;
+    return plan()[std::size_t(_phaseIndex)];
 }
 
 void
@@ -80,16 +39,10 @@ Stream::scheduleAfter(Tick delay, EventCallback fn)
     _sys.eventQueue().scheduleAfter(delay, std::move(fn));
 }
 
-Tick
-Stream::endpointDelay() const
-{
-    return _sys.scaledEndpointDelay();
-}
-
 int
 Stream::phaseCoordOfGlobalRank(int global_rank) const
 {
-    return _group.coordOf(global_rank, phaseDesc().dim);
+    return group().coordOf(global_rank, _facts.dim);
 }
 
 void
@@ -101,11 +54,28 @@ Stream::phaseDone()
 void
 Stream::enterPhase(int p, Tick now)
 {
-    if (p != _phase + 1)
+    if (p != _phaseIndex + 1)
         panic("stream %llu: phase jump %d -> %d",
-              static_cast<unsigned long long>(_id), _phase, p);
-    _phase = p;
-    _entryBytes = phaseEntryBytes(_sys.topology(), _plan, p, _chunkBytes);
+              static_cast<unsigned long long>(_id), _phaseIndex, p);
+    _phaseIndex = p;
+    const Topology &topo = _sys.topology();
+    const int dim = phaseDesc().dim;
+    const DimInfo &info = topo.dim(dim);
+    // Delegated so the fault layer can re-plan rings around links that
+    // are down for the whole run; `id % channels` without faults.
+    const int channel = _sys.pickChannel(dim, info.channels, _id);
+    _facts = PhaseFacts{
+        .dim = dim,
+        .groupSize = info.size,
+        .rank = topo.rankInGroup(dim, _sys.id()),
+        .direction = info.pattern == DimPattern::Ring
+                         ? topo.channelDirection(dim, channel)
+                         : +1,
+        .channel = channel,
+        .numChannels = info.channels,
+        .entryBytes = phaseEntryBytes(topo, plan(), p, _data.totalBytes()),
+        .endpointDelay = _sys.endpointDelay(),
+    };
     enqueuedAt[std::size_t(p)] = now;
 }
 
@@ -114,11 +84,10 @@ Stream::startPhase(Tick now)
 {
     if (_alg)
         panic("stream %llu: phase %d already started",
-              static_cast<unsigned long long>(_id), _phase);
-    startedAt[std::size_t(_phase)] = now;
-    const PhaseDesc &ph = phaseDesc();
-    const DimPattern pattern = _sys.topology().dim(ph.dim).pattern;
-    _alg = makePhaseAlgorithm(pattern, ph.op, *this);
+              static_cast<unsigned long long>(_id), _phaseIndex);
+    startedAt[std::size_t(_phaseIndex)] = now;
+    const DimPattern pattern = _sys.topology().dim(_facts.dim).pattern;
+    _alg = makePhaseAlgorithm(pattern, phaseDesc().op, *this);
     _alg->start();
 }
 

@@ -10,6 +10,11 @@
  * AlgContext, providing the running phase algorithm its window onto
  * the system layer.
  *
+ * Facts have one owner each: the set's phase plan and group live on
+ * its CollectiveHandle, shared by the set's chunks; a phase's facts
+ * (PhaseFacts) are fixed by enterPhase; the endpoint delay is the
+ * node's (Sys::endpointDelay).
+ *
  * Timing bookkeeping per phase (feeding the Fig. 12b breakdown):
  *   submittedAt           -> P0 ready-queue delay
  *   enqueuedAt[p]         \
@@ -35,9 +40,18 @@ class Sys;
 
 /**
  * Per-node completion tracker for one collective set (all its chunks).
+ * It also carries the set's phase plan and participant group, which
+ * Sys::issueCollective builds once and every chunk of the set reads.
  */
 struct CollectiveHandle
 {
+    CollectiveHandle(PhasePlan p, GroupInfo g)
+        : plan(std::move(p)), group(std::move(g))
+    {
+    }
+
+    const PhasePlan plan;
+    const GroupInfo group;
     CollectiveKind kind = CollectiveKind::None;
     Bytes totalBytes = 0;
     LayerId layer = -1;
@@ -62,43 +76,30 @@ struct CollectiveHandle
 class Stream final : public AlgContext
 {
   public:
-    Stream(Sys &sys, StreamId id, CollectiveKind kind, Bytes chunk_bytes,
-           PhasePlan plan, GroupInfo group,
+    Stream(Sys &sys, StreamId id, Bytes chunk_bytes,
            std::shared_ptr<CollectiveHandle> handle);
 
     // --- identity / plan ----------------------------------------------
     StreamId id() const { return _id; }
-    CollectiveKind kind() const { return _kind; }
-    Bytes chunkBytes() const { return _chunkBytes; }
-    const PhasePlan &plan() const { return _plan; }
-    const GroupInfo &group() const { return _group; }
+    CollectiveKind kind() const { return _handle->kind; }
+    const PhasePlan &plan() const { return _handle->plan; }
+    const GroupInfo &group() const { return _handle->group; }
     const std::shared_ptr<CollectiveHandle> &handle() const
     {
         return _handle;
     }
 
     /** Phase currently enqueued/active; -1 before dispatch. */
-    int phase() const { return _phase; }
+    int phaseIndex() const { return _phaseIndex; }
 
     /** True once the phase algorithm has been started. */
     bool phaseStarted() const { return _alg != nullptr; }
 
-    /** Channel this stream uses in phase @p p (consistent cluster-wide
-     *  because stream ids are). */
-    int channelFor(int p) const;
-
     // --- AlgContext ----------------------------------------------------
-    int groupSize() const override;
-    int myRank() const override;
-    int direction() const override;
-    Bytes entryBytes() const override { return _entryBytes; }
     ChunkState &data() override { return _data; }
     void send(int dst_rank, int channel, Bytes bytes, int step,
               std::shared_ptr<const ChunkPayload> payload) override;
-    int numChannels() const override;
-    int myChannel() const override { return channelFor(_phase); }
     void scheduleAfter(Tick delay, EventCallback fn) override;
-    Tick endpointDelay() const override;
     int phaseCoordOfGlobalRank(int global_rank) const override;
     void phaseDone() override;
 
@@ -108,7 +109,10 @@ class Stream final : public AlgContext
     std::vector<Tick> startedAt;     //!< per phase: algorithm started
     std::vector<Tick> finishedAt;    //!< per phase: algorithm finished
 
-    /** Enter phase @p p: compute entry bytes (Sys calls, then LSQ). */
+    /**
+     * Enter phase @p p (Sys or the dispatcher calls, then the LSQ):
+     * fix its PhaseFacts, the only place they are computed.
+     */
     void enterPhase(int p, Tick now);
 
     /** Admitted by the LSQ: instantiate and start the algorithm. */
@@ -126,15 +130,10 @@ class Stream final : public AlgContext
   private:
     Sys &_sys;
     StreamId _id;
-    CollectiveKind _kind;
-    Bytes _chunkBytes;
-    PhasePlan _plan;
-    GroupInfo _group;
     std::shared_ptr<CollectiveHandle> _handle;
     ChunkState _data;
 
-    int _phase = -1;
-    Bytes _entryBytes = 0;
+    int _phaseIndex = -1;
     std::unique_ptr<PhaseAlgorithm> _alg;
 };
 

@@ -11,7 +11,8 @@ namespace astra
 
 Sys::Sys(NodeId id, const Topology &topo, NetworkApi &net,
          const SimConfig &cfg)
-    : _id(id), _topo(topo), _net(net), _cfg(cfg), _scheduler(*this, cfg)
+    : _id(id), _topo(topo), _net(net), _cfg(cfg), _scheduler(*this, cfg),
+      _endpointDelay(cfg.endpointDelay)
 {
     if (id < 0 || id >= topo.numNodes())
         fatal("Sys node id %d out of range", id);
@@ -32,9 +33,11 @@ Sys::issueCollective(const CollectiveRequest &req)
             dims.push_back(d);
     }
 
-    GroupInfo group(_topo, _id, dims);
-    PhasePlan plan =
-        buildPhasePlan(_topo, dims, req.kind, _cfg.algorithm);
+    // The plan and the group are the set's: every chunk reads them
+    // from the handle.
+    auto handle = std::make_shared<CollectiveHandle>(
+        buildPhasePlan(_topo, dims, req.kind, _cfg.algorithm),
+        GroupInfo(_topo, _id, dims));
 
     int splits = req.setSplits > 0 ? req.setSplits
                                    : _cfg.preferredSetSplits;
@@ -42,7 +45,6 @@ Sys::issueCollective(const CollectiveRequest &req)
     splits = static_cast<int>(
         std::min<Bytes>(Bytes(splits), std::max<Bytes>(1, req.bytes)));
 
-    auto handle = std::make_shared<CollectiveHandle>();
     handle->kind = req.kind;
     handle->totalBytes = req.bytes;
     handle->layer = req.layer;
@@ -60,15 +62,15 @@ Sys::issueCollective(const CollectiveRequest &req)
     for (int i = 0; i < splits; ++i) {
         const Bytes chunk_bytes = base + (Bytes(i) < rem ? 1 : 0);
         const StreamId sid = _nextStreamId++;
-        if (plan.empty()) {
+        if (handle->plan.empty()) {
             // Single-participant group: nothing to communicate; the
             // chunk completes on the next event boundary.
             eventQueue().scheduleAfter(
                 0, [this, handle] { completeChunk(*handle); });
             continue;
         }
-        auto stream = std::make_unique<Stream>(
-            *this, sid, req.kind, chunk_bytes, plan, group, handle);
+        auto stream =
+            std::make_unique<Stream>(*this, sid, chunk_bytes, handle);
         Stream *raw = stream.get();
         insertStream(sid, std::move(stream));
         _scheduler.submit(raw);
@@ -80,7 +82,7 @@ void
 Sys::sendMessage(Stream &stream, int dst_rank, int channel, Bytes bytes,
                  int step, std::shared_ptr<const ChunkPayload> payload)
 {
-    const PhaseDesc &ph = stream.phaseDesc();
+    const PhaseFacts &ph = stream.phase();
     Coord c = _topo.coordOf(_id);
     c[ph.dim] = dst_rank;
     const NodeId dst = _topo.nodeAt(c);
@@ -90,8 +92,7 @@ Sys::sendMessage(Stream &stream, int dst_rank, int channel, Bytes bytes,
     msg.dst = dst;
     msg.bytes = bytes;
     msg.hint = RouteHint{ph.dim, channel};
-    msg.tag = MessageTag{stream.id(), stream.phase(), step,
-                         stream.myRank()};
+    msg.tag = MessageTag{stream.id(), stream.phaseIndex(), step, ph.rank};
     msg.payload = std::move(payload);
 
     hotCounter(SentMessages) += 1;
@@ -146,6 +147,12 @@ Sys::setFaults(const FaultManager *faults,
 {
     _faults = faults;
     _failureSink = std::move(sink);
+    // The straggler stretch depends on the fault plan alone.
+    const double f = computeSlowdown();
+    _endpointDelay =
+        f == 1.0 ? _cfg.endpointDelay
+                 : ceilTicks(static_cast<double>(_cfg.endpointDelay) * f,
+                             "straggler endpoint delay");
 }
 
 void
@@ -206,21 +213,11 @@ Sys::computeSlowdown() const
     return _faults ? _faults->computeSlowdown(_id) : 1.0;
 }
 
-Tick
-Sys::scaledEndpointDelay() const
-{
-    const double f = computeSlowdown();
-    if (f == 1.0)
-        return _cfg.endpointDelay;
-    return ceilTicks(static_cast<double>(_cfg.endpointDelay) * f,
-                     "straggler endpoint delay");
-}
-
 void
 Sys::onP2PMessage(const Message &msg)
 {
     // Endpoint processing cost, then match the expectation.
-    eventQueue().scheduleAfter(scaledEndpointDelay(),
+    eventQueue().scheduleAfter(_endpointDelay,
                                P2PArrival{this, msg.src, msg.tag.stream});
 }
 
@@ -297,18 +294,19 @@ Sys::onMessage(const Message &msg)
 
     if (Stream *found = findStream(sid)) {
         Stream &s = *found;
-        if (s.phase() == phase && s.phaseStarted()) {
+        if (s.phaseIndex() == phase && s.phaseStarted()) {
             s.algorithm()->onMessage(msg);
             return;
         }
-        if (s.phase() > phase) {
+        if (s.phaseIndex() > phase) {
             panic("node %d: message for past phase %d of stream %llu "
                   "(now in %d)",
                   _id, phase, static_cast<unsigned long long>(sid),
-                  s.phase());
+                  s.phaseIndex());
         }
         _unmatched[{sid, phase}].push_back(msg);
-        if (s.phase() == phase || (s.phase() == -1 && phase == 0))
+        if (s.phaseIndex() == phase ||
+            (s.phaseIndex() == -1 && phase == 0))
             _scheduler.promoteIfWaiting(&s, phase);
         return;
     }
@@ -327,7 +325,7 @@ Sys::startStreamPhase(Stream &stream)
 void
 Sys::drainUnmatched(Stream &stream)
 {
-    auto it = _unmatched.find({stream.id(), stream.phase()});
+    auto it = _unmatched.find({stream.id(), stream.phaseIndex()});
     if (it == _unmatched.end())
         return;
     std::vector<Message> msgs = std::move(it->second);
@@ -343,7 +341,7 @@ void
 Sys::streamPhaseDone(Stream &stream)
 {
     ++_progress; // watchdog heartbeat: a phase completed on this node
-    const int p = stream.phase();
+    const int p = stream.phaseIndex();
     const Tick t = now();
     stream.finishedAt[std::size_t(p)] = t;
     _networkDelay.record(
@@ -375,13 +373,13 @@ Sys::advanceStream(StreamId sid)
         panic("advanceStream: stream %llu vanished",
               static_cast<unsigned long long>(sid));
     Stream &s = *found;
-    const int p = s.phase();
+    const int p = s.phaseIndex();
     const bool last = (std::size_t(p) + 1 == s.plan().size());
     s.clearAlgorithm();
-    _scheduler.onPhaseFinished(&s, p, last);
+    _scheduler.onPhaseFinished(&s, last);
     if (!last) {
         s.enterPhase(p + 1, now());
-        _scheduler.enqueuePhase(&s, p + 1);
+        _scheduler.enqueue(&s);
     } else {
         finishStream(s);
     }
@@ -395,9 +393,7 @@ Sys::finishStream(Stream &stream)
     // Built-in semantic post-conditions (Fig. 4): a schedule that
     // merely *timed* like a collective but moved the wrong data dies
     // here, on every run, not just under test.
-    const ChunkState &d =
-        const_cast<const ChunkState &>(
-            const_cast<Stream &>(stream).data());
+    const ChunkState &d = stream.data();
     switch (stream.kind()) {
       case CollectiveKind::AllReduce:
         if (!d.allReduced())

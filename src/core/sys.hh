@@ -161,8 +161,12 @@ class Sys
     /** This node's straggler slowdown factor (1.0 = not a straggler). */
     double computeSlowdown() const;
 
-    /** Endpoint processing delay, stretched on a straggler node. */
-    Tick scaledEndpointDelay() const;
+    /**
+     * Endpoint processing delay of every message this node receives:
+     * the configured one, stretched on a straggler node (set by the
+     * constructor and setFaults).
+     */
+    Tick endpointDelay() const { return _endpointDelay; }
 
     /** Attach a trace recorder (Cluster wires this when enabled). */
     void setTrace(TraceRecorder *trace) { _trace = trace; }
@@ -293,6 +297,7 @@ class Sys
     std::uint64_t _progress = 0; //!< watchdog heartbeat (progressCount)
     TraceRecorder *_trace = nullptr;
     const FaultManager *_faults = nullptr; //!< null = no fault plan
+    Tick _endpointDelay; //!< see endpointDelay()
     std::function<void(const FailureRecord &)> _failureSink;
 };
 

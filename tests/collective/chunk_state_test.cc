@@ -120,19 +120,29 @@ TEST(ChunkState, RestrictValidToNarrowsOwnership)
 TEST(ChunkState, TakeBlocksIfPartitions)
 {
     ChunkState a(4, 1, 64, CollectiveKind::AllToAll);
-    auto taken = a.takeBlocksIf(
-        [](int, int dst) { return dst % 2 == 0; });
-    EXPECT_EQ(taken.size(), 2u);
+    auto taken = a.takeBlocksByPart(2, /*keep=*/1,
+                                    [](int dst) { return dst % 2; });
+    ASSERT_EQ(taken.size(), 2u);
+    EXPECT_EQ(taken[0].size(), 2u);
+    EXPECT_TRUE(taken[1].empty());
     EXPECT_EQ(a.blocks().size(), 2u);
     for (const auto &[src, dst] : a.blocks())
         EXPECT_EQ(dst % 2, 1);
+    // Both sides keep the held order.
+    const std::vector<std::pair<int, int>> sent = {{1, 0}, {1, 2}};
+    const std::vector<std::pair<int, int>> held = {{1, 1}, {1, 3}};
+    EXPECT_EQ(taken[0], sent);
+    EXPECT_EQ(a.blocks(), held);
+    // A part outside [0, parts) is a routing bug.
+    EXPECT_THROW(a.takeBlocksByPart(1, 0, [](int dst) { return dst; }),
+                 FatalError);
 }
 
 TEST(ChunkState, AllToAllCompletionRequiresExactBlocks)
 {
     ChunkState a(2, 0, 64, CollectiveKind::AllToAll);
     // Drop the outgoing block for rank 1, keep (0,0).
-    a.takeBlocksIf([](int, int dst) { return dst == 1; });
+    a.takeBlocksByPart(2, /*keep=*/0, [](int dst) { return dst; });
     EXPECT_FALSE(a.allToAllComplete());
     a.addBlocks({{1, 0}});
     EXPECT_TRUE(a.allToAllComplete());

@@ -34,13 +34,14 @@ class FakeRingNode : public AlgContext
     };
 
     FakeRingNode(int d, int rank, CollectiveKind kind)
-        : _d(d), _rank(rank), _data(d, rank, Bytes(d) * 1024, kind)
-    {}
+        : _data(d, rank, Bytes(d) * 1024, kind)
+    {
+        _facts = PhaseFacts{.groupSize = d,
+                            .rank = rank,
+                            .entryBytes = _data.totalBytes(),
+                            .endpointDelay = kDelay};
+    }
 
-    int groupSize() const override { return _d; }
-    int myRank() const override { return _rank; }
-    int direction() const override { return 1; }
-    Bytes entryBytes() const override { return _data.totalBytes(); }
     ChunkState &data() override { return _data; }
 
     void
@@ -50,16 +51,12 @@ class FakeRingNode : public AlgContext
         sent.push_back(Sent{eq.now(), dst_rank, step, std::move(payload)});
     }
 
-    int numChannels() const override { return 1; }
-    int myChannel() const override { return 0; }
-
     void
     scheduleAfter(Tick delay, EventCallback fn) override
     {
         eq.scheduleAfter(delay, std::move(fn));
     }
 
-    Tick endpointDelay() const override { return kDelay; }
     int phaseCoordOfGlobalRank(int global_rank) const override
     {
         return global_rank;
@@ -88,8 +85,6 @@ class FakeRingNode : public AlgContext
     Tick doneAt = kTickInvalid;
 
   private:
-    int _d;
-    int _rank;
     ChunkState _data;
 };
 
