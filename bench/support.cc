@@ -4,7 +4,7 @@
 #include <cstdlib>
 
 #include "common/logging.hh"
-#include "explore/sweep_runner.hh"
+#include "common/parallel_for.hh"
 
 namespace astra::bench
 {
@@ -108,8 +108,7 @@ timeCollectives(BenchArgs &args,
     // Workers fill private slots; the merge into the shared report
     // happens serially afterwards (deterministic, no locking).
     std::vector<MetricRegistry> regs(want_metrics ? jobs_list.size() : 0);
-    SweepRunner runner(args.jobs);
-    runner.forEach(jobs_list.size(), [&](std::size_t i) {
+    parallelFor(args.jobs, jobs_list.size(), [&](std::size_t i) {
         const CollectiveJob &job = jobs_list[i];
         out[i] = timeCollective(job.cfg, job.kind, job.bytes,
                                 want_metrics ? &regs[i] : nullptr);

@@ -83,7 +83,7 @@ struct CollectiveJob
 
 /**
  * Time every job, fanning the simulations out across args.jobs worker
- * threads (SweepRunner). Results are indexed like @p jobs_list — the
+ * threads (parallelFor). Results are indexed like @p jobs_list — the
  * numbers and their order are identical to calling timeCollective in
  * a serial loop, only the wall-clock changes.
  */

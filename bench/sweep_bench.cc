@@ -3,8 +3,8 @@
  * sweep_bench — tracks the two perf numbers the sweep engine is about:
  *
  *  1. Design-space sweep throughput: the fixed 64-module exploration
- *     (the paper's co-design study, Sec. V) run serially and with the
- *     parallel SweepRunner, verifying that the ranked results are
+ *     (the paper's co-design study, Sec. V) run serially and with
+ *     --jobs workers, verifying that the ranked results are
  *     byte-identical and reporting the wall-clock speedup.
  *  2. Event-loop hot-path cost: one packet-level (garnet-lite)
  *     all-reduce, reported as nanoseconds of host time per simulated
@@ -23,9 +23,8 @@
 
 #include "bench/support.hh"
 #include "common/logging.hh"
-#include "common/thread_pool.hh"
+#include "common/parallel_for.hh"
 #include "explore/design_space.hh"
-#include "explore/sweep_runner.hh"
 
 using namespace astra;
 using namespace astra::bench;
@@ -97,16 +96,10 @@ main(int argc, char **argv)
     spec.setSplits = args.quick ? std::vector<int>{1, 8}
                                 : std::vector<int>{1, 4, 16};
     spec.bytes = args.quick ? 128 * KiB : 1 * MiB;
-    // Default to the hardware thread count: more workers than cores
-    // only adds context-switch overhead (ThreadPool warns if --jobs
-    // asks for that explicitly).
-    const int hw = ThreadPool::defaultThreads();
+    // For the report only: parallelFor resolves --jobs=0 (every
+    // hardware thread) itself, and warns on oversubscription.
+    const int hw = hardwareThreads();
     const int par_jobs = args.jobs > 0 ? args.jobs : hw;
-    if (par_jobs > hw) {
-        warn("--jobs=%d exceeds the %d hardware thread(s); expect "
-             "oversubscription, not speedup",
-             par_jobs, hw);
-    }
 
     const std::size_t candidates = enumerateCandidates(spec).size();
     std::printf("sweep: %d modules, %zu candidates, %s allreduce\n",
@@ -117,7 +110,7 @@ main(int argc, char **argv)
     const double serial_ms =
         wallMs([&] { serial = exploreDesignSpace(spec, 1); });
     const double parallel_ms = wallMs(
-        [&] { parallel = exploreDesignSpace(spec, par_jobs); });
+        [&] { parallel = exploreDesignSpace(spec, args.jobs); });
     const bool identical = identicalResults(serial, parallel);
     const bool digests_identical = identicalDigests(serial, parallel);
     const double speedup = serial_ms / parallel_ms;
@@ -189,7 +182,7 @@ main(int argc, char **argv)
         "    \"comm_cycles\": %llu\n"
         "  }\n"
         "}\n",
-        args.quick ? "true" : "false", ThreadPool::defaultThreads(),
+        args.quick ? "true" : "false", hw,
         spec.modules, candidates,
         static_cast<unsigned long long>(spec.bytes), serial_ms,
         parallel_ms, par_jobs, speedup, identical ? "true" : "false",

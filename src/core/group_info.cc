@@ -21,19 +21,18 @@ GroupInfo::GroupInfo(const Topology &topo, NodeId node,
     if (dup != _dims.end())
         fatal("collective group lists dimension %d twice", *dup);
 
-    const Coord c = topo.coordOf(node);
+    const Coord &c = topo.coordOf(node);
     _size = 1;
     for (int d : _dims) {
         if (d < 0 || d >= topo.numDims())
             fatal("collective group dimension %d out of range", d);
         _radix.push_back(topo.dim(d).size);
-        _myCoord.push_back(c[d]);
         _size *= topo.dim(d).size;
     }
     _myRank = 0;
     for (int i = static_cast<int>(_dims.size()) - 1; i >= 0; --i)
         _myRank = _myRank * _radix[std::size_t(i)] +
-                  _myCoord[std::size_t(i)];
+                  c[_dims[std::size_t(i)]];
 }
 
 int
@@ -49,26 +48,6 @@ GroupInfo::coordOf(int g, int dim) const
     }
     panic("dimension %d not part of this group", dim);
     return -1;
-}
-
-int
-GroupInfo::rankWith(int dim, int coord) const
-{
-    int rank = 0;
-    bool found = false;
-    for (std::size_t i = _dims.size(); i-- > 0;) {
-        int c = _myCoord[i];
-        if (_dims[i] == dim) {
-            if (coord < 0 || coord >= _radix[i])
-                panic("coordinate %d out of range for dim %d", coord, dim);
-            c = coord;
-            found = true;
-        }
-        rank = rank * _radix[i] + c;
-    }
-    if (!found)
-        panic("dimension %d not part of this group", dim);
-    return rank;
 }
 
 } // namespace astra

@@ -46,14 +46,9 @@ class GroupInfo
     /** Coordinate along dimension @p dim of global rank @p g. */
     int coordOf(int g, int dim) const;
 
-    /** Global rank of the participant at the local node's coordinates
-     *  with dimension @p dim replaced by @p coord. */
-    int rankWith(int dim, int coord) const;
-
   private:
     std::vector<int> _dims;   //!< ascending dimension indices
     std::vector<int> _radix;  //!< size of each dim
-    std::vector<int> _myCoord; //!< local coordinate per dim
     int _size;
     int _myRank;
 };

@@ -83,9 +83,7 @@ Sys::sendMessage(Stream &stream, int dst_rank, int channel, Bytes bytes,
                  int step, std::shared_ptr<const ChunkPayload> payload)
 {
     const PhaseFacts &ph = stream.phase();
-    Coord c = _topo.coordOf(_id);
-    c[ph.dim] = dst_rank;
-    const NodeId dst = _topo.nodeAt(c);
+    const NodeId dst = _topo.peer(_id, ph.dim, dst_rank);
 
     Message msg;
     msg.src = _id;

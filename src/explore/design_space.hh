@@ -72,14 +72,14 @@ struct CandidateResult
     double energyUj = 0; //!< interconnect energy
     /**
      * Retired-event-stream digest of the candidate's run (determinism
-     * auditor, docs/validation.md). Always filled by SweepRunner::
-     * evaluate: equal configurations must yield equal digests, whether
-     * the sweep ran serially or under --jobs=N.
+     * auditor, docs/validation.md). Always filled by
+     * evaluateCandidates: equal configurations must yield equal
+     * digests, whether the sweep ran serially or under --jobs=N.
      */
     std::uint64_t digest = 0;
     /**
      * Full metric snapshot of the candidate's run (Cluster::
-     * exportMetrics), filled by SweepRunner::evaluate. Serialized per
+     * exportMetrics), filled by evaluateCandidates. Serialized per
      * candidate by --report-json in explore mode. Empty for journal-
      * restored candidates (the journal carries the ranked-table fields,
      * not the full registry — docs/robustness.md).
@@ -111,6 +111,25 @@ struct CandidateResult
 std::vector<CandidateResult> enumerateCandidates(const ExploreSpec &spec);
 
 /**
+ * Simulate every candidate's collective on up to @p jobs threads
+ * (parallelFor), filling commTime, energyUj, digest and metrics in
+ * place; cfg and label must already be set. Each candidate runs on its
+ * own Cluster and lands in its own slot, so results are bit-for-bit
+ * those of a serial run (the determinism contract, DESIGN.md).
+ *
+ * Crash-contained (docs/robustness.md): while it runs, fatal() throws,
+ * and a check or config failure inside one candidate becomes that
+ * candidate's Failed outcome + FailureRecord. With @p journal,
+ * journaled candidates are restored bit-for-bit (metrics stay empty)
+ * and each fresh one is appended + flushed; after an interrupt
+ * (guard::interruptRequested) the rest come back Interrupted and
+ * unjournaled, so --resume re-runs exactly those.
+ */
+void evaluateCandidates(std::vector<CandidateResult> &candidates,
+                        CollectiveKind kind, Bytes bytes, int jobs,
+                        guard::SweepJournal *journal = nullptr);
+
+/**
  * Enumerate, simulate and rank all candidates (best first).
  * fatal()s on an unsatisfiable spec (e.g. a prime module budget with
  * no matching factorization is still fine — 1xNx1 always exists).
@@ -120,7 +139,7 @@ std::vector<CandidateResult> enumerateCandidates(const ExploreSpec &spec);
  *              uses N. Results are bit-for-bit identical for every
  *              value — candidates are simulated on private event
  *              queues and collected in enumeration order (see
- *              SweepRunner).
+ *              evaluateCandidates).
  * @param journal  Optional sweep journal (docs/robustness.md):
  *              already-journaled candidates are restored instead of
  *              re-simulated, freshly completed ones are appended.

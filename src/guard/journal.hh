@@ -9,7 +9,7 @@
  * bytes, and the rendered SimConfig — budgets included). Each append
  * is flushed immediately, so a SIGINT/SIGTERM or a crash loses at most
  * the candidates still in flight. `--resume` reloads the file and
- * SweepRunner skips every journaled candidate, restoring its result
+ * evaluateCandidates skips every journaled candidate, restoring its result
  * bit-for-bit: commTime and digest round-trip as integers and energy
  * as a C99 hexfloat, so the merged output table of an
  * interrupted-then-resumed sweep is byte-identical to an uninterrupted
@@ -67,7 +67,7 @@ std::uint64_t journalKey(const std::string &label, int kind,
                          std::uint64_t bytes, const std::string &cfg_text);
 
 /**
- * The journal file. Thread-safe: SweepRunner workers append
+ * The journal file. Thread-safe: sweep workers append
  * concurrently under one mutex, each append flushed before the call
  * returns. Lookup is read-only after construction.
  */

@@ -111,9 +111,7 @@ Fabric::routeMapped(NodeId src, NodeId dst, int channel_seed,
     for (int d = 0; d < _topo.numDims(); ++d) {
         if (_topo.coordOf(cur)[d] == target[d])
             continue;
-        Coord next_c = _topo.coordOf(cur);
-        next_c[d] = target[d];
-        const NodeId next = _topo.nodeAt(next_c);
+        const NodeId next = _topo.peer(cur, d, target[d]);
         const int channels = _topo.dim(d).channels;
         const RouteHint hint{d, channel_seed % channels};
         route(cur, next, hint, out);

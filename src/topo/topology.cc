@@ -48,6 +48,9 @@ Topology::Topology(const SimConfig &cfg)
         });
     }
 
+    for (std::size_t d = 1; d < 4; ++d)
+        _stride[d] = _stride[d - 1] * _size[d - 1];
+
     // Node ids are mixed-radix with dimension 0 fastest: count the
     // coordinates up like an odometer instead of dividing per node.
     _coords.reserve(std::size_t(_numNodes));
@@ -79,12 +82,18 @@ Topology::badNode(NodeId node) const
     panic("node %d out of range [0,%d)", node, _numNodes);
 }
 
+void
+Topology::badCoord(int coord, int d) const
+{
+    panic("coordinate %d out of range in dim %d", coord, d);
+}
+
 NodeId
 Topology::nodeAt(const Coord &c) const
 {
     for (int d = 0; d < 4; ++d) {
         if (c[d] < 0 || c[d] >= _size[std::size_t(d)])
-            panic("coordinate %d out of range in dim %d", c[d], d);
+            badCoord(c[d], d);
     }
     NodeId id = 0;
     for (int d = 3; d >= 0; --d)
@@ -96,14 +105,10 @@ std::vector<NodeId>
 Topology::group(int d, NodeId member) const
 {
     checkDim(d);
-    Coord c = coordOf(member);
     std::vector<NodeId> out;
     out.reserve(std::size_t(dim(d).size));
-    for (int i = 0; i < dim(d).size; ++i) {
-        Coord cc = c;
-        cc[d] = i;
-        out.push_back(nodeAt(cc));
-    }
+    for (int i = 0; i < dim(d).size; ++i)
+        out.push_back(peer(member, d, i));
     return out;
 }
 
@@ -132,10 +137,8 @@ NodeId
 Topology::ringNext(int d, int ch, NodeId node) const
 {
     const int dir = channelDirection(d, ch);
-    Coord c = coordOf(node);
     const int size = dim(d).size;
-    c[d] = (c[d] + dir + size) % size;
-    return nodeAt(c);
+    return peer(node, d, (coordOf(node)[d] + dir + size) % size);
 }
 
 int

@@ -128,6 +128,20 @@ class Topology
     NodeId nodeAt(const Coord &c) const;
 
     /**
+     * The node at @p node's coordinates with the one along dimension
+     * @p d replaced by @p coord: nodeAt() of the edited Coord, found by
+     * stepping along @p d's stride instead of rebuilding the id.
+     */
+    NodeId
+    peer(NodeId node, int d, int coord) const
+    {
+        const std::size_t i = std::size_t(d);
+        if (coord < 0 || coord >= _size[i])
+            badCoord(coord, d);
+        return node + (coord - coordOf(node)[d]) * _stride[i];
+    }
+
+    /**
      * The ordered group of nodes that vary along dimension @p d while
      * sharing @p member's other coordinates. Element i has coordinate
      * i along @p d; @p member is at index rankInGroup(d, member).
@@ -176,6 +190,9 @@ class Topology
   private:
     TopologyKind _kind;
     std::array<int, 4> _size{1, 1, 1, 1}; //!< extent per dim index
+    /** Node-id distance between neighbours along each dim index
+     *  (mixed radix, dimension 0 fastest). */
+    std::array<NodeId, 4> _stride{1, 1, 1, 1};
     std::vector<DimInfo> _dims;
     int _numNodes;
     int _scaleoutDim = -1;
@@ -185,6 +202,7 @@ class Topology
 
     void checkDim(int d) const;
     [[noreturn]] void badNode(NodeId node) const;
+    [[noreturn]] void badCoord(int coord, int d) const;
 };
 
 } // namespace astra

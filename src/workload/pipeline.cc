@@ -46,17 +46,10 @@ PipelineNode::PipelineNode(Sys &sys, const WorkloadSpec &spec,
               _spec.layers.size());
 
     _stage = topo.rankInGroup(_pipeDim, _sys.id());
-    Coord c = topo.coordOf(_sys.id());
-    if (_stage > 0) {
-        Coord pc = c;
-        pc[_pipeDim] = _stage - 1;
-        _prev = topo.nodeAt(pc);
-    }
-    if (_stage < _numStages - 1) {
-        Coord nc = c;
-        nc[_pipeDim] = _stage + 1;
-        _next = topo.nodeAt(nc);
-    }
+    if (_stage > 0)
+        _prev = topo.peer(_sys.id(), _pipeDim, _stage - 1);
+    if (_stage < _numStages - 1)
+        _next = topo.peer(_sys.id(), _pipeDim, _stage + 1);
     for (int d = 0; d < topo.numDims(); ++d) {
         if (d != _pipeDim)
             _dataDims.push_back(d);

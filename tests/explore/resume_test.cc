@@ -14,7 +14,6 @@
 
 #include "common/units.hh"
 #include "explore/design_space.hh"
-#include "explore/sweep_runner.hh"
 #include "guard/interrupt.hh"
 #include "guard/journal.hh"
 
@@ -57,9 +56,8 @@ TEST(SweepContainment, PoisonedCandidateDoesNotAbortTheSweep)
     // Cluster is built — exactly the poisoned-candidate shape.
     poisoned[1].cfg.local.bandwidth = 0.0;
 
-    SweepRunner runner(2);
-    runner.evaluate(clean, spec.kind, spec.bytes);
-    runner.evaluate(poisoned, spec.kind, spec.bytes);
+    evaluateCandidates(clean, spec.kind, spec.bytes, 2);
+    evaluateCandidates(poisoned, spec.kind, spec.bytes, 2);
 
     for (std::size_t i = 0; i < poisoned.size(); ++i) {
         if (i == 1)
@@ -98,7 +96,7 @@ TEST(SweepResume, JournalRestoreIsBitIdentical)
     auto first = enumerateCandidates(spec);
     {
         guard::SweepJournal journal(path, /*resume=*/false);
-        SweepRunner(2).evaluate(first, spec.kind, spec.bytes, &journal);
+        evaluateCandidates(first, spec.kind, spec.bytes, 2, &journal);
     }
     for (const CandidateResult &r : first)
         EXPECT_FALSE(r.restored) << r.label;
@@ -106,7 +104,7 @@ TEST(SweepResume, JournalRestoreIsBitIdentical)
     auto second = enumerateCandidates(spec);
     guard::SweepJournal journal(path, /*resume=*/true);
     EXPECT_EQ(journal.restoredCount(), first.size());
-    SweepRunner(1).evaluate(second, spec.kind, spec.bytes, &journal);
+    evaluateCandidates(second, spec.kind, spec.bytes, 1, &journal);
     for (const CandidateResult &r : second)
         EXPECT_TRUE(r.restored) << r.label;
     expectBitIdentical(first, second);
@@ -121,7 +119,7 @@ TEST(SweepResume, InterruptedCandidatesAreRerunOnResume)
 
     // Uninterrupted serial baseline: the bit-identity gate.
     auto baseline = enumerateCandidates(spec);
-    SweepRunner(1).evaluate(baseline, spec.kind, spec.bytes);
+    evaluateCandidates(baseline, spec.kind, spec.bytes, 1);
 
     // Interrupt pending before the sweep starts: every candidate is
     // skipped at its boundary, none is journaled.
@@ -130,8 +128,8 @@ TEST(SweepResume, InterruptedCandidatesAreRerunOnResume)
         guard::SweepJournal journal(path, /*resume=*/false);
         guard::clearInterrupt();
         guard::requestInterrupt();
-        SweepRunner(2).evaluate(interrupted, spec.kind, spec.bytes,
-                                &journal);
+        evaluateCandidates(interrupted, spec.kind, spec.bytes, 2,
+                           &journal);
         guard::clearInterrupt();
     }
     for (const CandidateResult &r : interrupted) {
@@ -144,7 +142,7 @@ TEST(SweepResume, InterruptedCandidatesAreRerunOnResume)
     auto resumed = enumerateCandidates(spec);
     guard::SweepJournal journal(path, /*resume=*/true);
     EXPECT_EQ(journal.restoredCount(), 0u);
-    SweepRunner(2).evaluate(resumed, spec.kind, spec.bytes, &journal);
+    evaluateCandidates(resumed, spec.kind, spec.bytes, 2, &journal);
     for (const CandidateResult &r : resumed)
         EXPECT_FALSE(r.restored) << r.label;
     expectBitIdentical(baseline, resumed);

@@ -1,11 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <mutex>
 #include <set>
+#include <thread>
 #include <vector>
 
+#include "common/parallel_for.hh"
 #include "common/units.hh"
 #include "explore/design_space.hh"
-#include "explore/sweep_runner.hh"
 
 namespace astra
 {
@@ -74,12 +78,38 @@ TEST(Sweep, ParallelMatchesSerialForAllToAllCollective)
                        exploreDesignSpace(spec, 4));
 }
 
+/**
+ * Distinct threads that run parallelFor(jobs, count, ...). Each index
+ * spins (boundedly) until @p expect indices have started, so the first
+ * @p expect indices land on @p expect different workers when that many
+ * exist, and no worker finishes early enough to take two of them.
+ */
+std::size_t
+workersSeen(int jobs, std::size_t count, std::size_t expect)
+{
+    std::atomic<std::size_t> started{0};
+    std::mutex mutex;
+    std::set<std::thread::id> ids;
+    parallelFor(jobs, count, [&](std::size_t) {
+        started.fetch_add(1);
+        for (long spin = 0; started.load() < expect && spin < 100000000;
+             ++spin) {
+            std::this_thread::yield();
+        }
+        std::lock_guard<std::mutex> lock(mutex);
+        ids.insert(std::this_thread::get_id());
+    });
+    return ids.size();
+}
+
 TEST(Sweep, JobsZeroMeansHardwareThreads)
 {
-    SweepRunner def(0);
-    EXPECT_GE(def.jobs(), 1);
-    SweepRunner four(4);
-    EXPECT_EQ(four.jobs(), 4);
+    EXPECT_GE(hardwareThreads(), 1);
+    // jobs=0 runs on every hardware thread (at most 8 are checked).
+    const std::size_t hw = std::min(std::size_t(hardwareThreads()),
+                                    std::size_t(8));
+    EXPECT_EQ(workersSeen(0, hw, hw), hw);
+    EXPECT_EQ(workersSeen(4, 8, 4), 4u);
 }
 
 TEST(Sweep, EvaluateFillsCandidatesInPlace)
@@ -87,8 +117,7 @@ TEST(Sweep, EvaluateFillsCandidatesInPlace)
     ExploreSpec spec = representativeSpec();
     auto candidates = enumerateCandidates(spec);
     ASSERT_FALSE(candidates.empty());
-    SweepRunner runner(2);
-    runner.evaluate(candidates, spec.kind, spec.bytes);
+    evaluateCandidates(candidates, spec.kind, spec.bytes, 2);
     for (const auto &r : candidates) {
         EXPECT_GT(r.commTime, 0u) << r.label;
         EXPECT_GT(r.energyUj, 0.0) << r.label;
@@ -116,11 +145,10 @@ TEST(Sweep, DigestIdenticalSerialVsFourJobs)
     spec.bytes = 64 * KiB;
     spec.kind = CollectiveKind::AllReduce;
 
-    SweepRunner serial(1), parallel(4);
     auto a = enumerateCandidates(spec);
     auto b = a;
-    serial.evaluate(a, spec.kind, spec.bytes);
-    parallel.evaluate(b, spec.kind, spec.bytes);
+    evaluateCandidates(a, spec.kind, spec.bytes, 1);
+    evaluateCandidates(b, spec.kind, spec.bytes, 4);
     ASSERT_EQ(a.size(), b.size());
     for (std::size_t i = 0; i < a.size(); ++i) {
         EXPECT_NE(a[i].digest, 0u) << a[i].label;

@@ -9,9 +9,9 @@
 #include <gtest/gtest.h>
 
 #include "common/logging.hh"
+#include "common/parallel_for.hh"
 #include "common/units.hh"
 #include "core/cluster.hh"
-#include "explore/sweep_runner.hh"
 #include "fault/fault.hh"
 
 namespace astra
@@ -213,8 +213,7 @@ TEST(FaultRun, SweepOverFaultScenariosIsSerialParallelIdentical)
     auto sweep = [&](int jobs) {
         std::vector<std::pair<Tick, std::uint64_t>> results(
             scenarios.size());
-        SweepRunner runner(jobs);
-        runner.forEach(scenarios.size(), [&](std::size_t i) {
+        parallelFor(jobs, scenarios.size(), [&](std::size_t i) {
             SimConfig cfg = baseConfig();
             cfg.backend = NetworkBackend::GarnetLite;
             cfg.faultRules = {scenarios[i]};

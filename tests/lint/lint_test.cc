@@ -446,7 +446,7 @@ TEST(LintLayering, RankTableMatchesDesign)
     EXPECT_LT(layerRank("src/core/sys.hh"),
               layerRank("src/workload/trainer.hh"));
     EXPECT_GT(layerRank("tools/astra_sim.cc"),
-              layerRank("src/explore/sweep_runner.hh"));
+              layerRank("src/explore/design_space.hh"));
     EXPECT_EQ(layerName("src/core/sys.hh"), "core");
     EXPECT_EQ(layerName("tests/lint/lint_test.cc"), "tests");
 }

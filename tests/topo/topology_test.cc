@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 #include <tuple>
 
 #include "common/logging.hh"
@@ -187,6 +188,46 @@ TEST(Topology, ErrorsOnBadInput)
     Coord bad;
     bad[0] = 5;
     EXPECT_THROW(t.nodeAt(bad), FatalError);
+}
+
+TEST(Topology, PeerIsNodeAtOfTheEditedCoordinate)
+{
+    SimConfig a2a;
+    a2a.allToAll(2, 4, 2);
+    for (const SimConfig &cfg : {torusCfg(2, 4, 3), a2a}) {
+        Topology t(cfg);
+        for (NodeId node = 0; node < t.numNodes(); ++node) {
+            for (int d = 0; d < t.numDims(); ++d) {
+                for (int coord = 0; coord < t.dim(d).size; ++coord) {
+                    Coord c = t.coordOf(node);
+                    c[d] = coord;
+                    EXPECT_EQ(t.peer(node, d, coord), t.nodeAt(c))
+                        << t.toString() << " node " << node << " dim "
+                        << d << " coord " << coord;
+                }
+            }
+        }
+        // An out-of-range coordinate panics exactly as nodeAt does.
+        for (int d = 0; d < t.numDims(); ++d) {
+            for (int coord : {-1, t.dim(d).size}) {
+                Coord c = t.coordOf(1);
+                c[d] = coord;
+                std::string want, got;
+                try {
+                    t.nodeAt(c);
+                } catch (const FatalError &e) {
+                    want = e.what();
+                }
+                try {
+                    t.peer(1, d, coord);
+                } catch (const FatalError &e) {
+                    got = e.what();
+                }
+                EXPECT_FALSE(want.empty());
+                EXPECT_EQ(got, want);
+            }
+        }
+    }
 }
 
 TEST(Topology, SwitchDimensionRejectsRingOps)

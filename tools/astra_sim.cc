@@ -33,10 +33,10 @@
 #include "common/csv.hh"
 #include "common/json.hh"
 #include "common/logging.hh"
+#include "common/parallel_for.hh"
 #include "common/units.hh"
 #include "core/cluster.hh"
 #include "explore/design_space.hh"
-#include "explore/sweep_runner.hh"
 #include "guard/interrupt.hh"
 #include "guard/journal.hh"
 #include "workload/models.hh"
@@ -442,18 +442,19 @@ runExploreMode(const CliOptions &opts, const SimConfig &cfg)
         journal = std::make_unique<guard::SweepJournal>(opts.journalFile,
                                                         opts.resume);
 
-    SweepRunner runner(opts.jobs);
+    // For the report lines only: parallelFor resolves --jobs=0 itself.
+    const int jobs = opts.jobs > 0 ? opts.jobs : hardwareThreads();
     const auto candidates = enumerateCandidates(spec);
     std::printf("explore: %d modules, %zu candidates, %s of %s, "
                 "%d worker thread(s)\n\n",
                 spec.modules, candidates.size(), toString(spec.kind),
-                formatBytes(spec.bytes).c_str(), runner.jobs());
+                formatBytes(spec.bytes).c_str(), jobs);
     if (journal && opts.resume && journal->restoredCount() > 0)
         std::printf("resume: %zu candidate(s) restored from %s\n\n",
                     journal->restoredCount(),
                     journal->path().c_str());
 
-    auto results = exploreDesignSpace(spec, runner.jobs(), journal.get());
+    auto results = exploreDesignSpace(spec, opts.jobs, journal.get());
 
     if (opts.digestVerify) {
         // Determinism audit: a serial sweep must reproduce the
@@ -462,7 +463,7 @@ runExploreMode(const CliOptions &opts, const SimConfig &cfg)
         ASTRA_CHECK(serial.size() == results.size(),
                     "determinism audit failed: serial sweep produced "
                     "%zu candidates, --jobs=%d produced %zu",
-                    serial.size(), runner.jobs(), results.size());
+                    serial.size(), jobs, results.size());
         for (std::size_t i = 0; i < results.size(); ++i) {
             ASTRA_CHECK(serial[i].label == results[i].label &&
                             serial[i].commTime == results[i].commTime &&
@@ -474,14 +475,14 @@ runExploreMode(const CliOptions &opts, const SimConfig &cfg)
                         static_cast<unsigned long long>(
                             serial[i].commTime),
                         formatDigest(serial[i].digest).c_str(),
-                        runner.jobs(), results[i].label.c_str(),
+                        jobs, results[i].label.c_str(),
                         static_cast<unsigned long long>(
                             results[i].commTime),
                         formatDigest(results[i].digest).c_str());
         }
         std::printf("determinism audit: serial and --jobs=%d sweeps "
                     "identical (%zu candidates)\n\n",
-                    runner.jobs(), results.size());
+                    jobs, results.size());
     }
 
     // The outcome column appears only when some candidate did not

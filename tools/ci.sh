@@ -279,11 +279,12 @@ if [ "$FULL_TSAN" -eq 1 ]; then
     echo "=== TSan ctest (full suite) ==="
     ctest --test-dir build-tsan --output-on-failure -j "$JOBS"
 else
-    # The concurrency surface: the sweep engine, the thread pool, and
-    # the event queue they drive, plus the parallelized CLI/bench paths.
+    # The concurrency surface: the sweep engine, its parallelFor
+    # fan-out, and the event queue they drive, plus the parallelized
+    # CLI/bench paths.
     echo "=== TSan ctest (concurrency subset) ==="
     ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
-        -R 'Sweep|ThreadPool|ParallelFor|EventQueue|DesignSpace|cli_explore_mode|bench_sweep_quick'
+        -R 'Sweep|ParallelFor|EventQueue|DesignSpace|cli_explore_mode|bench_sweep_quick'
 fi
 
 echo "=== ci.sh: all green ==="
