@@ -96,12 +96,10 @@ main(int argc, char **argv)
     spec.setSplits = args.quick ? std::vector<int>{1, 8}
                                 : std::vector<int>{1, 4, 16};
     spec.bytes = args.quick ? 128 * KiB : 1 * MiB;
-    // For the report only: parallelFor resolves --jobs=0 (every
-    // hardware thread) itself, and warns on oversubscription.
     const int hw = hardwareThreads();
-    const int par_jobs = args.jobs > 0 ? args.jobs : hw;
-
     const std::size_t candidates = enumerateCandidates(spec).size();
+    // The workers the parallel sweep actually starts, for the report.
+    const int par_jobs = int(workerCount(args.jobs, candidates));
     std::printf("sweep: %d modules, %zu candidates, %s allreduce\n",
                 spec.modules, candidates,
                 formatBytes(spec.bytes).c_str());

@@ -18,13 +18,20 @@ hardwareThreads()
     return n == 0 ? 1 : static_cast<int>(n);
 }
 
+std::size_t
+workerCount(int jobs, std::size_t count)
+{
+    return std::min<std::size_t>(
+        static_cast<std::size_t>(jobs <= 0 ? hardwareThreads() : jobs),
+        count);
+}
+
 void
 parallelFor(int jobs, std::size_t count,
             const std::function<void(std::size_t)> &fn)
 {
     const int hw = hardwareThreads();
-    const std::size_t workers = std::min<std::size_t>(
-        static_cast<std::size_t>(jobs <= 0 ? hw : jobs), count);
+    const std::size_t workers = workerCount(jobs, count);
     if (workers == 0)
         return;
     // More runnable workers than hardware threads context-switch

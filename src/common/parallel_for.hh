@@ -17,8 +17,15 @@ namespace astra
 int hardwareThreads();
 
 /**
- * Run fn(i) for every i in [0, count) on up to @p jobs threads: starts
- * min(jobs, count) - 1 std::jthreads, and the calling thread works
+ * Workers parallelFor(@p jobs, @p count, ...) runs on: min(jobs,
+ * count), where jobs <= 0 selects hardwareThreads(). Reports that
+ * print a worker count print this, not the requested --jobs.
+ */
+std::size_t workerCount(int jobs, std::size_t count);
+
+/**
+ * Run fn(i) for every i in [0, count) on workerCount(jobs, count)
+ * threads: starts workerCount - 1 std::jthreads, and the calling thread works
  * alongside them. Workers claim indices from one atomic counter, so
  * each index runs exactly once; completion order is unspecified, so
  * callers that need deterministic output write result i into slot i.

@@ -21,10 +21,9 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <iterator>
 #include <map>
 #include <string>
-#include <type_traits>
-#include <vector>
 
 #include "common/types.hh"
 
@@ -183,11 +182,9 @@ class Histogram
 
 /**
  * A named bag of counters, accumulators and histograms. Hierarchical
- * names use dots ("sys3.queue.P2").
- *
- * The *Ref accessors hand out references that stay valid until
- * clear() (std::map nodes never move), so a hot path can resolve a
- * name once and then add through the reference (see StatSlots).
+ * names use dots ("sys3.queue.P2"). Groups are built at export time:
+ * hot paths record into plain indexed slots (NodeStats, LinkUsage)
+ * and name them once, here.
  */
 class StatGroup
 {
@@ -198,9 +195,6 @@ class StatGroup
     {
         _counters[name] += delta;
     }
-
-    /** Mutable counter @p name, created at zero on first use. */
-    double &counterRef(const std::string &name) { return _counters[name]; }
 
     /** Set counter @p name to @p value (creates it). */
     void
@@ -280,6 +274,32 @@ class StatGroup
     }
 
     /**
+     * Sets counters whose names arrive in ascending order: each insert
+     * is hinted just past the previous one, so a run of keys costs
+     * amortized O(1) apiece instead of a string-compare descent of the
+     * tree. An out-of-order name is still set, only not faster.
+     */
+    class AscendingSetter
+    {
+      public:
+        explicit AscendingSetter(StatGroup &g)
+            : _counters(g._counters), _next(g._counters.end())
+        {
+        }
+
+        void
+        set(std::string name, double value)
+        {
+            _next = std::next(
+                _counters.insert_or_assign(_next, std::move(name), value));
+        }
+
+      private:
+        std::map<std::string, double> &_counters;
+        std::map<std::string, double>::iterator _next;
+    };
+
+    /**
      * Merge another group into this one: counters add, accumulators
      * and histograms with the same name merge sample-exactly.
      */
@@ -301,46 +321,6 @@ class StatGroup
     std::map<std::string, double> _counters;
     std::map<std::string, Accumulator> _accs;
     std::map<std::string, Histogram> _hists;
-};
-
-/**
- * Stat slots of one StatGroup indexed by a small integer (a phase, a
- * dimension, a collective kind): slot i resolves its name on first
- * use, so the group's key set and every value match name-keyed
- * recording, and later uses are a pointer load with no string work.
- * @p T is double (a counter), Accumulator or Histogram. The group must
- * outlive the slots and never be clear()ed while they are in use.
- */
-template <class T>
-class StatSlots
-{
-  public:
-    /** Slot @p i of @p g, named by @p name() the first time. */
-    template <class NameFn>
-    T &
-    at(StatGroup &g, std::size_t i, NameFn &&name)
-    {
-        if (i < _refs.size() && _refs[i]) [[likely]]
-            return *_refs[i];
-        return resolve(g, i, name());
-    }
-
-  private:
-    [[gnu::noinline]] T &
-    resolve(StatGroup &g, std::size_t i, const std::string &name)
-    {
-        if (i >= _refs.size())
-            _refs.resize(i + 1, nullptr);
-        if constexpr (std::is_same_v<T, double>)
-            _refs[i] = &g.counterRef(name);
-        else if constexpr (std::is_same_v<T, Accumulator>)
-            _refs[i] = &g.accumulatorRef(name);
-        else
-            _refs[i] = &g.histogramRef(name);
-        return *_refs[i];
-    }
-
-    std::vector<T *> _refs;
 };
 
 /**

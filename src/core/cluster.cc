@@ -297,10 +297,12 @@ Cluster::runCollective(CollectiveKind kind, Bytes bytes,
 StatGroup
 Cluster::aggregateStats() const
 {
-    StatGroup all;
+    NodeStats all;
     for (const auto &node : _nodes)
-        all.merge(node->stats());
-    return all;
+        all.merge(node->nodeStats());
+    StatGroup g;
+    all.exportTo(g, _topo);
+    return g;
 }
 
 MetricRegistry

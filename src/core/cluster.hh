@@ -123,13 +123,16 @@ class Cluster
     Tick runCollective(CollectiveKind kind, Bytes bytes,
                        std::vector<int> dims = {}, int set_splits = 0);
 
-    /** Merge of all per-node stat groups. */
+    /**
+     * Every node's NodeStats folded slot by slot in node order, then
+     * named once (the "sys" group of exportMetrics).
+     */
     StatGroup aggregateStats() const;
 
     /**
      * Snapshot the whole platform's metrics as one registry:
-     *  - "sys": all per-node StatGroups merged (queue/network delays,
-     *    chunk latency histograms, issued/completed totals);
+     *  - "sys": aggregateStats() (queue/network delays, chunk latency
+     *    histograms, issued/completed totals);
      *  - "net": the backend's exportStats (per-link utilization,
      *    backend-specific histograms, energy);
      *  - "cluster": elapsed ticks, executed events, node count.

@@ -4,27 +4,10 @@
 #include <limits>
 
 #include "common/check.hh"
-#include "common/logging.hh"
 #include "core/sys.hh"
 
 namespace astra
 {
-
-void
-PhaseDelayStats::record(StatGroup &g, int i, LayerId layer, double v)
-{
-    const auto slot = std::size_t(i);
-    auto name = [&] { return strprintf("%s.P%d", _what, i); };
-    _acc.at(g, slot, name).sample(v);
-    _hist.at(g, slot, name).record(v);
-    if (layer >= 0) {
-        if (std::size_t(layer) >= _layer.size())
-            _layer.resize(std::size_t(layer) + 1);
-        _layer[std::size_t(layer)].at(g, slot, [&] {
-            return strprintf("layer%d.%s.P%d", layer, _what, i);
-        }).sample(v);
-    }
-}
 
 Scheduler::Scheduler(Sys &sys, const SimConfig &cfg)
     : _sys(sys), _policy(cfg.schedulingPolicy),
@@ -105,8 +88,9 @@ Scheduler::release(Stream *s)
     ++_phase0Active;
     ++_inFlight;
     const Tick now = _sys.now();
-    _queueDelay.record(_sys.stats(), 0, s->handle()->layer,
-                       static_cast<double>(now - s->submittedAt));
+    _sys.nodeStats().recordDelay(NodeStats::Delay::Queue, 0,
+                                 s->handle()->layer,
+                                 static_cast<double>(now - s->submittedAt));
     s->enterPhase(0, now);
     enqueue(s);
 }
@@ -164,9 +148,9 @@ Scheduler::admit(Stream *s, const LsqKey &key)
     Lsq &q = _lsqs[lsqIndex(key)];
     ++q.active;
     const Tick now = _sys.now();
-    _queueDelay.record(_sys.stats(), key.phase + 1, s->handle()->layer,
-                       static_cast<double>(
-                           now - s->enqueuedAt[std::size_t(key.phase)]));
+    _sys.nodeStats().recordDelay(
+        NodeStats::Delay::Queue, key.phase + 1, s->handle()->layer,
+        static_cast<double>(now - s->enqueuedAt[std::size_t(key.phase)]));
     _sys.startStreamPhase(*s);
 }
 

@@ -34,35 +34,12 @@
 #include <vector>
 
 #include "common/config.hh"
-#include "common/stats.hh"
 #include "core/stream.hh"
 
 namespace astra
 {
 
 class Sys;
-
-/**
- * One family of per-phase delay stats: "<what>.P<i>" (accumulator and
- * histogram) and, for layer-tagged chunks, "layer<l>.<what>.P<i>"
- * (accumulator), held as StatSlots so recording is integer work.
- * The scheduler records "queue" (i = 0 is the ready queue, i = p + 1
- * the LSQ of phase p); Sys records "network" (i = p + 1).
- */
-class PhaseDelayStats
-{
-  public:
-    explicit PhaseDelayStats(const char *what) : _what(what) {}
-
-    /** Record @p v as slot @p i, and as layer @p layer's if >= 0. */
-    void record(StatGroup &g, int i, LayerId layer, double v);
-
-  private:
-    const char *_what;
-    StatSlots<Accumulator> _acc;
-    StatSlots<Histogram> _hist;
-    std::vector<StatSlots<Accumulator>> _layer; //!< by layer, then i
-};
 
 /**
  * Per-node scheduler.
@@ -173,7 +150,6 @@ class Scheduler
     std::vector<Lsq> _lsqs;
     std::size_t _lsqDims;     //!< topology dimensions
     std::size_t _lsqChannels; //!< most channels of any dimension
-    PhaseDelayStats _queueDelay{"queue"};
     int _phase0Active = 0;
     int _inFlight = 0;
 };

@@ -19,6 +19,14 @@ Sys::Sys(NodeId id, const Topology &topo, NetworkApi &net,
     _net.setReceiver(id, [this](const Message &m) { onMessage(m); });
 }
 
+StatGroup
+Sys::stats() const
+{
+    StatGroup g;
+    _stats.exportTo(g, _topo);
+    return g;
+}
+
 std::shared_ptr<CollectiveHandle>
 Sys::issueCollective(const CollectiveRequest &req)
 {
@@ -55,9 +63,10 @@ Sys::issueCollective(const CollectiveRequest &req)
     const Bytes base = req.bytes / Bytes(splits);
     const Bytes rem = req.bytes % Bytes(splits);
 
-    _stats.inc("issued.sets");
-    _stats.inc("issued.chunks", splits);
-    _stats.inc("issued.bytes", static_cast<double>(req.bytes));
+    _stats.add(NodeStats::Counter::IssuedSets);
+    _stats.add(NodeStats::Counter::IssuedChunks, splits);
+    _stats.add(NodeStats::Counter::IssuedBytes,
+               static_cast<double>(req.bytes));
 
     for (int i = 0; i < splits; ++i) {
         const Bytes chunk_bytes = base + (Bytes(i) < rem ? 1 : 0);
@@ -93,11 +102,9 @@ Sys::sendMessage(Stream &stream, int dst_rank, int channel, Bytes bytes,
     msg.tag = MessageTag{stream.id(), stream.phaseIndex(), step, ph.rank};
     msg.payload = std::move(payload);
 
-    hotCounter(SentMessages) += 1;
-    hotCounter(SentBytes) += static_cast<double>(bytes);
-    _sentBytesByDim.at(_stats, std::size_t(ph.dim), [&] {
-        return "sent.bytes." + _topo.dim(ph.dim).name;
-    }) += static_cast<double>(bytes);
+    _stats.add(NodeStats::Counter::SentMessages);
+    _stats.add(NodeStats::Counter::SentBytes, static_cast<double>(bytes));
+    _stats.addSentBytes(ph.dim, static_cast<double>(bytes));
     _net.send(std::move(msg));
 }
 
@@ -117,9 +124,10 @@ Sys::sendP2P(NodeId dst, Bytes bytes, std::uint64_t tag)
     msg.hint = RouteHint{-1, static_cast<int>(tag & 0xffff)};
     msg.tag.stream = tag;
     msg.tag.phase = -1;
-    hotCounter(SentMessages) += 1;
-    hotCounter(SentBytes) += static_cast<double>(bytes);
-    hotCounter(SentBytesP2P) += static_cast<double>(bytes);
+    _stats.add(NodeStats::Counter::SentMessages);
+    _stats.add(NodeStats::Counter::SentBytes, static_cast<double>(bytes));
+    _stats.add(NodeStats::Counter::SentBytesP2P,
+               static_cast<double>(bytes));
     _net.send(std::move(msg));
 }
 
@@ -165,7 +173,7 @@ Sys::onMessageLost(const Message &msg, int link)
         s->data().noteTimeout();
 
     if (msg.attempt >= max_retries) {
-        _stats.inc("fault.retries_exhausted");
+        _stats.add(NodeStats::Counter::FaultRetriesExhausted);
         FailureRecord rec;
         rec.node = _id;
         rec.link = link;
@@ -184,17 +192,31 @@ Sys::onMessageLost(const Message &msg, int link)
 
     if (s)
         s->data().noteRetry();
-    _stats.inc("fault.retries");
+    _stats.add(NodeStats::Counter::FaultRetries);
     // Bounded exponential backoff: retryTimeout * 2^attempt, the shift
     // capped so a pathological retry budget cannot overflow the Tick.
     const Tick base = _faults ? _faults->retryTimeout() : Tick(1);
     const int shift = std::min<std::int32_t>(msg.attempt, 20);
     const Tick wait = base << shift;
-    Message again = msg;
+    if (_retryFree.empty()) {
+        _retryFree.push_back(std::uint32_t(_retryParked.size()));
+        _retryParked.emplace_back();
+    }
+    const std::uint32_t slot = _retryFree.back();
+    _retryFree.pop_back();
+    Message &again = _retryParked[slot];
+    again = msg;
     again.attempt += 1;
-    eventQueue().scheduleAfter(wait, [this, again]() mutable {
-        _net.send(std::move(again));
-    });
+    eventQueue().scheduleAfter(wait, RetrySend{this, slot});
+}
+
+void
+Sys::resend(std::uint32_t slot)
+{
+    // Free the slot before sending: a synchronous loss parks again.
+    Message msg = std::move(_retryParked[slot]);
+    _retryFree.push_back(slot);
+    _net.send(std::move(msg));
 }
 
 int
@@ -342,8 +364,8 @@ Sys::streamPhaseDone(Stream &stream)
     const int p = stream.phaseIndex();
     const Tick t = now();
     stream.finishedAt[std::size_t(p)] = t;
-    _networkDelay.record(
-        _stats, p + 1, stream.handle()->layer,
+    _stats.recordDelay(
+        NodeStats::Delay::Network, p + 1, stream.handle()->layer,
         static_cast<double>(t - stream.startedAt[std::size_t(p)]));
     if (_trace) {
         const PhaseDesc &ph = stream.phaseDesc();
@@ -436,14 +458,9 @@ Sys::finishStream(Stream &stream)
     // and per collective kind, plus the data-movement count.
     const double latency =
         static_cast<double>(now() - stream.submittedAt);
-    const CollectiveKind kind = stream.kind();
-    _chunkLatency.at(_stats, 0, [] {
-        return std::string("chunk.latency");
-    }).record(latency);
-    _chunkLatency.at(_stats, 1 + std::size_t(kind), [kind] {
-        return strprintf("chunk.latency.%s", toString(kind));
-    }).record(latency);
-    hotCounter(ChunkPayloads) += static_cast<double>(d.payloadsApplied());
+    _stats.recordChunkLatency(stream.kind(), latency);
+    _stats.add(NodeStats::Counter::ChunkPayloads,
+               static_cast<double>(d.payloadsApplied()));
 
     // Erase before firing callbacks: onComplete may issue collectives.
     eraseStream(stream.id());
@@ -453,11 +470,11 @@ Sys::finishStream(Stream &stream)
 void
 Sys::completeChunk(CollectiveHandle &handle)
 {
-    hotCounter(CompletedChunks) += 1;
+    _stats.add(NodeStats::Counter::CompletedChunks);
     if (--handle.remainingChunks > 0)
         return;
     handle.completedAt = now();
-    hotCounter(CompletedSets) += 1;
+    _stats.add(NodeStats::Counter::CompletedSets);
     if (handle.onComplete) {
         // The callback usually captures the handle; clear it before
         // firing or the shared_ptr cycle outlives completion.

@@ -28,6 +28,7 @@
 #include "common/event_queue.hh"
 #include "common/stats.hh"
 #include "common/trace.hh"
+#include "core/node_stats.hh"
 #include "core/scheduler.hh"
 #include "core/stream.hh"
 #include "net/network_api.hh"
@@ -90,9 +91,15 @@ class Sys
     void expectP2P(NodeId src, std::uint64_t tag,
                    std::function<void()> cb);
 
-    /** Per-node statistics (queue/network delay breakdown etc.). */
-    StatGroup &stats() { return _stats; }
-    const StatGroup &stats() const { return _stats; }
+    /**
+     * This node's recorded stats (queue/network delay breakdown etc.),
+     * the slots the system layer and its workload record into.
+     */
+    NodeStats &nodeStats() { return _stats; }
+    const NodeStats &nodeStats() const { return _stats; }
+
+    /** nodeStats() named, as Cluster::exportMetrics names the fold. */
+    StatGroup stats() const;
 
     /**
      * Install an inspector invoked on every completed stream before it
@@ -220,41 +227,12 @@ class Sys
     /** Destroy stream @p sid and trim finished ids off the front. */
     void eraseStream(StreamId sid);
 
-    /** Fixed-name counters of the per-message and per-chunk paths. */
-    enum HotCounter : std::size_t
-    {
-        SentMessages,
-        SentBytes,
-        SentBytesP2P,
-        CompletedChunks,
-        ChunkPayloads,
-        CompletedSets,
-    };
-
-    /** Counter @p c of _stats, resolved on first use. */
-    double &
-    hotCounter(HotCounter c)
-    {
-        static constexpr const char *kNames[] = {
-            "sent.messages",    "sent.bytes",     "sent.bytes.p2p",
-            "completed.chunks", "chunk.payloads", "completed.sets",
-        };
-        return _hotCounters.at(_stats, c,
-                               [c] { return std::string(kNames[c]); });
-    }
-
     NodeId _id;
     const Topology &_topo;
     NetworkApi &_net;
     const SimConfig &_cfg;
     Scheduler _scheduler;
-    /** Never clear()ed: the slots below hold references into it. */
-    StatGroup _stats;
-    StatSlots<double> _hotCounters;       //!< by HotCounter
-    StatSlots<double> _sentBytesByDim;    //!< "sent.bytes.<dim name>"
-    PhaseDelayStats _networkDelay{"network"};
-    /** "chunk.latency" at 0, "chunk.latency.<kind>" at 1 + kind. */
-    StatSlots<Histogram> _chunkLatency;
+    NodeStats _stats;
 
     /** Dispatch a point-to-point arrival. */
     void onP2PMessage(const Message &msg);
@@ -276,6 +254,27 @@ class Sys
         void operator()() const { sys->matchP2P(src, tag); }
     };
     static_assert(EventCallback::fitsInline<P2PArrival>());
+
+    /** Send the message parked in _retryParked[@p slot] again. */
+    void resend(std::uint32_t slot);
+
+    /**
+     * The event a loss retry schedules: the message waits in
+     * _retryParked, so the callable is stored inline (no heap per
+     * retry).
+     */
+    struct RetrySend
+    {
+        Sys *sys;
+        std::uint32_t slot;
+
+        void operator()() const { sys->resend(slot); }
+    };
+    static_assert(EventCallback::fitsInline<RetrySend>());
+
+    /** Messages waiting out a retry backoff; slots are reused. */
+    std::vector<Message> _retryParked;
+    std::vector<std::uint32_t> _retryFree; //!< free slots of _retryParked
 
     StreamId _nextStreamId = 1;
     /**

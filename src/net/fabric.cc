@@ -1,6 +1,8 @@
 #include "net/fabric.hh"
 
 #include <algorithm>
+#include <charconv>
+#include <iterator>
 
 #include "common/check.hh"
 #include "common/logging.hh"
@@ -229,6 +231,25 @@ FabricNetwork::emitUtilCounters(Tick now)
     _nextCounterAt = now + kUtilCounterInterval;
 }
 
+namespace
+{
+
+/** "link.<id>.util", the id zero-padded to four digits like "%04d". */
+std::string
+linkUtilKey(LinkId l)
+{
+    char digits[12];
+    char *end = std::to_chars(digits, std::end(digits), l).ptr;
+    std::string key = "link.";
+    if (end - digits < 4)
+        key.append(std::size_t(4 - (end - digits)), '0');
+    key.append(digits, end);
+    key += ".util";
+    return key;
+}
+
+} // namespace
+
 void
 FabricNetwork::exportStats(StatGroup &g) const
 {
@@ -252,6 +273,8 @@ FabricNetwork::exportStats(StatGroup &g) const
     const double elapsed_d = static_cast<double>(elapsed);
     double util_sum = 0;
     std::uint64_t bytes_total = 0;
+    Histogram util_pct;
+    StatGroup::AscendingSetter link_util(g);
     for (LinkId l = 0; l < nlinks; ++l) {
         const LinkUsage &u = _usage[std::size_t(l)];
         const LinkDesc &desc = _fabric.link(l);
@@ -266,10 +289,12 @@ FabricNetwork::exportStats(StatGroup &g) const
         const double util =
             safeDiv(static_cast<double>(u.busy), elapsed_d);
         util_sum += util;
-        g.record("link.util.pct", util * 100.0);
+        util_pct.record(util * 100.0);
         if (u.grants > 0)
-            g.set(strprintf("link.%04d.util", int(l)), util);
+            link_util.set(linkUtilKey(l), util);
     }
+    if (nlinks > 0)
+        g.histogramRef("link.util.pct").merge(util_pct);
 
     for (std::size_t d = 0; d < dims.size(); ++d) {
         const DimAgg &agg = dims[d];

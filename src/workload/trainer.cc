@@ -106,8 +106,7 @@ NodeTrainer::settled(std::size_t l, CommSlot slot,
         return 0;
     if (blocked) {
         _stats[l].exposed += *blocked;
-        _sys.stats().inc("exposed.cycles", static_cast<double>(*blocked));
-        _sys.stats().record("exposed.wait", static_cast<double>(*blocked));
+        _sys.nodeStats().recordExposed(static_cast<double>(*blocked));
         if (TraceRecorder *tr = _sys.trace()) {
             tr->span(_sys.id(), 0, "wait",
                      "exposed: " + _spec.layers[l].name,

@@ -17,6 +17,16 @@ TEST(ParallelFor, HardwareThreadsIsAtLeastOne)
     EXPECT_GE(hardwareThreads(), 1);
 }
 
+TEST(ParallelFor, WorkerCountIsTheJobBudgetCappedByTheCount)
+{
+    EXPECT_EQ(workerCount(8, 4), 4u);
+    EXPECT_EQ(workerCount(2, 10), 2u);
+    EXPECT_EQ(workerCount(3, 0), 0u);
+    const auto hw = std::size_t(hardwareThreads());
+    EXPECT_EQ(workerCount(0, hw + 5), hw);
+    EXPECT_EQ(workerCount(-1, 1), 1u);
+}
+
 TEST(ParallelFor, CoversEveryIndexExactlyOnce)
 {
     // {jobs, count}; the last pair has more jobs than indices.

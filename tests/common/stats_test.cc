@@ -108,41 +108,25 @@ TEST(StatGroup, ClearDropsEverything)
     EXPECT_TRUE(g.histograms().empty());
 }
 
-TEST(StatSlots, MatchNameKeyedRecordingAndResolveOnFirstUse)
+TEST(StatGroup, AscendingSetterMatchesSet)
 {
-    // Slots and name-keyed calls recording the same samples must give
-    // byte-identical JSON; an unused slot creates no key.
-    StatGroup by_name, by_slot;
-    StatSlots<double> counters;
-    StatSlots<Accumulator> accs;
-    StatSlots<Histogram> hists;
-    int resolved = 0;
-    auto named = [&resolved](std::string n) {
-        return [n, &resolved] {
-            ++resolved;
-            return n;
-        };
-    };
-    for (int i = 0; i < 50; ++i) {
-        const double v = 3.0 * i + 0.5;
-        by_name.inc("sent.bytes.local", v);
-        counters.at(by_slot, 2, named("sent.bytes.local")) += v;
-        by_name.sample("queue.P1", v);
-        accs.at(by_slot, 1, named("queue.P1")).sample(v);
-        by_name.record("network.P3", v);
-        hists.at(by_slot, 3, named("network.P3")).record(v);
+    // Hinted inserts land where set() puts them, in or out of order,
+    // next to keys that sort before, between and after the run.
+    StatGroup by_set, by_run;
+    for (StatGroup *g : {&by_set, &by_run}) {
+        g->set("byte.hops", 1);
+        g->set("lost.messages", 2);
+        g->set("util.mean", 3);
     }
-    EXPECT_EQ(resolved, 3);
-    EXPECT_EQ(by_slot.toJson(), by_name.toJson());
-    EXPECT_EQ(by_slot.counters().size(), 1u);
-
-    // A slot's reference survives later insertions into the group.
-    for (int i = 0; i < 100; ++i)
-        by_slot.inc("filler" + std::to_string(i));
-    counters.at(by_slot, 2, named("sent.bytes.local")) += 1.0;
-    EXPECT_EQ(resolved, 3);
-    EXPECT_DOUBLE_EQ(by_slot.counter("sent.bytes.local"),
-                     by_name.counter("sent.bytes.local") + 1.0);
+    StatGroup::AscendingSetter run(by_run);
+    for (const char *name : {"link.0000.util", "link.0003.util",
+                             "link.0042.util", "link.10000.util",
+                             "link.0007.util", "lost.messages"}) {
+        by_set.set(name, 0.25);
+        run.set(name, 0.25);
+    }
+    EXPECT_EQ(by_run.toJson(), by_set.toJson());
+    EXPECT_EQ(by_run.counters().size(), 8u);
 }
 
 TEST(Histogram, BucketBoundaries)

@@ -1,11 +1,13 @@
 // Allocation guard for the per-message collective and point-to-point
-// paths.
+// paths, and for one whole explore candidate.
 //
 // A counting global operator new measures heap allocations per
 // delivered message over a warmed-up all-reduce on a 4x4x4 torus (ring
 // algorithms in every dimension), once on each network backend, and
 // over warm expectP2P/sendP2P pairs between two NPUs (the pipeline
-// trainer's path).
+// trainer's path), and over the whole lifecycle of a warm 16-NPU
+// candidate (build, run, export, teardown), which catches per-node
+// string-keyed stats coming back.
 // Contribution tracking stays on; what a message may cost is its
 // shared payload block and its contribution array, plus the per-chunk
 // and per-pass setup amortized over the chunk's messages. The network
@@ -80,8 +82,8 @@ checkBackend(astra::NetworkBackend backend)
     Cluster cluster(cfg);
 
     // Warm-up: grows the event slab, the backend's message slab (and
-    // garnet-lite's packet arena), the LSQ table and the stat slots to
-    // their steady-state sizes.
+    // garnet-lite's packet arena), the LSQ table and the NodeStats
+    // slots to their steady-state sizes.
     const Bytes bytes = 1 * MiB;
     (void)cluster.runCollective(CollectiveKind::AllReduce, bytes);
 
@@ -172,6 +174,54 @@ checkP2P()
     return true;
 }
 
+/**
+ * Ceiling of allocations over one whole explore-style candidate:
+ * about 25% above the measured 1255 (2270 while every node named its
+ * per-dim, per-phase and per-kind stats into string-keyed maps and the
+ * cluster merged those maps at export).
+ */
+constexpr std::size_t kMaxAllocsPerCandidate = 1570;
+
+/**
+ * Measure a warm 16-NPU analytical candidate's whole lifecycle: build,
+ * runCollective, exportMetrics and teardown; false on regression. One
+ * chunk per set (the explore sweep's smallest split) keeps the
+ * per-message allocations from drowning the per-node fixed cost.
+ */
+bool
+checkCandidate()
+{
+    using namespace astra;
+    auto candidate = [] {
+        SimConfig cfg;
+        cfg.torus(2, 4, 2);
+        cfg.digest = true;
+        Cluster cluster(cfg);
+        (void)cluster.runCollective(CollectiveKind::AllReduce, 64 * KiB, {}, 1);
+        const MetricRegistry m = cluster.exportMetrics();
+        return m.group("sys").counter("completed.chunks");
+    };
+
+    (void)candidate(); // warm-up: one-time statics
+    const std::size_t allocs_before = g_allocations.load();
+    const double chunks = candidate();
+    const std::size_t allocs = g_allocations.load() - allocs_before;
+
+    if (chunks == 0) {
+        std::fprintf(stderr, "alloc_guard (candidate): no chunk completed\n");
+        return false;
+    }
+    std::printf("alloc_guard (candidate): %zu allocations for one 16-NPU "
+                "candidate (limit %zu)\n",
+                allocs, kMaxAllocsPerCandidate);
+    if (allocs > kMaxAllocsPerCandidate) {
+        std::fprintf(stderr, "alloc_guard (candidate): per-candidate "
+                             "allocations regressed\n");
+        return false;
+    }
+    return true;
+}
+
 } // namespace
 
 int
@@ -181,5 +231,6 @@ main()
     const bool analytical = checkBackend(astra::NetworkBackend::Analytical);
     const bool garnet = checkBackend(astra::NetworkBackend::GarnetLite);
     const bool p2p = checkP2P();
-    return analytical && garnet && p2p ? 0 : 1;
+    const bool candidate = checkCandidate();
+    return analytical && garnet && p2p && candidate ? 0 : 1;
 }

@@ -2,6 +2,7 @@
 
 #include "common/units.hh"
 #include "workload/models.hh"
+#include "workload/pipeline.hh"
 #include "workload/trainer.hh"
 
 namespace astra
@@ -164,6 +165,59 @@ TEST(EndToEnd, LifoAndFifoAgreeUnderHighLocalBandwidth)
     const double ratio = double(lifo) / double(fifo);
     EXPECT_GT(ratio, 0.9);
     EXPECT_LT(ratio, 1.1);
+}
+
+/**
+ * Every node's Sys::stats() merged in node order (what a platform
+ * wired by hand does) must render exactly like the Cluster's own fold
+ * of the nodes' records, and carry @p key.
+ */
+void
+expectNodeAndClusterNamingAgree(Cluster &cluster, const std::string &key)
+{
+    StatGroup merged;
+    for (NodeId n = 0; n < cluster.numNodes(); ++n)
+        merged.merge(cluster.node(n).stats());
+    const MetricRegistry reg = cluster.exportMetrics();
+    const StatGroup &sys = reg.group("sys");
+    EXPECT_EQ(merged.toJson(), sys.toJson());
+    const bool has_key = sys.counters().count(key) ||
+                         sys.accumulators().count(key) ||
+                         sys.histograms().count(key);
+    EXPECT_TRUE(has_key) << key;
+}
+
+TEST(EndToEnd, NodeAndClusterStatNamingAgreeOnLayerTaggedTraining)
+{
+    SimConfig cfg;
+    cfg.torus(2, 2, 2);
+    Cluster cluster(cfg);
+    WorkloadRun run(cluster, resnet50Workload(),
+                    TrainerOptions{.numPasses = 1});
+    run.run();
+    expectNodeAndClusterNamingAgree(cluster, "layer0.network.P1");
+}
+
+TEST(EndToEnd, NodeAndClusterStatNamingAgreeOnGpt2Pipeline)
+{
+    SimConfig cfg;
+    cfg.torus(2, 4, 4);
+    Cluster cluster(cfg);
+    PipelineRun run(cluster, gptWorkload(),
+                    PipelineOptions{.numPasses = 1, .microbatches = 16});
+    run.run();
+    expectNodeAndClusterNamingAgree(cluster, "sent.bytes.p2p");
+}
+
+TEST(EndToEnd, NodeAndClusterStatNamingAgreeOnFaultyGarnetRun)
+{
+    SimConfig cfg;
+    cfg.loadFile(std::string(ASTRA_SOURCE_DIR) +
+                 "/configs/faulty_4x4x4.cfg");
+    cfg.backend = NetworkBackend::GarnetLite;
+    Cluster cluster(cfg);
+    cluster.runCollective(CollectiveKind::AllReduce, 1 * MiB);
+    expectNodeAndClusterNamingAgree(cluster, "fault.retries");
 }
 
 } // namespace

@@ -442,13 +442,15 @@ runExploreMode(const CliOptions &opts, const SimConfig &cfg)
         journal = std::make_unique<guard::SweepJournal>(opts.journalFile,
                                                         opts.resume);
 
-    // For the report lines only: parallelFor resolves --jobs=0 itself.
+    // The --jobs the determinism-audit lines echo; parallelFor
+    // resolves --jobs=0 itself.
     const int jobs = opts.jobs > 0 ? opts.jobs : hardwareThreads();
     const auto candidates = enumerateCandidates(spec);
     std::printf("explore: %d modules, %zu candidates, %s of %s, "
-                "%d worker thread(s)\n\n",
+                "%zu worker thread(s)\n\n",
                 spec.modules, candidates.size(), toString(spec.kind),
-                formatBytes(spec.bytes).c_str(), jobs);
+                formatBytes(spec.bytes).c_str(),
+                workerCount(opts.jobs, candidates.size()));
     if (journal && opts.resume && journal->restoredCount() > 0)
         std::printf("resume: %zu candidate(s) restored from %s\n\n",
                     journal->restoredCount(),

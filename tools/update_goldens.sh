@@ -10,6 +10,10 @@
 # of a 16-NPU explore sweep with each candidate's event digest. The
 # golden_explore ctest byte-compares a fresh run against it.
 #
+# Also regenerate tests/golden/explore_report.txt: the SHA-256 of the
+# same sweep's --report-json, which holds every candidate's full
+# metric registry. The golden_explore_report ctest re-runs it.
+#
 # Also regenerate tests/golden/traces.txt: the SHA-256 of the Chrome
 # trace (--trace-file) of a 1MB table4 all-reduce on each backend,
 # which pins the network's utilization counter lanes. The
@@ -31,6 +35,7 @@ cd "$(dirname "$0")/.."
 SIM="${1:-build/tools/astra-sim}"
 OUT=tests/golden/digests.txt
 EXPLORE_OUT=tests/golden/explore16.csv
+EXPLORE_REPORT_OUT=tests/golden/explore_report.txt
 TRACE_OUT=tests/golden/traces.txt
 
 cases=()
@@ -114,6 +119,25 @@ trap 'rm -f "$explore"' EXIT
 mv "$explore" "$EXPLORE_OUT"
 trap - EXIT
 echo "wrote $EXPLORE_OUT ($(($(wc -l < "$EXPLORE_OUT") - 1)) candidates)"
+
+explore_args="--explore=16 --bytes=256KB"
+report="$(mktemp)"
+tmp="$(mktemp)"
+trap 'rm -f "$report" "$tmp"' EXIT
+# shellcheck disable=SC2086 # $explore_args is a word list on purpose
+"$SIM" $explore_args --report-json="$report" >/dev/null
+{
+    echo "# Golden of an explore sweep's metric report: <report-sha256>"
+    echo "# <arguments>, the SHA-256 of --report-json (every candidate's full"
+    echo "# metric registry). Checked by the golden_explore_report ctest"
+    echo "# (tests/golden/check_traces.cmake); regenerate with"
+    echo "# tools/update_goldens.sh."
+    echo "$(sha256sum "$report" | cut -d' ' -f1) $explore_args"
+} > "$tmp"
+mv "$tmp" "$EXPLORE_REPORT_OUT"
+rm -f "$report"
+trap - EXIT
+echo "wrote $EXPLORE_REPORT_OUT"
 
 trace_cases=()
 for backend in analytical garnet; do
